@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,11 @@ from .scan import (
     AXIS_FIELDS,
     DEFAULT_ETA,
     DEFAULT_METHOD,
+    DEFAULT_WINDOW_HALF_WIDTH,
     METHODS,
     NUMERIC_COLUMNS,
+    RECORD_COLUMNS,
+    ZeroTemperatureExtrapolation,
     estimate_qcp,
     extrapolate_to_zero,
     sweep,
@@ -66,13 +69,11 @@ EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-SWEEP_HEADER = (
-    "param,kT,z,xx,yy,zz,qd,theta_star,sqc_x,sqc_y,sqc_z,"
-    "lqc_x,lqc_y,lqc_z,lqc_x_divergent,lqc_y_divergent,lqc_z_divergent,"
-    "fmax_ext,fmax_branch,dmin_int,dmin_branch"
-)
+SWEEP_HEADER = ",".join(("param", "kT") + RECORD_COLUMNS)
+# QcpEstimate declares its fields in another order, so this header is the
+# estimates.csv column list.
 ESTIMATE_HEADER = "detector,kT,method,order,estimate,uncertainty"
-EXTRAPOLATION_HEADER = "detector,method,order,intercept,stderr,slope,n_points"
+EXTRAPOLATION_HEADER = ",".join(f.name for f in fields(ZeroTemperatureExtrapolation))
 
 # Detector columns cmd_estimate may differentiate (raw correlators included;
 # the 0/1 divergence flags excluded).
@@ -330,46 +331,36 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _sweep_rows(result) -> list[str]:
-    rows = []
-    for rec in result.records:
-        cells = [_fmt(rec.param), _fmt(result.kT)]
-        for name in (
-            "z",
-            "xx",
-            "yy",
-            "zz",
-            "qd",
-            "theta_star",
-            "sqc_x",
-            "sqc_y",
-            "sqc_z",
-            "lqc_x",
-            "lqc_y",
-            "lqc_z",
-        ):
-            cells.append(_fmt(rec.value(name)))
-        for name in ("lqc_x_divergent", "lqc_y_divergent", "lqc_z_divergent"):
-            cells.append(str(int(rec.value(name))))
-        cells.append(_fmt(rec.fmax_ext))
-        cells.append(rec.fmax_branch or "")
-        cells.append(_fmt(rec.dmin_int))
-        cells.append(rec.dmin_branch or "")
-        rows.append(",".join(cells))
-    return rows
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a label is written as is, a number (bools
+    included, as 0/1) through _fmt."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return _fmt(value)
 
 
-def write_sweep_csv(result, path: Path) -> None:
-    lines = [SWEEP_HEADER] + _sweep_rows(result)
+def _write_csv(path: Path, header: str, rows) -> None:
+    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    cfg.require_sweep_axis()
-    template = cfg.model_template()
-    results = sweep(
-        template,
+def _sweep_rows(result) -> list[list]:
+    return [
+        [rec.param, result.kT] + [rec.cell(name) for name in RECORD_COLUMNS]
+        for rec in result.records
+    ]
+
+
+def write_sweep_csv(result, path: Path) -> None:
+    _write_csv(path, SWEEP_HEADER, _sweep_rows(result))
+
+
+def _run_sweep(cfg: RunConfig):
+    return sweep(
+        cfg.model_template(),
         cfg.axis,
         cfg.start,
         cfg.stop,
@@ -378,6 +369,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         method=cfg.solver,
         workers=cfg.workers,
     )
+
+
+def cmd_sweep(cfg: RunConfig) -> int:
+    cfg.require_sweep_axis()
+    results = _run_sweep(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
     for result in results:
         path = cfg.out / f"sweep_kT{_fmt(result.kT)}.csv"
@@ -397,22 +393,15 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError("need window_lo/window_hi or candidate")
     window = cfg.window
     if window is None:
-        window = (cfg.candidate - 0.5, cfg.candidate + 0.5)
+        window = (
+            cfg.candidate - DEFAULT_WINDOW_HALF_WIDTH,
+            cfg.candidate + DEFAULT_WINDOW_HALF_WIDTH,
+        )
     if window[0] < cfg.start or window[1] > cfg.stop:
         raise ConfigError(
             f"window {window} leaves the sweep range [{cfg.start}, {cfg.stop}]"
         )
-    template = cfg.model_template()
-    results = sweep(
-        template,
-        cfg.axis,
-        cfg.start,
-        cfg.stop,
-        cfg.eta,
-        cfg.kT_list,
-        method=cfg.solver,
-        workers=cfg.workers,
-    )
+    results = _run_sweep(cfg)
     estimates = []
     for detector in cfg.detectors:
         for result in results:
@@ -427,55 +416,29 @@ def cmd_estimate(cfg: RunConfig) -> int:
             )
     cfg.out.mkdir(parents=True, exist_ok=True)
     est_path = cfg.out / "estimates.csv"
-    lines = [ESTIMATE_HEADER]
-    for e in estimates:
-        lines.append(
-            ",".join(
-                [
-                    e.detector,
-                    _fmt(e.kT),
-                    e.method,
-                    str(e.order),
-                    _fmt(e.estimate),
-                    _fmt(e.uncertainty),
-                ]
-            )
-        )
-    with open(est_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        est_path,
+        ESTIMATE_HEADER,
+        [[getattr(e, name) for name in ESTIMATE_HEADER.split(",")] for e in estimates],
+    )
     print(f"wrote {est_path}  [{len(estimates)} estimates]")
 
     summary = ["T->0 extrapolation:"]
-    extrap_lines = [EXTRAPOLATION_HEADER]
-    wrote_any = False
+    fits = []
     for detector in cfg.detectors:
         per_detector = [e for e in estimates if e.detector == detector]
         if len({e.kT for e in per_detector}) < 3:
             summary.append(f"  {detector}: skipped (needs >= 3 temperatures)")
             continue
         fit = extrapolate_to_zero(per_detector)
-        extrap_lines.append(
-            ",".join(
-                [
-                    fit.detector,
-                    fit.method,
-                    str(fit.order),
-                    _fmt(fit.intercept),
-                    _fmt(fit.stderr),
-                    _fmt(fit.slope),
-                    str(fit.n_points),
-                ]
-            )
-        )
-        wrote_any = True
+        fits.append(astuple(fit))
         summary.append(
             f"  {detector}: intercept {_fmt(fit.intercept)} +- {_fmt(fit.stderr)}"
             f"  (slope {_fmt(fit.slope)}, n = {fit.n_points})"
         )
-    if wrote_any:
+    if fits:
         ext_path = cfg.out / "extrapolation.csv"
-        with open(ext_path, "w", newline="\n") as fh:
-            fh.write("\n".join(extrap_lines) + "\n")
+        _write_csv(ext_path, EXTRAPOLATION_HEADER, fits)
         print(f"wrote {ext_path}")
     print("\n".join(summary))
     return EXIT_OK

@@ -175,12 +175,28 @@ def _bond_list(L: int) -> list[tuple[int, int]]:
     return [(j, (j + 1) % L) for j in range(L)]
 
 
+def _bond_flips(
+    states: np.ndarray, p: int, q: int, differ_amp: float, equal_amp: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets (rows, cols, vals) of the two-bit flip on the bond (p, q).
+
+    The flip has amplitude ``differ_amp`` from states whose two bond bits
+    differ and ``equal_amp`` from states whose bond bits agree; zero
+    amplitudes give no entries.  sx sx flips with (1, 1), sy sy with (1, -1),
+    so sx sx + sy sy is (2, 0) and sx sx - sy sy is (0, 2).
+    """
+    differ = ((states >> p) & 1) != ((states >> q) & 1)
+    amp = np.where(differ, differ_amp, equal_amp)
+    keep = amp != 0.0
+    src = states[keep]
+    return src ^ np.int64((1 << p) | (1 << q)), src, amp[keep]
+
+
 def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
     """Sparse 2^L x 2^L Hamiltonian in the sz product basis (bit j = site j+1).
 
-    Bit value 0 encodes sz = +1.  Matrix elements: a bond's sx sx + sy sy
-    contributes 2 between states whose two bond bits differ; sx sx - sy sy
-    contributes 2 between states whose bond bits agree; sz terms are diagonal.
+    Bit value 0 encodes sz = +1.  Each bond contributes the flips of
+    ``_bond_flips``; sz terms are diagonal.
     """
     if spec.L is None:
         raise ValueError("build_hamiltonian needs a finite L")
@@ -208,18 +224,10 @@ def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
 
     for p, q in _bond_list(L):
         diag += zz_coef * sz[:, p] * sz[:, q]
-        mask = np.int64((1 << p) | (1 << q))
-        differ = bits[:, p] != bits[:, q]
-        if hop_amp != 0.0:
-            src = states[differ]
-            rows.append(src ^ mask)
-            cols.append(src)
-            vals.append(np.full(src.size, hop_amp))
-        if pair_amp != 0.0:
-            src = states[~differ]
-            rows.append(src ^ mask)
-            cols.append(src)
-            vals.append(np.full(src.size, pair_amp))
+        r, c, v = _bond_flips(states, p, q, hop_amp, pair_amp)
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
 
     rows.append(states)
     cols.append(states)
@@ -231,30 +239,11 @@ def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
     return mat.tocsr()
 
 
-def _pair_flip_triplets(L: int, p: int, q: int, equal_bits: bool, sign_equal: float):
-    """COO triplets for a two-site flip operator on sites p, q (0-based bits).
-
-    With equal_bits False and sign +1 this is the matrix of sx_p sx_q
-    restricted to differ-bit flips; see callers for how sx sx and sy sy are
-    assembled.
-    """
-    dim = 1 << L
-    states = np.arange(dim, dtype=np.int64)
-    bp = (states >> p) & 1
-    bq = (states >> q) & 1
-    mask = np.int64((1 << p) | (1 << q))
-    sel = (bp == bq) if equal_bits else (bp != bq)
-    src = states[sel]
-    return src ^ mask, src, np.full(src.size, sign_equal)
-
-
 def _pair_operators(L: int, site: int) -> dict[str, object]:
     """Observables for the pair (site, site+1), 1-based site index.
 
-    Returns diagonal arrays for sz_1 and sz_1 sz_2 and sparse matrices for
-    sx_1 sx_2 and sy_1 sy_2.  sx sx flips the two bits with amplitude +1
-    regardless of alignment; sy sy flips with +1 on differing bits and -1 on
-    equal bits.
+    Returns diagonal arrays for sz_1 and sz_1 sz_2 and sparse CSC matrices
+    for sx_1 sx_2 and sy_1 sy_2.
     """
     p = site - 1
     q = site % L
@@ -262,18 +251,11 @@ def _pair_operators(L: int, site: int) -> dict[str, object]:
     states = np.arange(dim, dtype=np.int64)
     sz_p = 1.0 - 2.0 * ((states >> p) & 1)
     sz_q = 1.0 - 2.0 * ((states >> q) & 1)
-
-    r1, c1, v1 = _pair_flip_triplets(L, p, q, equal_bits=False, sign_equal=1.0)
-    r2, c2, v2 = _pair_flip_triplets(L, p, q, equal_bits=True, sign_equal=1.0)
-    sxsx = scipy.sparse.coo_matrix(
-        (np.concatenate([v1, v2]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-        shape=(dim, dim),
-    ).tocsr()
-    sysy = scipy.sparse.coo_matrix(
-        (np.concatenate([v1, -v2]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-        shape=(dim, dim),
-    ).tocsr()
-    return {"z": sz_p, "zz": sz_p * sz_q, "xx": sxsx, "yy": sysy}
+    ops = {"z": sz_p, "zz": sz_p * sz_q}
+    for name, equal_amp in (("xx", 1.0), ("yy", -1.0)):
+        r, c, v = _bond_flips(states, p, q, 1.0, equal_amp)
+        ops[name] = scipy.sparse.csc_matrix((v, (r, c)), shape=(dim, dim))
+    return ops
 
 
 def _sector_indices(spec: ModelSpec, method: str) -> list[np.ndarray]:
@@ -300,17 +282,15 @@ class ThermalSolution:
     """Eigendecomposition of a finite chain plus per-eigenstate observables.
 
     ``energies`` concatenates all symmetry sectors; ``expectations`` maps each
-    correlator name to <n|O|n> aligned with ``energies``.  Eigenvectors are
-    kept per sector (with their basis index lists) when requested.  Thermal
-    weights never exponentiate anything above zero: weights are relative to
-    the ground energy, so low temperatures cannot overflow.
+    correlator name to <n|O|n> aligned with ``energies``.  Thermal weights
+    never exponentiate anything above zero: weights are relative to the
+    ground energy, so low temperatures cannot overflow.
     """
 
     spec: ModelSpec
     energies: np.ndarray
     expectations: dict[str, np.ndarray]
     e0: float
-    eigenvectors: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def weights(self, kT: float) -> np.ndarray:
         """Unnormalized Boltzmann weights exp(-(E - E0)/kT); kT = 0 gives an
@@ -344,7 +324,6 @@ def diagonalize(
     spec: ModelSpec,
     method: str = "auto",
     pair_site: int = 1,
-    store_vectors: bool = False,
 ) -> ThermalSolution:
     """Exactly diagonalize the chain and cache per-eigenstate observables.
 
@@ -364,7 +343,6 @@ def diagonalize(
 
     energies = []
     expect = {name: [] for name in ("z", "xx", "yy", "zz")}
-    vectors = [] if store_vectors else None
     ham_csc = ham.tocsc()
     for idx in groups:
         block = ham_csc[:, idx].tocsr()[idx, :].toarray()
@@ -374,10 +352,8 @@ def diagonalize(
             diag_vals = ops[name][idx]
             expect[name].append((evecs * evecs).T @ diag_vals)
         for name in ("xx", "yy"):
-            op_block = ops[name].tocsc()[:, idx].tocsr()[idx, :]
+            op_block = ops[name][:, idx].tocsr()[idx, :]
             expect[name].append(np.einsum("in,in->n", evecs, op_block @ evecs))
-        if store_vectors:
-            vectors.append((idx, evecs))
 
     energies = np.concatenate(energies)
     expectations = {k: np.concatenate(v) for k, v in expect.items()}
@@ -386,7 +362,6 @@ def diagonalize(
         energies=energies,
         expectations=expectations,
         e0=float(energies.min()),
-        eigenvectors=vectors,
     )
 
 

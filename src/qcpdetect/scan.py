@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,29 +44,6 @@ AXIS_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "lambda": ("lam", ("xy",)),
     "gamma": ("gamma", ("xy",)),
 }
-
-# Numeric per-record columns, in CSV emission order (branches are strings and
-# live on the record itself).
-NUMERIC_COLUMNS = (
-    "z",
-    "xx",
-    "yy",
-    "zz",
-    "qd",
-    "theta_star",
-    "sqc_x",
-    "sqc_y",
-    "sqc_z",
-    "lqc_x",
-    "lqc_y",
-    "lqc_z",
-    "lqc_x_divergent",
-    "lqc_y_divergent",
-    "lqc_z_divergent",
-    "fmax_ext",
-    "dmin_int",
-)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -97,18 +74,34 @@ class SweepRecord:
     dmin_int: float = math.nan
     dmin_branch: str | None = None
 
+    def cell(self, column: str) -> float | bool | str | None:
+        """Raw value of a correlator or detector column (NaN correlators when
+        the point failed)."""
+        if column not in RECORD_COLUMNS:
+            raise KeyError(f"unknown column {column!r}")
+        if column in CORRELATOR_COLUMNS:
+            if self.correlators is None:
+                return math.nan
+            return getattr(self.correlators, column)
+        return getattr(self, column)
+
     def value(self, column: str) -> float:
         """Numeric value of a named column, NaN when the point failed."""
         if column not in NUMERIC_COLUMNS:
             raise KeyError(f"unknown numeric column {column!r}")
-        if column in ("z", "xx", "yy", "zz"):
-            if self.correlators is None:
-                return math.nan
-            return getattr(self.correlators, column)
-        raw = getattr(self, column)
-        if isinstance(raw, bool):
-            return float(raw)
-        return raw
+        return float(self.cell(column))
+
+
+# The column schema, in CSV emission order: the correlators, then the record's
+# fields from ``qd`` on.  Label columns (the branches) are those defaulting to
+# None; every other column is numeric.
+CORRELATOR_COLUMNS = ("z", "xx", "yy", "zz")
+_RECORD_FIELDS = fields(SweepRecord)
+_DETECTOR_FIELDS = _RECORD_FIELDS[[f.name for f in _RECORD_FIELDS].index("qd") :]
+RECORD_COLUMNS = CORRELATOR_COLUMNS + tuple(f.name for f in _DETECTOR_FIELDS)
+NUMERIC_COLUMNS = CORRELATOR_COLUMNS + tuple(
+    f.name for f in _DETECTOR_FIELDS if f.default is not None
+)
 
 
 @dataclass(frozen=True)
@@ -347,9 +340,9 @@ def estimate_qcp(
 ) -> QcpEstimate:
     """Locate a critical point as the in-window extremum of |derivative|.
 
-    The search window is an explicit (lo, hi) interval, or candidate +- 0.5
-    when only a candidate is given; it must lie inside the grid interior.
-    Ties break toward the smaller control value.  Raises ValueError when the
+    The search window is an explicit (lo, hi) interval, or candidate +-
+    DEFAULT_WINDOW_HALF_WIDTH when only a candidate is given; it must lie
+    inside the grid interior.  Ties break toward the smaller control value.  Raises ValueError when the
     window contains no defined derivative value.
     """
     if window is None:

@@ -141,13 +141,33 @@ def bell_projector(label: str) -> np.ndarray:
     return np.outer(ket, ket)
 
 
+# P (x) 1 on qubits (1, 2, 3) for each Bell outcome P.
+_ALICE_PROJECTORS = {
+    label: np.kron(bell_projector(label), IDENTITY_2) for label in BELL_LABELS
+}
+
+
 def _projected_bob(rho1: np.ndarray, x: XState, label: str) -> tuple[np.ndarray, float]:
     """Unnormalized Bob state Tr_12[P (rho1 (x) rho23) P] and its weight Q."""
     rho = np.kron(np.asarray(rho1, dtype=complex), dense_matrix(x))
-    proj = np.kron(bell_projector(label), IDENTITY_2)
+    proj = _ALICE_PROJECTORS[label]
     sandwiched = proj @ rho @ proj
     reduced = np.einsum("abcabd->cd", sandwiched.reshape(2, 2, 2, 2, 2, 2))
     return reduced, float(np.trace(reduced).real)
+
+
+def _corrected_bob(
+    rho1: np.ndarray, x: XState, label: str, set_label: str
+) -> tuple[np.ndarray | None, float]:
+    """Bob's state after outcome ``label`` and its correction from the set
+    ``set_label``, U_j Tr_12[P rho P] U_j^dag (unnormalized: Q_j is inside),
+    and its weight Q_j.  The state is None when the outcome is impossible
+    (Q_j below the floor)."""
+    reduced, q = _projected_bob(rho1, x, label)
+    if q < _Q_FLOOR:
+        return None, q
+    u = CORRECTION_SETS[set_label][BELL_LABELS.index(label)]
+    return u @ reduced @ u.conj().T, q
 
 
 def outcome_probability(input_state, x: XState, label: str) -> float:
@@ -158,26 +178,22 @@ def outcome_probability(input_state, x: XState, label: str) -> float:
 
 def bob_output(input_state, x: XState, label: str, set_label: str) -> np.ndarray:
     """Bob's corrected conditional state U_j Tr_12[P rho P] U_j^dag / Q_j."""
-    reduced, q = _projected_bob(_as_density(input_state), x, label)
-    if q < _Q_FLOOR:
+    corrected, q = _corrected_bob(_as_density(input_state), x, label, set_label)
+    if corrected is None:
         raise OutcomeImpossibleError(
             f"outcome {label!r} has probability {q:.3e}; conditional state undefined"
         )
-    u = CORRECTION_SETS[set_label][BELL_LABELS.index(label)]
-    return u @ (reduced / q) @ u.conj().T
+    return corrected / q
 
 
 def mean_fidelity(input_state, x: XState, set_label: str) -> float:
     """Mean fidelity sum_j Q_j <psi| rho_Bj |psi> for a pure input."""
     rho_in = _as_density(input_state)
     total = 0.0
-    for j, label in enumerate(BELL_LABELS):
-        reduced, q = _projected_bob(rho_in, x, label)
-        if q < _Q_FLOOR:
-            continue
-        u = CORRECTION_SETS[set_label][j]
-        corrected = u @ reduced @ u.conj().T  # unnormalized: Q_j already inside
-        total += float(np.einsum("ij,ji->", rho_in, corrected).real)
+    for label in BELL_LABELS:
+        corrected, _ = _corrected_bob(rho_in, x, label, set_label)
+        if corrected is not None:
+            total += float(np.einsum("ij,ji->", rho_in, corrected).real)
     return total
 
 
@@ -192,12 +208,7 @@ def max_mean_fidelity(x: XState) -> MaxMeanFidelity:
         ("yy", 0.5 + abs(x.c - x.e)),
         ("zz", max(2.0 * x.b, 1.0 - 2.0 * x.b)),
     ]
-    branch, value = max(candidates, key=lambda kv: kv[1])
-    # max() keeps the last maximal entry; enforce first-listed tie-breaking.
-    for name, v in candidates:
-        if v == value:
-            branch = name
-            break
+    branch, value = max(candidates, key=lambda kv: kv[1])  # first of any tie
     return MaxMeanFidelity(value=value, branch=branch)
 
 
@@ -222,19 +233,13 @@ def _fidelity_quadratic_forms(x: XState) -> dict[str, np.ndarray]:
     Built by running the literal protocol on the four one-qubit matrix units,
     so this encodes nothing but protocol algebra (linearity in rho1).
     """
-    rho4 = dense_matrix(x).astype(complex)
     t_blocks = np.empty((4, 2, 2, 2, 2), dtype=complex)  # [j, a, b, :, :]
     for a in range(2):
         for b in range(2):
             unit = np.zeros((2, 2), dtype=complex)
             unit[a, b] = 1.0
-            rho = np.kron(unit, rho4)
             for j, label in enumerate(BELL_LABELS):
-                proj = np.kron(bell_projector(label), IDENTITY_2)
-                sandwiched = proj @ rho @ proj
-                t_blocks[j, a, b] = np.einsum(
-                    "abcabd->cd", sandwiched.reshape(2, 2, 2, 2, 2, 2)
-                )
+                t_blocks[j, a, b] = _projected_bob(unit, x, label)[0]
     forms = {}
     for set_label, unitaries in CORRECTION_SETS.items():
         w = np.zeros((2, 2, 2, 2), dtype=complex)  # [a, b, c, d]
@@ -246,10 +251,15 @@ def _fidelity_quadratic_forms(x: XState) -> dict[str, np.ndarray]:
     return forms
 
 
-def _eval_forms(w: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Mean fidelity for each ket column: sum_pq u_p W_pq conj(u)_q."""
+def _ket_products(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = psi (x) conj(psi) for each ket column, shape (4, n), and conj(u)."""
     u = np.einsum("an,bn->abn", kets, kets.conj()).reshape(4, -1)
-    return np.einsum("pn,pn->n", u, w @ u.conj()).real
+    return u, u.conj()
+
+
+def _eval_forms(w: np.ndarray, u: np.ndarray, u_conj: np.ndarray) -> np.ndarray:
+    """Mean fidelity for each column of u: sum_pq u_p W_pq conj(u)_q."""
+    return np.einsum("pn,pn->n", u, w @ u_conj).real
 
 
 def max_mean_fidelity_bruteforce(
@@ -269,9 +279,10 @@ def max_mean_fidelity_bruteforce(
     forms = _fidelity_quadratic_forms(x)
     kets, thetas, chis = _bloch_grid(n_theta, n_chi)
 
+    products = _ket_products(kets)  # shared by the four sets
     per_set = {}
     for set_label, w in forms.items():
-        vals = _eval_forms(w, kets)
+        vals = _eval_forms(w, *products)
         k = int(np.argmax(vals))
         per_set[set_label] = (float(vals[k]), float(thetas[k]), float(chis[k]))
 
@@ -298,7 +309,7 @@ def max_mean_fidelity_bruteforce(
             ch_grid = np.linspace(ch - d_chi, ch + d_chi, 9)
             tt, cc = np.meshgrid(th_grid, ch_grid, indexing="ij")
             local = _kets_from_angles(tt.ravel(), cc.ravel())
-            lv = _eval_forms(w, local)
+            lv = _eval_forms(w, *_ket_products(local))
             m = int(np.argmax(lv))
             if lv[m] > val:
                 val, th, ch = float(lv[m]), float(tt.ravel()[m]), float(cc.ravel()[m])
@@ -347,11 +358,7 @@ def min_mean_trace_distance(x: XState) -> MinMeanTraceDistance:
     base = 2.0 * x.b + x.d - bd * bd
     gap = abs(bd * bd - x.d)
     candidates = [("1-D-", 1.0 - (base - gap)), ("D+", base + gap)]
-    branch, inner = min(candidates, key=lambda kv: kv[1])
-    for name, v in candidates:
-        if v == inner:
-            branch = name
-            break
+    branch, inner = min(candidates, key=lambda kv: kv[1])  # first of any tie
     return MinMeanTraceDistance(value=abs(1.0 - 2.0 * bd) * inner, branch=branch)
 
 
@@ -365,13 +372,10 @@ def min_mean_trace_distance_bruteforce(x: XState) -> float:
     best = math.inf
     for set_label in BELL_LABELS:
         total = 0.0
-        for j, label in enumerate(BELL_LABELS):
-            reduced, q = _projected_bob(rho_in, x, label)
-            if q < _Q_FLOOR:
-                continue
-            u = CORRECTION_SETS[set_label][j]
-            rho_out = u @ (reduced / q) @ u.conj().T
-            total += q * trace_distance(rho_in, rho_out)
+        for label in BELL_LABELS:
+            corrected, q = _corrected_bob(rho_in, x, label, set_label)
+            if corrected is not None:
+                total += q * trace_distance(rho_in, corrected / q)
         best = min(best, total)
     return best
 
@@ -393,11 +397,10 @@ def simulate_protocol(
     fids = np.zeros(4)
     dists = np.zeros(4)
     for j, label in enumerate(BELL_LABELS):
-        reduced, q = _projected_bob(rho_in, x, label)
+        corrected, q = _corrected_bob(rho_in, x, label, set_label)
         qs[j] = max(q, 0.0)
-        if q >= _Q_FLOOR:
-            u = CORRECTION_SETS[set_label][j]
-            rho_out = u @ (reduced / q) @ u.conj().T
+        if corrected is not None:
+            rho_out = corrected / q
             fids[j] = _qubit_fidelity(rho_in, rho_out)
             dists[j] = trace_distance(rho_in, rho_out)
     qs /= qs.sum()

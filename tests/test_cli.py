@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qcpdetect.cli import (
@@ -10,7 +11,10 @@ from qcpdetect.cli import (
     RunConfig,
     main,
     parse_config_text,
+    write_sweep_csv,
 )
+from qcpdetect.models import ModelSpec
+from qcpdetect.scan import NUMERIC_COLUMNS, sweep
 
 SWEEP_CONFIG = """\
 # small antiferromagnetic scan
@@ -125,6 +129,36 @@ def test_sweep_command_writes_expected_csv(tmp_path, capsys):
             assert 0.0 <= qd <= math.log(2.0) + 1e-9
     params = [float(r.split(",")[0]) for r in body["0.5"][1:]]
     assert params == pytest.approx([-1.2, -1.1, -1.0, -0.9, -0.8])
+
+
+def test_sweep_csv_matches_records(tmp_path, monkeypatch):
+    import qcpdetect.scan as scan_mod
+
+    original = scan_mod.evaluate_detectors
+
+    def flaky(param, corr):
+        if abs(param + 1.1) < 1e-9:
+            raise RuntimeError("boom")
+        return original(param, corr)
+
+    monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
+    result = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.2, -0.8, eta=0.1)[0]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = [row.split(",") for row in lines[1:]]
+    assert len(cells) == len(result.records)
+    for name in NUMERIC_COLUMNS:
+        parsed = [float(row[header.index(name)]) for row in cells]
+        np.testing.assert_allclose(
+            parsed, result.column(name), rtol=5e-12, atol=0.0, equal_nan=True
+        )
+    for name in ("fmax_branch", "dmin_branch"):
+        written = [row[header.index(name)] for row in cells]
+        assert written == [getattr(rec, name) or "" for rec in result.records]
+    # the failed point: numbers nan, flags 0, branch labels empty
+    assert lines[2] == "-1.1,0.5," + "nan," * 12 + "0,0,0,nan,,nan,"
 
 
 def test_sweep_command_is_reproducible(tmp_path):

@@ -6,6 +6,7 @@ import scipy.sparse
 
 from qcpdetect.models import (
     ModelSpec,
+    _pair_operators,
     build_hamiltonian,
     diagonalize,
     thermal_correlators,
@@ -21,9 +22,9 @@ ID = np.eye(2)
 
 
 def _site_op(op: np.ndarray, site: int, L: int) -> np.ndarray:
-    # bit j of the basis index is site j+1, so site 1 is the slow factor
+    # bit j of the basis index is site j+1, so site 1 is the fast (last) factor
     mats = [ID] * L
-    mats[site - 1] = op
+    mats[L - site] = op
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -67,6 +68,24 @@ def test_hamiltonian_matches_kron_reference(spec):
     ref = _dense_reference(spec)
     assert np.max(np.abs(ref.imag)) < 1e-14
     assert np.allclose(built, ref.real, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_pair_operators_match_kron_reference(L):
+    # pair 1 and the wrap-around pair (site L, site 1)
+    for site in (1, L):
+        ops = _pair_operators(L, site)
+        nxt = site % L + 1
+        ref = {
+            "z": _site_op(SZ, site, L),
+            "xx": _site_op(SX, site, L) @ _site_op(SX, nxt, L),
+            "yy": _site_op(SY, site, L) @ _site_op(SY, nxt, L),
+            "zz": _site_op(SZ, site, L) @ _site_op(SZ, nxt, L),
+        }
+        for name in ("z", "zz"):
+            np.testing.assert_array_equal(np.diag(ops[name]), ref[name])
+        for name in ("xx", "yy"):
+            np.testing.assert_array_equal(ops[name].toarray(), ref[name])
 
 
 def test_hamiltonian_is_hermitian_sparse():

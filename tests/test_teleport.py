@@ -100,6 +100,16 @@ def test_max_mean_fidelity_bell_and_mixed():
     assert max_mean_fidelity(MIXED).value == pytest.approx(0.5, abs=1e-12)
 
 
+def test_ties_resolve_in_documented_order():
+    # every branch ties on the maximally mixed state: fmax at 1/2 on all
+    # three, and dmin's inner minimum at 1/2 on both
+    fmax = max_mean_fidelity(MIXED)
+    assert fmax.branch == "xx"
+    dmin = min_mean_trace_distance(MIXED)
+    assert dmin.branch == "1-D-"
+    assert dmin.value == 0.0
+
+
 def test_min_mean_trace_distance_hand_value():
     # b=0.2, d=0.1: D+ = 2b + d - (b+d)^2 + |(b+d)^2 - d| = 0.5 - 0.09 + 0.01
     # -> wait for the branch: min(1 - D-, D+) picks D+ = 0.168 here
