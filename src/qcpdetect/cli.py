@@ -584,36 +584,36 @@ def _verify_symmetry() -> list[Check]:
     checks.append(_close("xxz Delta=1: xx = zz", c.xx - c.zz, 0.0, 1e-10))
     c = thermal_correlators(ModelSpec("xxz", 8, 0.3, delta=-1.0))
     checks.append(_close("xxz Delta=-1: xx = -zz", c.xx + c.zz, 0.0, 1e-10))
-    spec = ModelSpec("xxz_field", 8, 0.2, delta=1.5, h=3.0)
-    cs = thermal_correlators(spec, method="sector")
-    cd = thermal_correlators(spec, method="dense")
-    for name in ("z", "xx", "yy", "zz"):
-        checks.append(
-            _close(
-                f"xxz_field sector vs dense: {name}",
-                getattr(cs, name) - getattr(cd, name),
-                0.0,
-                1e-10,
+    field = ModelSpec("xxz_field", 8, 0.2, delta=1.5, h=3.0)
+    xy = ModelSpec("xy", 8, 0.2, lam=1.1, gamma=1.0)
+    # lam = 1, gamma = 0 has a doubly degenerate ground space (a zero mode)
+    xy0 = ModelSpec("xy", 8, 0.0, lam=1.0, gamma=0.0)
+    comparisons = [
+        ("xxz_field sector vs dense", field, "sector"),
+        ("xy sector vs dense", xy, "sector"),
+        ("xy free fermions vs dense ED (kT=0.2)", xy, "auto"),
+        ("xy free fermions vs dense ED (kT=0, gamma=0)", xy0, "auto"),
+    ]
+    for label, spec, method in comparisons:
+        got = thermal_correlators(spec, method=method)
+        want = thermal_correlators(spec, method="dense")
+        for name in ("z", "xx", "yy", "zz"):
+            checks.append(
+                _close(
+                    f"{label}: {name}",
+                    getattr(got, name) - getattr(want, name),
+                    0.0,
+                    1e-10,
+                )
             )
-        )
-    spec = ModelSpec("xy", 8, 0.2, lam=1.1, gamma=1.0)
-    cs = thermal_correlators(spec, method="sector")
-    cd = thermal_correlators(spec, method="dense")
-    for name in ("z", "xx", "yy", "zz"):
-        checks.append(
-            _close(
-                f"xy sector vs dense: {name}",
-                getattr(cs, name) - getattr(cd, name),
-                0.0,
-                1e-10,
-            )
-        )
     ct = xy_thermo_correlators(0.8, 1.0, 1.0)
     cf = thermal_correlators(ModelSpec("xy", 12, 1.0, lam=0.8, gamma=1.0))
     err = max(
         abs(cf.z - ct.z), abs(cf.xx - ct.xx), abs(cf.yy - ct.yy), abs(cf.zz - ct.zz)
     )
-    checks.append(_close("xy L=12 vs thermodynamic limit (kT=1)", err, 0.0, 1e-4))
+    checks.append(
+        _close("xy L=12 free fermions vs thermodynamic limit (kT=1)", err, 0.0, 1e-4)
+    )
     c = thermal_correlators(ModelSpec("xxz_field", 6, math.inf, delta=0.9, h=1.0))
     for name in ("z", "xx", "yy", "zz"):
         checks.append(

@@ -7,16 +7,24 @@ Three periodic chains (sigma are Pauli matrices, site L+1 = site 1):
   xy         H = -(lam/4) sum_j [(1+gamma) sx_j sx_j+1 + (1-gamma) sy_j sy_j+1]
                  - (1/2) sum_j sz_j
 
-Finite chains are diagonalized exactly; the canonical ensemble
-rho = exp(-H/kT)/Z then yields the one-site magnetization z = <sz> and the
-nearest-neighbour correlators xx, yy, zz that parameterize the pair X state.
-Diagonalization can run dense or per symmetry sector (total magnetization for
-the xxz families, global spin-flip parity for xy); both routes agree to
-rounding because the thermal trace is block diagonal either way.
+The canonical ensemble rho = exp(-H/kT)/Z yields the one-site magnetization
+z = <sz> and the nearest-neighbour correlators xx, yy, zz that parameterize
+the pair X state.  ``thermal_solution`` picks the exact solver for a spec:
 
-The xy family also has a closed thermodynamic-limit solution via free
-fermions, used both as an oracle for the finite-L pipeline and as the L = inf
-sweep backend.  Critical couplings for the field-carrying xxz chain:
+  * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
+    sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
+    Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
+    O(L^3) per temperature;
+  * finite xxz chains, and xy rings when a diagonalization method is asked
+    for: exact diagonalization, dense or per symmetry sector (total
+    magnetization for the xxz families, global spin-flip parity for xy);
+    both routes agree to rounding because the thermal trace is block
+    diagonal either way.  For xy, diagonalization is the oracle of the
+    free-fermion solver;
+  * L = None: the xy thermodynamic limit, closed k-integrals of the same
+    free fermions, also an oracle for the finite-L pipeline.
+
+Critical couplings for the field-carrying xxz chain:
 
   Delta_1 = h/4 - 1                      (saturation line, coupling J = 1)
   h(Delta_2) = 4 sinh(eta) sum_j (-1)^j / cosh(j eta),   eta = arccosh(Delta_2)
@@ -328,7 +336,9 @@ def diagonalize(
     """Exactly diagonalize the chain and cache per-eigenstate observables.
 
     ``method``: 'dense' (single block), 'sector' (symmetry blocks), or 'auto'
-    (sectors; they agree with dense to rounding and win above L ~ 8).
+    (sectors; they agree with dense to rounding and win above L ~ 8).  For
+    the xy family this is the oracle: ``thermal_solution`` sends 'auto' to
+    the free-fermion solver and only 'dense' or 'sector' here.
     ``pair_site`` selects which nearest-neighbour pair the two-site
     observables live on (translation invariance makes the choice immaterial;
     exposing it lets tests verify exactly that).
@@ -365,15 +375,175 @@ def diagonalize(
     )
 
 
-def thermal_correlators(spec: ModelSpec, method: str = "auto") -> Correlators:
-    """Canonical-ensemble correlators (z, xx, yy, zz) for the pair (1, 2).
+def thermal_solution(
+    spec: ModelSpec, method: str = "auto"
+) -> ThermalSolution | FreeFermionSolution | ThermoLimitSolution:
+    """The exact solver for ``spec``; its ``correlators(kT)`` serves any kT.
 
-    Finite L runs exact diagonalization; L = None dispatches to the xy
-    thermodynamic-limit solution.
+    L = None is the xy thermodynamic limit; a finite xy ring with
+    ``method = 'auto'`` gets the free fermions; everything else, including
+    xy with 'dense' or 'sector', is diagonalized.
     """
     if spec.L is None:
-        return xy_thermo_correlators(spec.lam, spec.gamma, spec.kT)
-    return diagonalize(spec, method=method).correlators(spec.kT)
+        return ThermoLimitSolution(spec)
+    if spec.family == "xy" and method == "auto":
+        return FreeFermionSolution(spec)
+    return diagonalize(spec, method=method)
+
+
+def thermal_correlators(spec: ModelSpec, method: str = "auto") -> Correlators:
+    """Canonical-ensemble correlators (z, xx, yy, zz) for the pair (1, 2)."""
+    return thermal_solution(spec, method).correlators(spec.kT)
+
+
+# ---------------------------------------------------------------------------
+# xy ring at finite L (free fermions)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _FermionSector:
+    """One boundary-condition sector of the Jordan-Wigner fermions.
+
+    With sz = 1 - 2n the ring's even-fermion-parity states are those of
+    antiperiodic fermions (Neveu-Schwarz, k = (2m+1) pi / L) and its odd
+    ones those of periodic fermions (Ramond, k = 2 pi m / L).  Each sector
+    is H = sum_k eps_k (n_k - 1/2) over Bogoliubov modes: with
+    xi = 1 - lam cos k and D = lam gamma sin k, the paired modes have
+    eps = sqrt(xi^2 + D^2) >= 0, while k = 0, k = pi and, at gamma = 0,
+    every mode keep the signed eps = xi, so a mode with eps < 0 is filled in
+    the sector vacuum.  A Fock state of the modes with tau_k = 1 - 2 n_k
+    has, with u_k = (xi - iD) / eps (1 for unpaired modes) and
+    h(r) = (1/L) sum_k u_k e^{ikr} tau_k,
+
+      z = h(0),  xx = -h(-1),  yy = -h(1),
+      zz = (1/L^2) sum_{k != k'} u_k u_k' (1 - e^{i(k-k')}) tau_k tau_k'
+
+    (Wick's theorem; the k = k' terms vanish identically, so zz is linear
+    in each tau).  ``coefficients`` holds these as a (4, 1 + L + L^2)
+    matrix acting on the sums [1, tau_k, tau_k tau_k'] over the sector's
+    states.
+    """
+
+    parity: int  # fermion parity of the sector's states: 0 NS, 1 R
+    eps: np.ndarray
+    coefficients: np.ndarray
+
+    @classmethod
+    def build(cls, parity: int, L: int, lam: float, gamma: float) -> _FermionSector:
+        m = np.arange(L)
+        k = (2 * m + 1 - parity) * math.pi / L
+        xi = 1.0 - lam * np.cos(k)
+        delta = lam * gamma * np.sin(k)
+        unpaired = np.full(L, gamma == 0.0)
+        if parity == 1:
+            unpaired[[0, L // 2]] = True  # k = 0 and k = pi
+        delta[unpaired] = 0.0
+        eps = np.where(unpaired, xi, np.hypot(xi, delta))
+        u = np.ones(L, dtype=complex)
+        paired = ~unpaired
+        u[paired] = (xi[paired] - 1j * delta[paired]) / eps[paired]
+        phase = np.exp(1j * k)
+        coef = np.zeros((4, 1 + L + L * L), dtype=complex)
+        coef[0, 1 : L + 1] = u / L
+        coef[1, 1 : L + 1] = -u / phase / L
+        coef[2, 1 : L + 1] = -u * phase / L
+        coef[3, L + 1 :] = (
+            np.outer(u, u) * (1.0 - np.outer(phase, 1.0 / phase)) / L**2
+        ).ravel()
+        return cls(parity, eps, coef)
+
+    @property
+    def vacuum_energy(self) -> float:
+        return float(-0.5 * np.abs(self.eps).sum())
+
+
+def _tau_insertions(L: int) -> np.ndarray:
+    """Signs (1 + L + L^2, L) on each mode's filled weight: row 0 none, then
+    -1 at mode k, then -1 at modes k and k' (once on the diagonal)."""
+    eye = np.eye(L, dtype=bool)
+    pairs = (eye[:, None, :] | eye[None, :, :]).reshape(L * L, L)
+    flips = np.vstack([np.zeros((1, L), dtype=bool), eye, pairs])
+    return np.where(flips, -1.0, 1.0)
+
+
+class FreeFermionSolution:
+    """Exact thermal correlators of a finite xy ring from its free fermions.
+
+    The thermal trace runs over each sector's Fock states of its own
+    parity.  Per mode, the empty and filled states carry Boltzmann weights
+    relative to the sector vacuum (1 and exp(-|eps|/kT), swapped for a mode
+    filled in the vacuum).  A two-component recurrence over the modes sums
+    the weights of the even and the odd states separately, so the parity
+    projection never subtracts two nearly equal products, and inserting
+    tau_k = 1 - 2 n_k only flips the sign of a filled weight, so no mode
+    factor is ever divided out: the exact zero modes (the Ramond k = 0 mode
+    at lam = 1, gamma = 0 modes at cos k = 1/lam) stay finite.  Sectors add
+    with the weights exp(-(E_vac - E_min)/kT) of their vacuum energies.
+
+    kT = 0 averages the ground space with equal weights, as
+    ``ThermalSolution.weights`` does: modes with |eps| within the window
+    ``GROUND_STATE_WINDOW * max(1, |E_min|)`` are zero modes, free to be
+    empty or filled, and a sector counts when its vacuum energy lies within
+    the window of E_min.  The NS vacuum is always even (L is even, so the NS
+    modes come in +-k pairs of equal eps); the R vacuum is odd, as its
+    sector needs, for |lam| > 1 and even for |lam| < 1, where its energy
+    never lies below the NS vacuum (tests/test_models.py checks this on a
+    grid).  A wrong-parity sector without zero modes that counts then adds
+    exactly zero, so the sectors' vacua are all a kT = 0 average needs.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        if spec.family != "xy" or spec.L is None:
+            raise ValueError("FreeFermionSolution needs a finite xy ring")
+        self.sectors = tuple(
+            _FermionSector.build(parity, spec.L, spec.lam, spec.gamma)
+            for parity in (0, 1)
+        )
+        self._insertions = _tau_insertions(spec.L)
+
+    def _parity_sums(
+        self, sector: _FermionSector, empty_weight: np.ndarray, filled_weight: np.ndarray
+    ) -> np.ndarray:
+        """Sums over the sector's states of [1, tau_k, tau_k tau_k'] x weight."""
+        filled = self._insertions * filled_weight
+        even = np.ones(filled.shape[0])
+        odd = np.zeros(filled.shape[0])
+        for q, empty in enumerate(empty_weight):
+            even, odd = (
+                even * empty + odd * filled[:, q],
+                even * filled[:, q] + odd * empty,
+            )
+        return odd if sector.parity else even
+
+    def correlators(self, kT: float) -> Correlators:
+        if not (kT >= 0.0):
+            raise ValueError(f"kT must be >= 0, got {kT}")
+        vacuum = [s.vacuum_energy for s in self.sectors]
+        e_min = min(vacuum)
+        window = GROUND_STATE_WINDOW * max(1.0, abs(e_min))
+        norm = 0.0
+        total = np.zeros(4)
+        for sector, e_vac in zip(self.sectors, vacuum):
+            cost = np.abs(sector.eps)
+            if kT > 0.0:
+                scale = math.exp(-(e_vac - e_min) / kT)
+                excited = np.exp(-cost / kT)
+            else:
+                scale = float(e_vac - e_min <= window)
+                excited = (cost <= window).astype(float)
+            if scale == 0.0:
+                continue
+            in_vacuum = sector.eps < 0.0
+            sums = self._parity_sums(
+                sector,
+                np.where(in_vacuum, excited, 1.0),
+                np.where(in_vacuum, 1.0, excited),
+            )
+            norm += scale * sums[0]
+            total += scale * (sector.coefficients @ sums).real
+        z, xx, yy, zz = total / norm
+        return Correlators(z=float(z), xx=float(xx), yy=float(yy), zz=float(zz))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +605,16 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
         / math.pi
     )
     return z, ic, is_
+
+
+@dataclass(frozen=True)
+class ThermoLimitSolution:
+    """The L = None xy ring, shaped like the finite-L solutions."""
+
+    spec: ModelSpec
+
+    def correlators(self, kT: float) -> Correlators:
+        return xy_thermo_correlators(self.spec.lam, self.spec.gamma, kT)
 
 
 def xy_thermo_correlators(lam: float, gamma: float, kT: float) -> Correlators:

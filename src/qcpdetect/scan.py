@@ -2,7 +2,7 @@
 
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
 uniform grid, computes the thermal pair correlators at each point (one
-diagonalization per point, reused across every requested temperature), and
+model solve per point, reused across every requested temperature), and
 evaluates all five detectors on the resulting X state.  Failures at a grid
 point are caught and recorded, never aborting the sweep; downstream
 derivative stencils that touch a failed point come out undefined (NaN)
@@ -27,7 +27,7 @@ import numpy as np
 
 from .coherence import AXES, coherence_entropy, log_spectrum
 from .discord import quantum_discord
-from .models import ModelSpec, diagonalize, xy_thermo_correlators
+from .models import ModelSpec, thermal_solution
 from .teleport import max_mean_fidelity, min_mean_trace_distance
 from .xstate import Correlators, XState, build_xstate
 
@@ -181,19 +181,14 @@ def _point_records(
 ) -> list[SweepRecord]:
     """Records for one grid point across all temperatures.
 
-    The model is solved once; each temperature reuses the eigensystem.  A
+    The model is solved once; each temperature reuses the solution.  A
     model failure marks every temperature's record failed; a detector failure
     marks only its own.
     """
     try:
         spec = replace(template, **{axis_field: param}, kT=kT_list[0])
-        if spec.L is None:
-            corrs = [
-                xy_thermo_correlators(spec.lam, spec.gamma, kT) for kT in kT_list
-            ]
-        else:
-            solution = diagonalize(spec, method=method)
-            corrs = [solution.correlators(kT) for kT in kT_list]
+        solution = thermal_solution(spec, method=method)
+        corrs = [solution.correlators(kT) for kT in kT_list]
     except Exception as exc:
         return [_failed_record(param, exc) for _ in kT_list]
     records = []

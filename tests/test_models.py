@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from qcpdetect import models
 from qcpdetect.models import (
+    FreeFermionSolution,
     ModelSpec,
+    _FermionSector,
     _pair_operators,
     build_hamiltonian,
     diagonalize,
@@ -14,6 +17,7 @@ from qcpdetect.models import (
     xxz_delta2,
     xy_thermo_correlators,
 )
+from qcpdetect.scan import sweep
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -285,17 +289,78 @@ def test_finite_size_converges_to_thermo_limit():
         kT: xy_thermo_correlators(lam, gamma, kT) for kT in (0.5, 1.0)
     }
 
-    def max_err(L, kT):
-        c = diagonalize(ModelSpec("xy", L, kT, lam=lam, gamma=gamma)).correlators(kT)
+    def max_err(solver, L, kT):
+        c = solver(ModelSpec("xy", L, kT, lam=lam, gamma=gamma)).correlators(kT)
         r = ref[kT]
         return max(
             abs(c.z - r.z), abs(c.xx - r.xx), abs(c.yy - r.yy), abs(c.zz - r.zz)
         )
 
-    for kT, cap in ((0.5, 2e-3), (1.0, 1e-4)):
-        errs = [max_err(L, kT) for L in (8, 10, 12)]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < cap
+    for solver in (diagonalize, FreeFermionSolution):
+        for kT, cap in ((0.5, 2e-3), (1.0, 1e-4)):
+            errs = [max_err(solver, L, kT) for L in (8, 10, 12)]
+            assert errs[0] > errs[1] > errs[2]
+            assert errs[2] < cap
+
+
+FREE_FERMION_LAMBDAS = (-1.3, 0.0, 0.5, 0.92, 0.92 + 2 * 0.04, 1.0, 1.08, 1.5, 2.0)
+FREE_FERMION_GRID = [(lam, g) for lam in FREE_FERMION_LAMBDAS for g in (0.0, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "L, method, points",
+    [
+        (4, "dense", FREE_FERMION_GRID),
+        (6, "dense", FREE_FERMION_GRID),
+        (8, "dense", FREE_FERMION_GRID),
+        (10, "sector", FREE_FERMION_GRID),
+        (12, "sector", [(1.0, 1.0), (0.92 + 2 * 0.04, 0.3), (-1.3, 0.0)]),
+    ],
+    ids=["4-dense", "6-dense", "8-dense", "10-sector", "12-sector"],
+)
+def test_free_fermions_match_exact_diagonalization(L, method, points):
+    # The grid holds the Ramond k = 0 zero mode (lam = 1), gamma = 0 (every
+    # mode unpaired, degenerate ground spaces) and 0.92 + 2 * 0.04, the
+    # ising_L12 benchmark point next to lam = 1.
+    for lam, gamma in points:
+        spec = ModelSpec("xy", L, 1.0, lam=lam, gamma=gamma)
+        exact = diagonalize(spec, method=method)
+        free = FreeFermionSolution(spec)
+        for kT in (0.0, 0.02, 0.1, 1.0, math.inf):
+            c, f = exact.correlators(kT), free.correlators(kT)
+            for name in ("z", "xx", "yy", "zz"):
+                assert getattr(f, name) == pytest.approx(
+                    getattr(c, name), abs=1e-10
+                ), (lam, gamma, kT, name)
+
+
+def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():
+    # The kT = 0 rule of FreeFermionSolution rests on this: the Ramond sector
+    # holds odd states, so where its vacuum is even it must not be lowest.
+    for L in range(4, 40, 2):
+        for lam in np.linspace(-3.0, 3.0, 121):
+            for gamma in (0.0, 0.3, 1.0):
+                ns, r = (_FermionSector.build(p, L, lam, gamma) for p in (0, 1))
+                assert np.sum(ns.eps < 0) % 2 == 0
+                if np.sum(r.eps < 0) % 2 == 0:
+                    assert r.vacuum_energy >= ns.vacuum_energy - 1e-12, (L, lam, gamma)
+
+
+def test_xy_auto_solver_needs_no_diagonalization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("diagonalize called")
+
+    monkeypatch.setattr(models, "diagonalize", refuse)
+    spec = ModelSpec("xy", 12, 0.05, lam=1.0, gamma=1.0)
+    assert thermal_correlators(spec) == FreeFermionSolution(spec).correlators(0.05)
+    results = sweep(spec, "lambda", 0.9, 1.1, eta=0.1, kT_list=(0.05, 0.1))
+    assert [r.failed_count for r in results] == [0, 0]
+    with pytest.raises(RuntimeError, match="diagonalize called"):
+        thermal_correlators(spec, method="sector")
+    results = sweep(spec, "lambda", 0.9, 1.1, eta=0.1, method="sector")
+    assert [rec.error for rec in results[0].records] == [
+        "RuntimeError: diagonalize called"
+    ] * 3
 
 
 def test_thermal_correlators_dispatch():
