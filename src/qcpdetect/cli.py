@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 configuration error, 2 computation error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -33,7 +34,9 @@ from .coherence import (
 )
 from .discord import quantum_discord, s_tilde, entropy_single, entropy_pair
 from .models import (
+    DEFAULT_L_MAX,
     FAMILIES,
+    SOLVERS,
     ModelSpec,
     thermal_correlators,
     xxz_delta1,
@@ -42,15 +45,16 @@ from .models import (
 )
 from .scan import (
     AXIS_FIELDS,
+    COLUMNS,
     DEFAULT_ETA,
     DEFAULT_METHOD,
-    DEFAULT_WINDOW_HALF_WIDTH,
+    FLAG_COLUMNS,
     METHODS,
     NUMERIC_COLUMNS,
-    RECORD_COLUMNS,
     ZeroTemperatureExtrapolation,
     estimate_qcp,
     extrapolate_to_zero,
+    search_window,
     sweep,
 )
 from .teleport import (
@@ -69,7 +73,7 @@ EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-SWEEP_HEADER = ",".join(("param", "kT") + RECORD_COLUMNS)
+SWEEP_HEADER = ",".join(("param", "kT") + COLUMNS)
 # QcpEstimate declares its fields in another order, so this header is the
 # estimates.csv column list.
 ESTIMATE_HEADER = "detector,kT,method,order,estimate,uncertainty"
@@ -77,7 +81,7 @@ EXTRAPOLATION_HEADER = ",".join(f.name for f in fields(ZeroTemperatureExtrapolat
 
 # Detector columns cmd_estimate may differentiate (raw correlators included;
 # the 0/1 divergence flags excluded).
-ESTIMATABLE = tuple(c for c in NUMERIC_COLUMNS if not c.endswith("_divergent"))
+ESTIMATABLE = tuple(c for c in NUMERIC_COLUMNS if c not in FLAG_COLUMNS)
 
 VERIFY_SUBSETS = ("lines", "bell", "oracles", "symmetry")
 
@@ -186,8 +190,7 @@ class RunConfig:
     """Validated run parameters shared by the subcommands."""
 
     family: str | None = None
-    L: int | None = None
-    L_given: bool = False
+    L: int | None = DEFAULT_L_MAX
     kT_list: tuple[float, ...] = ()
     delta: float = 0.0
     h: float = 0.0
@@ -220,7 +223,6 @@ class RunConfig:
             raise ConfigError(f"family must be one of {FAMILIES}, got {cfg.family!r}")
         if "L" in raw:
             cfg.L = _as_length(raw["L"])
-            cfg.L_given = True
         kts: list[float] = []
         if "kT_list" in raw:
             try:
@@ -276,8 +278,10 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
         cfg.seed = _as_int(raw, "seed", 0)
         cfg.solver = raw.get("solver", "auto")
-        if cfg.solver not in ("auto", "dense", "sector"):
-            raise ConfigError(f"solver must be auto|dense|sector, got {cfg.solver!r}")
+        if cfg.solver not in SOLVERS:
+            raise ConfigError(
+                f"solver must be {'|'.join(SOLVERS)}, got {cfg.solver!r}"
+            )
         cfg.input_theta = _as_float(raw, "input_theta")
         cfg.input_chi = _as_float(raw, "input_chi")
         cfg.bell = raw.get("bell", "phi+")
@@ -304,11 +308,10 @@ class RunConfig:
             raise ConfigError("missing key 'family'")
         if not self.kT_list:
             raise ConfigError("missing key 'kT_list' (or 'kT')")
-        length = self.L if self.L_given else 12
         try:
             return ModelSpec(
                 family=self.family,
-                L=length,
+                L=self.L,
                 kT=self.kT_list[0],
                 delta=self.delta,
                 h=self.h,
@@ -347,11 +350,10 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep_rows(result) -> list[list]:
-    return [
-        [rec.param, result.kT] + [rec.cell(name) for name in RECORD_COLUMNS]
-        for rec in result.records
-    ]
+def _sweep_rows(result):
+    # one tolist() per column: Python scalars, not a numpy scalar per cell
+    columns = [result.columns[name].tolist() for name in COLUMNS]
+    return zip(result.params.tolist(), itertools.repeat(result.kT), *columns)
 
 
 def write_sweep_csv(result, path: Path) -> None:
@@ -381,7 +383,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         note = ""
         if result.failed_count:
             note = f"  ({result.failed_count} failed points)"
-        print(f"wrote {path}  [{len(result.records)} rows]{note}")
+        print(f"wrote {path}  [{result.params.size} rows]{note}")
     return EXIT_OK
 
 
@@ -391,12 +393,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError("missing key 'detectors'")
     if cfg.window is None and cfg.candidate is None:
         raise ConfigError("need window_lo/window_hi or candidate")
-    window = cfg.window
-    if window is None:
-        window = (
-            cfg.candidate - DEFAULT_WINDOW_HALF_WIDTH,
-            cfg.candidate + DEFAULT_WINDOW_HALF_WIDTH,
-        )
+    window = search_window(cfg.window, cfg.candidate)
     if window[0] < cfg.start or window[1] > cfg.stop:
         raise ConfigError(
             f"window {window} leaves the sweep range [{cfg.start}, {cfg.stop}]"

@@ -48,6 +48,9 @@ FAMILIES = ("xxz", "xxz_field", "xy")
 
 DEFAULT_L_MAX = 12
 
+# Solver names for diagonalize and thermal_solution; see diagonalize.
+SOLVERS = ("auto", "dense", "sector")
+
 # Degeneracy window for the kT = 0 ground-space average, relative to
 # max(1, |E0|).
 GROUND_STATE_WINDOW = 1e-10
@@ -273,13 +276,12 @@ def _sector_indices(spec: ModelSpec, method: str) -> list[np.ndarray]:
     quantum number: total magnetization for the xxz families, global
     spin-flip parity for xy.
     """
-    dim = 1 << spec.L
-    states = np.arange(dim, dtype=np.int64)
-    popcount = np.zeros(dim, dtype=np.int64)
-    for j in range(spec.L):
-        popcount += (states >> j) & 1
+    states = np.arange(1 << spec.L, dtype=np.int64)
     if method == "dense":
         return [states]
+    popcount = np.zeros_like(states)
+    for j in range(spec.L):
+        popcount += (states >> j) & 1
     if spec.family in ("xxz", "xxz_field"):
         return [np.flatnonzero(popcount == m) for m in range(spec.L + 1)]
     return [np.flatnonzero(popcount % 2 == r) for r in (0, 1)]
@@ -345,8 +347,8 @@ def diagonalize(
     """
     if spec.L is None:
         raise ValueError("diagonalize needs a finite L; use xy_thermo_correlators")
-    if method not in ("auto", "dense", "sector"):
-        raise ValueError(f"method must be auto|dense|sector, got {method!r}")
+    if method not in SOLVERS:
+        raise ValueError(f"method must be {'|'.join(SOLVERS)}, got {method!r}")
     ham = build_hamiltonian(spec)
     ops = _pair_operators(spec.L, pair_site)
     groups = _sector_indices(spec, "dense" if method == "dense" else "sector")

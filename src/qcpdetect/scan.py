@@ -3,10 +3,12 @@
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
 uniform grid, computes the thermal pair correlators at each point (one
 model solve per point, reused across every requested temperature), and
-evaluates all five detectors on the resulting X state.  Failures at a grid
-point are caught and recorded, never aborting the sweep; downstream
-derivative stencils that touch a failed point come out undefined (NaN)
-rather than interpolated.
+evaluates all five detectors on the resulting X state.  Each temperature's
+result is a set of columns, one array per correlator and detector over the
+grid, in the order of ``COLUMNS``.  Failures at a grid point are caught and
+recorded (its message in ``errors``, ``FAILED_ROW`` in the columns), never
+aborting the sweep; downstream derivative stencils that touch a failed
+point come out undefined (NaN) rather than interpolated.
 
 Critical points are then located as the extremum of a finite-difference
 derivative of a chosen detector: forward [f(x+e)-f(x)]/e, central
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .coherence import AXES, coherence_entropy, log_spectrum
 from .discord import quantum_discord
 from .models import ModelSpec, thermal_solution
 from .teleport import max_mean_fidelity, min_mean_trace_distance
-from .xstate import Correlators, XState, build_xstate
+from .xstate import Correlators, build_xstate
 
 DEFAULT_ETA = 0.01
 DEFAULT_METHOD = "forward"
@@ -45,159 +48,128 @@ AXIS_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "gamma": ("gamma", ("xy",)),
 }
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Everything computed at one grid point and one temperature.
+# The column schema, in CSV emission order: the correlators, then the
+# detectors.  The branch labels are strings and the divergence flags are
+# booleans; every other column is a float.
+COLUMNS = (
+    "z", "xx", "yy", "zz",
+    "qd", "theta_star",
+    "sqc_x", "sqc_y", "sqc_z",
+    "lqc_x", "lqc_y", "lqc_z",
+    "lqc_x_divergent", "lqc_y_divergent", "lqc_z_divergent",
+    "fmax_ext", "fmax_branch",
+    "dmin_int", "dmin_branch",
+)
+LABEL_COLUMNS = ("fmax_branch", "dmin_branch")
+FLAG_COLUMNS = ("lqc_x_divergent", "lqc_y_divergent", "lqc_z_divergent")
+NUMERIC_COLUMNS = tuple(c for c in COLUMNS if c not in LABEL_COLUMNS)
+COLUMN_DTYPES = {
+    c: object if c in LABEL_COLUMNS else bool if c in FLAG_COLUMNS else float
+    for c in COLUMNS
+}
 
-    ``failed`` marks a point whose model solve or detector evaluation raised;
-    its detector fields are NaN and ``error`` holds the message.
-    """
-
-    param: float
-    failed: bool
-    error: str | None
-    correlators: Correlators | None
-    xstate: XState | None
-    qd: float = math.nan
-    theta_star: float = math.nan
-    sqc_x: float = math.nan
-    sqc_y: float = math.nan
-    sqc_z: float = math.nan
-    lqc_x: float = math.nan
-    lqc_y: float = math.nan
-    lqc_z: float = math.nan
-    lqc_x_divergent: bool = False
-    lqc_y_divergent: bool = False
-    lqc_z_divergent: bool = False
-    fmax_ext: float = math.nan
-    fmax_branch: str | None = None
-    dmin_int: float = math.nan
-    dmin_branch: str | None = None
-
-    def cell(self, column: str) -> float | bool | str | None:
-        """Raw value of a correlator or detector column (NaN correlators when
-        the point failed)."""
-        if column not in RECORD_COLUMNS:
-            raise KeyError(f"unknown column {column!r}")
-        if column in CORRELATOR_COLUMNS:
-            if self.correlators is None:
-                return math.nan
-            return getattr(self.correlators, column)
-        return getattr(self, column)
-
-    def value(self, column: str) -> float:
-        """Numeric value of a named column, NaN when the point failed."""
-        if column not in NUMERIC_COLUMNS:
-            raise KeyError(f"unknown numeric column {column!r}")
-        return float(self.cell(column))
-
-
-# The column schema, in CSV emission order: the correlators, then the record's
-# fields from ``qd`` on.  Label columns (the branches) are those defaulting to
-# None; every other column is numeric.
-CORRELATOR_COLUMNS = ("z", "xx", "yy", "zz")
-_RECORD_FIELDS = fields(SweepRecord)
-_DETECTOR_FIELDS = _RECORD_FIELDS[[f.name for f in _RECORD_FIELDS].index("qd") :]
-RECORD_COLUMNS = CORRELATOR_COLUMNS + tuple(f.name for f in _DETECTOR_FIELDS)
-NUMERIC_COLUMNS = CORRELATOR_COLUMNS + tuple(
-    f.name for f in _DETECTOR_FIELDS if f.default is not None
+# The row of every failed point: NaN numbers, False flags, no labels.
+FAILED_ROW = MappingProxyType(
+    {
+        c: None if c in LABEL_COLUMNS else False if c in FLAG_COLUMNS else math.nan
+        for c in COLUMNS
+    }
 )
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One temperature's worth of a sweep: uniform grid plus per-point records.
+    """One temperature's worth of a sweep: the grid and one column per name.
 
-    ``spec`` is the model template with this result's kT filled in; the swept
-    field itself is meaningless there (it varies along ``params``).
+    ``columns`` maps every name in ``COLUMNS`` to an array over ``params``
+    (dtype from ``COLUMN_DTYPES``); ``errors`` holds each point's failure
+    message, or None where the point succeeded.
     """
 
-    spec: ModelSpec
     axis: str
     eta: float
     kT: float
     params: np.ndarray
-    records: list[SweepRecord]
+    columns: dict[str, np.ndarray]
+    errors: tuple[str | None, ...]
 
     def column(self, name: str) -> np.ndarray:
-        """A numeric column over the grid; NaN at failed points."""
+        """A copy of the named column (or of ``params`` for 'param')."""
         if name == "param":
             return self.params.copy()
-        return np.array([rec.value(name) for rec in self.records])
+        if name not in self.columns:
+            raise KeyError(f"unknown column {name!r}")
+        return self.columns[name].copy()
 
     @property
     def failed_count(self) -> int:
-        return sum(rec.failed for rec in self.records)
+        return sum(err is not None for err in self.errors)
 
 
-def evaluate_detectors(param: float, corr: Correlators) -> SweepRecord:
-    """All five detectors on the X state built from one set of correlators."""
+def evaluate_detectors(param: float, corr: Correlators) -> dict:
+    """All five detectors on the X state built from one set of correlators.
+
+    Returns one row of the schema, correlators included.  ``param`` is the
+    grid point the correlators belong to; the row itself does not hold it.
+    """
     x = build_xstate(corr)
     qd = quantum_discord(x)
     sqc = {ax: coherence_entropy(x, ax) for ax in AXES}
     lqc = {ax: log_spectrum(x, ax) for ax in AXES}
     fmax = max_mean_fidelity(x)
     dmin = min_mean_trace_distance(x)
-    return SweepRecord(
-        param=param,
-        failed=False,
-        error=None,
-        correlators=corr,
-        xstate=x,
-        qd=qd.value,
-        theta_star=qd.theta_star,
-        sqc_x=sqc["x"],
-        sqc_y=sqc["y"],
-        sqc_z=sqc["z"],
-        lqc_x=lqc["x"].value,
-        lqc_y=lqc["y"].value,
-        lqc_z=lqc["z"].value,
-        lqc_x_divergent=lqc["x"].divergent,
-        lqc_y_divergent=lqc["y"].divergent,
-        lqc_z_divergent=lqc["z"].divergent,
-        fmax_ext=fmax.value,
-        fmax_branch=fmax.branch,
-        dmin_int=dmin.value,
-        dmin_branch=dmin.branch,
-    )
+    return {
+        "z": corr.z,
+        "xx": corr.xx,
+        "yy": corr.yy,
+        "zz": corr.zz,
+        "qd": qd.value,
+        "theta_star": qd.theta_star,
+        "sqc_x": sqc["x"],
+        "sqc_y": sqc["y"],
+        "sqc_z": sqc["z"],
+        "lqc_x": lqc["x"].value,
+        "lqc_y": lqc["y"].value,
+        "lqc_z": lqc["z"].value,
+        "lqc_x_divergent": lqc["x"].divergent,
+        "lqc_y_divergent": lqc["y"].divergent,
+        "lqc_z_divergent": lqc["z"].divergent,
+        "fmax_ext": fmax.value,
+        "fmax_branch": fmax.branch,
+        "dmin_int": dmin.value,
+        "dmin_branch": dmin.branch,
+    }
 
 
-def _failed_record(param: float, exc: BaseException) -> SweepRecord:
-    return SweepRecord(
-        param=param,
-        failed=True,
-        error=f"{type(exc).__name__}: {exc}",
-        correlators=None,
-        xstate=None,
-    )
+def _error(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _point_records(
+def _point_rows(
     template: ModelSpec,
     axis_field: str,
     param: float,
     kT_list: tuple[float, ...],
     method: str,
-) -> list[SweepRecord]:
-    """Records for one grid point across all temperatures.
+) -> list[tuple[dict, str | None]]:
+    """(row, error) for one grid point at every temperature.
 
     The model is solved once; each temperature reuses the solution.  A
-    model failure marks every temperature's record failed; a detector failure
-    marks only its own.
+    model failure fails every temperature; a detector failure only its own.
     """
     try:
         spec = replace(template, **{axis_field: param}, kT=kT_list[0])
         solution = thermal_solution(spec, method=method)
         corrs = [solution.correlators(kT) for kT in kT_list]
     except Exception as exc:
-        return [_failed_record(param, exc) for _ in kT_list]
-    records = []
+        return [(FAILED_ROW, _error(exc))] * len(kT_list)
+    rows = []
     for corr in corrs:
         try:
-            records.append(evaluate_detectors(param, corr))
+            rows.append((evaluate_detectors(param, corr), None))
         except Exception as exc:
-            records.append(_failed_record(param, exc))
-    return records
+            rows.append((FAILED_ROW, _error(exc)))
+    return rows
 
 
 def _grid(start: float, stop: float, eta: float) -> np.ndarray:
@@ -240,8 +212,8 @@ def sweep(
         raise ValueError(f"all kT must be >= 0, got {kts}")
     params = _grid(start, stop, eta)
 
-    def work(param: float) -> list[SweepRecord]:
-        return _point_records(template, axis_field, float(param), kts, method)
+    def work(param: float) -> list[tuple[dict, str | None]]:
+        return _point_rows(template, axis_field, float(param), kts, method)
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -251,18 +223,13 @@ def sweep(
 
     results = []
     for j, kT in enumerate(kts):
-        spec_kt = replace(template, kT=kT)
-        records = [per_point[i][j] for i in range(len(params))]
-        results.append(
-            SweepResult(
-                spec=spec_kt,
-                axis=axis,
-                eta=eta,
-                kT=kT,
-                params=params,
-                records=records,
-            )
-        )
+        rows = [point[j][0] for point in per_point]
+        columns = {
+            name: np.array([row[name] for row in rows], dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+        errors = tuple(point[j][1] for point in per_point)
+        results.append(SweepResult(axis, eta, kT, params, columns, errors))
     return results
 
 
@@ -325,6 +292,20 @@ class QcpEstimate:
             raise ValueError(f"order must be 1 or 2, got {self.order}")
 
 
+def search_window(
+    window: tuple[float, float] | None, candidate: float | None
+) -> tuple[float, float]:
+    """The explicit (lo, hi) window, else candidate +- DEFAULT_WINDOW_HALF_WIDTH."""
+    if window is not None:
+        return window
+    if candidate is None:
+        raise ValueError("provide either window=(lo, hi) or candidate")
+    return (
+        candidate - DEFAULT_WINDOW_HALF_WIDTH,
+        candidate + DEFAULT_WINDOW_HALF_WIDTH,
+    )
+
+
 def estimate_qcp(
     result: SweepResult,
     detector: str,
@@ -335,19 +316,11 @@ def estimate_qcp(
 ) -> QcpEstimate:
     """Locate a critical point as the in-window extremum of |derivative|.
 
-    The search window is an explicit (lo, hi) interval, or candidate +-
-    DEFAULT_WINDOW_HALF_WIDTH when only a candidate is given; it must lie
-    inside the grid interior.  Ties break toward the smaller control value.  Raises ValueError when the
-    window contains no defined derivative value.
+    The search window is ``search_window(window, candidate)``; it must lie
+    inside the grid interior.  Ties break toward the smaller control value.
+    Raises ValueError when the window contains no defined derivative value.
     """
-    if window is None:
-        if candidate is None:
-            raise ValueError("provide either window=(lo, hi) or candidate")
-        window = (
-            candidate - DEFAULT_WINDOW_HALF_WIDTH,
-            candidate + DEFAULT_WINDOW_HALF_WIDTH,
-        )
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = map(float, search_window(window, candidate))
     if not (lo < hi):
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
     params = result.params
@@ -412,11 +385,8 @@ def extrapolate_to_zero(estimates: list[QcpEstimate]) -> ZeroTemperatureExtrapol
     slope = float(((kts - kt_mean) * (vals - vals.mean())).sum() / sxx)
     intercept = float(vals.mean() - slope * kt_mean)
     residuals = vals - (intercept + slope * kts)
-    if n > 2:
-        sigma2 = float((residuals**2).sum() / (n - 2))
-    else:
-        sigma2 = 0.0
-    stderr = math.sqrt(max(sigma2, 0.0) * (1.0 / n + kt_mean**2 / sxx))
+    sigma2 = float((residuals**2).sum() / (n - 2))
+    stderr = math.sqrt(sigma2 * (1.0 / n + kt_mean**2 / sxx))
     return ZeroTemperatureExtrapolation(
         detector=detector,
         method=method,

@@ -131,9 +131,8 @@ def test_criterion_5_teleportation_sanity(xxz_zero_field_sweep):
     # error vanishes identically at z = 0
     res = xxz_zero_field_sweep
     assert res.failed_count == 0
-    for rec in res.records:
-        assert abs(rec.correlators.z) < 1e-12
-        assert rec.dmin_int <= 1e-12
+    assert np.all(np.abs(res.column("z")) < 1e-12)
+    assert np.all(res.column("dmin_int") <= 1e-12)
 
 
 def _analytic_mean_trace_distance(qubit, x, set_label):

@@ -131,34 +131,52 @@ def test_sweep_command_writes_expected_csv(tmp_path, capsys):
     assert params == pytest.approx([-1.2, -1.1, -1.0, -0.9, -0.8])
 
 
-def test_sweep_csv_matches_records(tmp_path, monkeypatch):
+@pytest.mark.parametrize("stage", ["detector", "model"])
+def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
     import qcpdetect.scan as scan_mod
 
-    original = scan_mod.evaluate_detectors
+    # fail the point delta = -1.1 in the detectors, or in the model solve
+    # (which fails it at every temperature)
+    if stage == "detector":
+        original = scan_mod.evaluate_detectors
 
-    def flaky(param, corr):
-        if abs(param + 1.1) < 1e-9:
-            raise RuntimeError("boom")
-        return original(param, corr)
+        def flaky(param, corr):
+            if abs(param + 1.1) < 1e-9:
+                raise RuntimeError("boom")
+            return original(param, corr)
 
-    monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
-    result = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.2, -0.8, eta=0.1)[0]
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(result, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    cells = [row.split(",") for row in lines[1:]]
-    assert len(cells) == len(result.records)
-    for name in NUMERIC_COLUMNS:
-        parsed = [float(row[header.index(name)]) for row in cells]
-        np.testing.assert_allclose(
-            parsed, result.column(name), rtol=5e-12, atol=0.0, equal_nan=True
-        )
-    for name in ("fmax_branch", "dmin_branch"):
-        written = [row[header.index(name)] for row in cells]
-        assert written == [getattr(rec, name) or "" for rec in result.records]
-    # the failed point: numbers nan, flags 0, branch labels empty
-    assert lines[2] == "-1.1,0.5," + "nan," * 12 + "0,0,0,nan,,nan,"
+        monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
+    else:
+        original = scan_mod.thermal_solution
+
+        def flaky(spec, method="auto"):
+            if abs(spec.delta + 1.1) < 1e-9:
+                raise RuntimeError("boom")
+            return original(spec, method)
+
+        monkeypatch.setattr(scan_mod, "thermal_solution", flaky)
+    results = sweep(
+        ModelSpec("xxz", 4, 0.5), "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0)
+    )
+    for result in results:
+        assert result.failed_count == 1
+        path = tmp_path / f"sweep_{result.kT}.csv"
+        write_sweep_csv(result, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = [row.split(",") for row in lines[1:]]
+        assert len(cells) == result.params.size
+        for name in NUMERIC_COLUMNS:
+            parsed = [float(row[header.index(name)]) for row in cells]
+            np.testing.assert_allclose(
+                parsed, result.column(name), rtol=5e-12, atol=0.0, equal_nan=True
+            )
+        for name in ("fmax_branch", "dmin_branch"):
+            written = [row[header.index(name)] for row in cells]
+            assert written == [label or "" for label in result.column(name)]
+        # the failed point: numbers nan, flags 0, branch labels empty
+        kT = f"{result.kT:g}"
+        assert lines[2] == f"-1.1,{kT}," + "nan," * 12 + "0,0,0,nan,,nan,"
 
 
 def test_sweep_command_is_reproducible(tmp_path):

@@ -358,7 +358,7 @@ def test_xy_auto_solver_needs_no_diagonalization(monkeypatch):
     with pytest.raises(RuntimeError, match="diagonalize called"):
         thermal_correlators(spec, method="sector")
     results = sweep(spec, "lambda", 0.9, 1.1, eta=0.1, method="sector")
-    assert [rec.error for rec in results[0].records] == [
+    assert list(results[0].errors) == [
         "RuntimeError: diagonalize called"
     ] * 3
 

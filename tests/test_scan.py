@@ -5,9 +5,10 @@ import pytest
 
 from qcpdetect.models import ModelSpec
 from qcpdetect.scan import (
+    COLUMN_DTYPES,
+    COLUMNS,
     NUMERIC_COLUMNS,
     QcpEstimate,
-    SweepRecord,
     SweepResult,
     derivative,
     estimate_qcp,
@@ -19,24 +20,13 @@ from qcpdetect.xstate import Correlators
 
 
 def synthetic_result(params, values, eta, kT=1.0):
-    records = [
-        SweepRecord(
-            param=float(p),
-            failed=False,
-            error=None,
-            correlators=None,
-            xstate=None,
-            qd=float(v),
-        )
-        for p, v in zip(params, values)
-    ]
     return SweepResult(
-        spec=ModelSpec("xxz", 4, kT),
         axis="delta",
         eta=eta,
         kT=kT,
         params=np.asarray(params, dtype=float),
-        records=records,
+        columns={"qd": np.asarray(values, dtype=float)},
+        errors=(None,) * len(params),
     )
 
 
@@ -254,16 +244,18 @@ def test_sweep_grid_and_records():
     assert [r.kT for r in results] == [0.5, 1.0]
     for res in results:
         assert np.allclose(res.params, [-1.2, -1.1, -1.0, -0.9, -0.8], atol=1e-12)
-        assert len(res.records) == 5
+        assert res.errors == (None,) * 5
+        assert set(res.columns) == set(COLUMNS)
+        assert all(col.shape == (5,) for col in res.columns.values())
         assert res.failed_count == 0
         qd = res.column("qd")
         assert np.all(np.isfinite(qd))
         assert np.all(qd >= 0.0) and np.all(qd <= math.log(2.0) + 1e-9)
         # xx = yy on this family, so the z coherence spectrum always
         # contains an exact zero
-        assert all(rec.lqc_z_divergent for rec in res.records)
+        assert res.column("lqc_z_divergent").all()
         # the x spectrum develops a zero exactly on the xx = +-zz lines
-        flags = [rec.lqc_x_divergent for rec in res.records]
+        flags = res.column("lqc_x_divergent").tolist()
         assert flags == [False, False, True, False, False]
 
 
@@ -301,34 +293,43 @@ def test_sweep_isolates_detector_failures(monkeypatch):
             raise RuntimeError("boom")
         return original(param, corr)
 
-    monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
     template = ModelSpec("xxz", 4, 0.5)
+    clean = sweep(template, "delta", -1.2, -0.8, eta=0.1)[0]
+    monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
     res = sweep(template, "delta", -1.2, -0.8, eta=0.1)[0]
     assert res.failed_count == 1
-    bad = res.records[1]
-    assert bad.failed
-    assert "RuntimeError: boom" in bad.error
-    assert math.isnan(bad.value("qd"))
-    assert math.isnan(bad.value("xx"))
-    good = res.records[0]
-    assert not good.failed and np.isfinite(good.value("qd"))
+    assert "RuntimeError: boom" in res.errors[1]
+    assert math.isnan(res.column("qd")[1])
+    assert math.isnan(res.column("xx")[1])
+    assert res.errors[0] is None and np.isfinite(res.column("qd")[0])
     qd = res.column("qd")
     assert math.isnan(qd[1]) and np.isfinite(qd).sum() == 4
+    # column() hands out a copy: writing to it leaves the result unchanged
+    qd[0] = -1.0
+    assert res.column("qd")[0] != -1.0
+    assert not np.shares_memory(res.column("qd"), res.columns["qd"])
+    # a failed point does not change a column's dtype
+    for name in ("fmax_branch", "dmin_branch", "lqc_x_divergent", "lqc_z_divergent"):
+        assert res.column(name).dtype == clean.column(name).dtype == COLUMN_DTYPES[name]
+    assert res.column("fmax_branch")[1] is None
+    assert not res.column("lqc_z_divergent")[1]
 
 
 def test_evaluate_detectors_record_contents():
     corr = Correlators(z=0.0, xx=0.2, yy=0.2, zz=0.3)
-    rec = evaluate_detectors(0.3, corr)
-    assert not rec.failed
-    assert rec.value("xx") == pytest.approx(0.2)
-    assert np.isfinite(rec.qd) and 0.0 <= rec.qd <= 1.0
-    assert rec.lqc_z_divergent  # xx = yy forces a zero z-spectrum entry
-    assert rec.fmax_branch in ("xx", "yy", "zz")
-    assert rec.dmin_branch in ("1-D-", "D+")
-    assert rec.value("lqc_z_divergent") == 1.0
+    row = evaluate_detectors(0.3, corr)
+    assert tuple(row) == COLUMNS
+    assert row["xx"] == pytest.approx(0.2)
+    assert np.isfinite(row["qd"]) and 0.0 <= row["qd"] <= 1.0
+    assert row["lqc_z_divergent"]  # xx = yy forces a zero z-spectrum entry
+    assert row["fmax_branch"] in ("xx", "yy", "zz")
+    assert row["dmin_branch"] in ("1-D-", "D+")
+    assert float(row["lqc_z_divergent"]) == 1.0
 
 
 def test_record_rejects_unknown_column():
-    rec = evaluate_detectors(0.0, Correlators(z=0.0, xx=0.1, yy=0.1, zz=0.1))
+    res = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.2, -0.8, eta=0.1)[0]
     with pytest.raises(KeyError):
-        rec.value("fmax_branch")
+        res.column("fmax")
+    with pytest.raises(KeyError):
+        res.column("params")
