@@ -3,12 +3,14 @@
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
 uniform grid, computes the thermal pair correlators at each point (one
 model solve per point, reused across every requested temperature), and
-evaluates all five detectors on the resulting X state.  Each temperature's
-result is a set of columns, one array per correlator and detector over the
-grid, in the order of ``COLUMNS``.  Failures at a grid point are caught and
-recorded (its message in ``errors``, ``FAILED_ROW`` in the columns), never
-aborting the sweep; downstream derivative stencils that touch a failed
-point come out undefined (NaN) rather than interpolated.
+evaluates all five detectors on the resulting X states, one temperature
+column at a time: the discord search runs once over the column's states,
+the other detectors per point.  Each temperature's result is a set of
+columns, one array per correlator and detector over the grid, in the order
+of ``COLUMNS``.  Failures at a grid point are caught and recorded (its
+message in ``errors``, ``FAILED_ROW`` in the columns), never aborting the
+sweep or failing another point; downstream derivative stencils that touch
+a failed point come out undefined (NaN) rather than interpolated.
 
 Critical points are then located as the extremum of a finite-difference
 derivative of a chosen detector: forward [f(x+e)-f(x)]/e, central
@@ -29,10 +31,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .coherence import AXES, coherence_entropy, log_spectrum
-from .discord import quantum_discord
+from .discord import DiscordResult, quantum_discord, quantum_discords
 from .models import ModelSpec, thermal_solution
 from .teleport import max_mean_fidelity, min_mean_trace_distance
-from .xstate import Correlators, build_xstate
+from .xstate import Correlators, XState, build_xstate
 
 DEFAULT_ETA = 0.01
 DEFAULT_METHOD = "forward"
@@ -106,14 +108,9 @@ class SweepResult:
         return sum(err is not None for err in self.errors)
 
 
-def evaluate_detectors(param: float, corr: Correlators) -> dict:
-    """All five detectors on the X state built from one set of correlators.
-
-    Returns one row of the schema, correlators included.  ``param`` is the
-    grid point the correlators belong to; the row itself does not hold it.
-    """
-    x = build_xstate(corr)
-    qd = quantum_discord(x)
+def _row(corr: Correlators, x: XState, qd: DiscordResult) -> dict:
+    """One row of the schema: the correlators, their X state's discord and
+    the other four detectors on that state."""
     sqc = {ax: coherence_entropy(x, ax) for ax in AXES}
     lqc = {ax: log_spectrum(x, ax) for ax in AXES}
     fmax = max_mean_fidelity(x)
@@ -141,35 +138,68 @@ def evaluate_detectors(param: float, corr: Correlators) -> dict:
     }
 
 
+def evaluate_detectors(param: float, corr: Correlators) -> dict:
+    """All five detectors on the X state built from one set of correlators.
+
+    Returns one row of the schema, correlators included.  ``param`` is the
+    grid point the correlators belong to; the row itself does not hold it.
+    A sweep builds the same row, with the discord searched once per column.
+    """
+    x = build_xstate(corr)
+    return _row(corr, x, quantum_discord(x))
+
+
 def _error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _point_rows(
+def _point_correlators(
     template: ModelSpec,
     axis_field: str,
     param: float,
     kT_list: tuple[float, ...],
     method: str,
-) -> list[tuple[dict, str | None]]:
-    """(row, error) for one grid point at every temperature.
+) -> list[Correlators] | str:
+    """One grid point's correlators at every temperature, or the error message.
 
-    The model is solved once; each temperature reuses the solution.  A
-    model failure fails every temperature; a detector failure only its own.
+    The model is solved once; each temperature reuses the solution.
     """
     try:
         spec = replace(template, **{axis_field: param}, kT=kT_list[0])
         solution = thermal_solution(spec, method=method)
-        corrs = [solution.correlators(kT) for kT in kT_list]
+        return [solution.correlators(kT) for kT in kT_list]
     except Exception as exc:
-        return [(FAILED_ROW, _error(exc))] * len(kT_list)
-    rows = []
-    for corr in corrs:
+        return _error(exc)
+
+
+def _point_rows(column: list[Correlators | str]) -> list[tuple[dict, str | None]]:
+    """(row, error) for every grid point of one temperature column.
+
+    ``column`` holds each point's correlators, or its model failure message.
+    Each point's X state is built on its own, the discord is searched once
+    over every state that was built, and the rest of each row is filled per
+    point.  A build or detector failure fails only its own point.
+    """
+    out = [(FAILED_ROW, c if isinstance(c, str) else None) for c in column]
+    built = {}
+    for i, corr in enumerate(column):
+        if isinstance(corr, Correlators):
+            try:
+                built[i] = build_xstate(corr)
+            except Exception as exc:
+                out[i] = (FAILED_ROW, _error(exc))
+    try:
+        discords = quantum_discords(list(built.values()))
+    except Exception as exc:
+        for i in built:
+            out[i] = (FAILED_ROW, _error(exc))
+        return out
+    for (i, x), qd in zip(built.items(), discords):
         try:
-            rows.append((evaluate_detectors(param, corr), None))
+            out[i] = (_row(column[i], x, qd), None)
         except Exception as exc:
-            rows.append((FAILED_ROW, _error(exc)))
-    return rows
+            out[i] = (FAILED_ROW, _error(exc))
+    return out
 
 
 def _grid(start: float, stop: float, eta: float) -> np.ndarray:
@@ -198,8 +228,9 @@ def sweep(
 ) -> list[SweepResult]:
     """Sweep one control axis, returning one SweepResult per temperature.
 
-    Points are independent work items (optionally evaluated by a thread
-    pool); assembly is index-ordered, so results are deterministic and
+    The model solves are independent work items, one per point (optionally
+    evaluated by a thread pool); the detectors then run once per temperature
+    column.  Assembly is index-ordered, so results are deterministic and
     independent of evaluation order.
     """
     if axis not in AXIS_FIELDS:
@@ -212,8 +243,8 @@ def sweep(
         raise ValueError(f"all kT must be >= 0, got {kts}")
     params = _grid(start, stop, eta)
 
-    def work(param: float) -> list[tuple[dict, str | None]]:
-        return _point_rows(template, axis_field, float(param), kts, method)
+    def work(param: float) -> list[Correlators] | str:
+        return _point_correlators(template, axis_field, float(param), kts, method)
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -223,12 +254,12 @@ def sweep(
 
     results = []
     for j, kT in enumerate(kts):
-        rows = [point[j][0] for point in per_point]
+        column = [p if isinstance(p, str) else p[j] for p in per_point]
+        rows, errors = zip(*_point_rows(column))
         columns = {
             name: np.array([row[name] for row in rows], dtype=dtype)
             for name, dtype in COLUMN_DTYPES.items()
         }
-        errors = tuple(point[j][1] for point in per_point)
         results.append(SweepResult(axis, eta, kT, params, columns, errors))
     return results
 

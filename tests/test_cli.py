@@ -15,6 +15,7 @@ from qcpdetect.cli import (
 )
 from qcpdetect.models import ModelSpec
 from qcpdetect.scan import NUMERIC_COLUMNS, sweep
+from qcpdetect.xstate import Correlators
 
 SWEEP_CONFIG = """\
 # small antiferromagnetic scan
@@ -135,17 +136,24 @@ def test_sweep_command_writes_expected_csv(tmp_path, capsys):
 def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
     import qcpdetect.scan as scan_mod
 
-    # fail the point delta = -1.1 in the detectors, or in the model solve
-    # (which fails it at every temperature)
+    # fail the point delta = -1.1 in the detectors (its X-state build, found
+    # by its correlators at each temperature), or in the model solve (which
+    # fails it at every temperature)
+    template = ModelSpec("xxz", 4, 0.5)
     if stage == "detector":
-        original = scan_mod.evaluate_detectors
+        clean = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
+        bad = {
+            Correlators(*(float(r.column(c)[1]) for c in ("z", "xx", "yy", "zz")))
+            for r in clean
+        }
+        original = scan_mod.build_xstate
 
-        def flaky(param, corr):
-            if abs(param + 1.1) < 1e-9:
+        def flaky(corr):
+            if corr in bad:
                 raise RuntimeError("boom")
-            return original(param, corr)
+            return original(corr)
 
-        monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
+        monkeypatch.setattr(scan_mod, "build_xstate", flaky)
     else:
         original = scan_mod.thermal_solution
 
@@ -155,9 +163,7 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
             return original(spec, method)
 
         monkeypatch.setattr(scan_mod, "thermal_solution", flaky)
-    results = sweep(
-        ModelSpec("xxz", 4, 0.5), "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0)
-    )
+    results = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
     for result in results:
         assert result.failed_count == 1
         path = tmp_path / f"sweep_{result.kT}.csv"

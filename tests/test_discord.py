@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from qcpdetect.discord import (
+    _BLOCK,
+    THETA_GRID_POINTS,
     entropy_pair,
     entropy_single,
     quantum_discord,
+    quantum_discords,
     s_tilde,
 )
 from qcpdetect.xstate import (
@@ -94,7 +97,7 @@ def test_discord_bounds_random_states():
 
 
 def test_discord_beats_coarse_grid():
-    # the grid+golden minimum can never sit above a dense independent scan
+    # the grid + nested-grid minimum agrees with a dense independent scan
     rng = np.random.default_rng(SEED + 5)
     thetas = np.linspace(0.0, math.pi / 2, 10001)
     for _ in range(50):
@@ -104,6 +107,41 @@ def test_discord_beats_coarse_grid():
         direct = entropy_single(x) - entropy_pair(x) + dense_min
         assert res.value <= max(direct, 0.0) + 1e-8
         assert res.value >= max(direct, 0.0) - 1e-8
+
+
+def test_batched_search_matches_single_calls():
+    # one batch: interior minima, theta* = 0 and pi/2 (random states), flat S~
+    # (maximally mixed, Werner, product), not a whole number of blocks
+    rng = np.random.default_rng(SEED + 7)
+    interior = [
+        make_xstate(0.08, 0.06, 0.06, 0.8, 0.1264),
+        make_xstate(0.14, 0.14, 0.0, 0.58, 0.1423),
+        make_xstate(0.02, 0.04, 0.02, 0.9, 0.067),
+    ]
+    flat = [make_xstate(0.25, 0.25, 0.0, 0.25, 0.0)]
+    flat += [build_xstate(Correlators(0.0, -p, -p, -p)) for p in (0.2, 0.6, 0.9)]
+    flat += [sample_product_xstate(rng) for _ in range(6)]
+    states = interior + [sample_random_xstate(rng) for _ in range(40)] + flat
+    assert len(states) % _BLOCK != 0
+
+    dense = np.linspace(0.0, math.pi / 2, 100_001)
+    grid = np.linspace(0.0, math.pi / 2, THETA_GRID_POINTS)
+    results = quantum_discords(states)
+    assert len(results) == len(states)
+    argmins = []
+    for x, res in zip(states, results):
+        assert res == quantum_discord(x)
+        on_dense = s_tilde(x, dense)
+        argmins.append(int(np.argmin(on_dense)))
+        base = entropy_single(x) - entropy_pair(x)
+        assert res.value == pytest.approx(max(base + on_dense.min(), 0.0), abs=1e-12)
+        assert 0.0 <= res.theta_star <= math.pi / 2
+        assert s_tilde(x, res.theta_star) <= on_dense.min() + 1e-12
+        # refinement never makes the grid's best value worse
+        assert res.value <= max(base + float(np.min(s_tilde(x, grid))), 0.0)
+    # the batch really holds every kind of minimum
+    assert all(0 < k < dense.size - 1 for k in argmins[: len(interior)])
+    assert 0 in argmins and dense.size - 1 in argmins
 
 
 def test_theta_star_is_reported_minimizer():

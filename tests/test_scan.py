@@ -286,16 +286,18 @@ def test_sweep_validates_inputs():
 def test_sweep_isolates_detector_failures(monkeypatch):
     import qcpdetect.scan as scan_mod
 
-    original = scan_mod.evaluate_detectors
-
-    def flaky(param, corr):
-        if abs(param + 1.1) < 1e-9:
-            raise RuntimeError("boom")
-        return original(param, corr)
-
     template = ModelSpec("xxz", 4, 0.5)
     clean = sweep(template, "delta", -1.2, -0.8, eta=0.1)[0]
-    monkeypatch.setattr(scan_mod, "evaluate_detectors", flaky)
+    # fail the X-state build of the point delta = -1.1, found by its correlators
+    bad = Correlators(*(float(clean.column(c)[1]) for c in ("z", "xx", "yy", "zz")))
+    original = scan_mod.build_xstate
+
+    def flaky(corr):
+        if corr == bad:
+            raise RuntimeError("boom")
+        return original(corr)
+
+    monkeypatch.setattr(scan_mod, "build_xstate", flaky)
     res = sweep(template, "delta", -1.2, -0.8, eta=0.1)[0]
     assert res.failed_count == 1
     assert "RuntimeError: boom" in res.errors[1]
@@ -325,6 +327,26 @@ def test_evaluate_detectors_record_contents():
     assert row["fmax_branch"] in ("xx", "yy", "zz")
     assert row["dmin_branch"] in ("1-D-", "D+")
     assert float(row["lqc_z_divergent"]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "template, axis, start, stop, eta, kts",
+    [
+        (ModelSpec("xy", None, 0.5), "lambda", 0.9, 1.1, 0.01, (0.0, 0.02, 0.5)),
+        (ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, 0.1, (0.1, 1.0)),
+    ],
+)
+def test_sweep_rows_match_evaluate_detectors(template, axis, start, stop, eta, kts):
+    # the column-batched discord gives every row what the one-point path gives
+    for res in sweep(template, axis, start, stop, eta=eta, kT_list=kts):
+        assert res.failed_count == 0 and res.params.size > 16
+        for i, param in enumerate(res.params):
+            corr = Correlators(*(float(res.columns[c][i]) for c in COLUMNS[:4]))
+            row = evaluate_detectors(float(param), corr)
+            assert res.columns["qd"][i] == row["qd"]
+            assert res.columns["theta_star"][i] == row["theta_star"]
+            for name in COLUMNS:
+                np.testing.assert_equal(res.columns[name][i], row[name])
 
 
 def test_record_rejects_unknown_column():
