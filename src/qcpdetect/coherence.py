@@ -25,7 +25,6 @@ a spectrum eigenvalue crosses zero, which happens at the critical couplings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,8 @@ class SpectrumEigenvalues:
     """The four eigenvalues of [rho, 1 (x) sigma_axis]^2, degeneracies explicit."""
 
     axis: str
-    alphas: np.ndarray  # shape (4,), ordered [a12, a12, a34, a34], all <= 0
+    # ordered [a12, a12, a34, a34], all <= 0; shape (4,), or (4, n) for a column
+    alphas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class DetectorValue:
     then holds the EPS_DIVERGENCE-clamped sum (finite, still spikes near the
     divergence) and consumers must branch on the flag. ``min_abs_alpha`` is
     the smallest |alpha_n|, letting callers judge the distance to divergence.
+    Each field is a numpy scalar for one state, an array for a column.
     """
 
     value: float
@@ -65,16 +66,17 @@ class DetectorValue:
     min_abs_alpha: float
 
 
-def _alpha(x: XState, e1: float, e2: float) -> float:
+def _alpha(x: XState, e1: float, e2: float):
     off = x.c - e2 * x.e
-    root = math.sqrt((x.a - x.d) ** 2 + 4.0 * off**2)
+    root = np.sqrt(np.square(x.a - x.d) + 4.0 * np.square(off))
     val = -0.5 * (
-        (x.a - x.b) ** 2
-        + (x.b - x.d) ** 2
-        + 2.0 * off**2
+        np.square(x.a - x.b)
+        + np.square(x.b - x.d)
+        + 2.0 * np.square(off)
         + e1 * (x.a - 2.0 * x.b + x.d) * root
     )
-    return min(val, 0.0)
+    # min(val, 0.0), keeping val on a tie so that -0.0 stays -0.0
+    return np.where(val > 0.0, 0.0, val)
 
 
 def spectrum_eigenvalues(x: XState, axis: str) -> SpectrumEigenvalues:
@@ -84,7 +86,7 @@ def spectrum_eigenvalues(x: XState, axis: str) -> SpectrumEigenvalues:
     elif axis == "y":
         a12, a34 = _alpha(x, +1.0, -1.0), _alpha(x, -1.0, -1.0)
     elif axis == "z":
-        a12, a34 = -4.0 * x.c**2, -4.0 * x.e**2
+        a12, a34 = -4.0 * np.square(x.c), -4.0 * np.square(x.e)
     else:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     return SpectrumEigenvalues(axis=axis, alphas=np.array([a12, a12, a34, a34]))
@@ -93,7 +95,7 @@ def spectrum_eigenvalues(x: XState, axis: str) -> SpectrumEigenvalues:
 def spectrum_eigenvalues_oracle(x: XState, axis: str) -> np.ndarray:
     """Dense-algebra route: eigenvalues of (rho K - K rho)^2, ascending.
 
-    Independent of the closed forms; used to validate them.
+    Independent of the closed forms; used to validate them.  One state only.
     """
     if axis not in _PAULI_BY_AXIS:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
@@ -103,19 +105,17 @@ def spectrum_eigenvalues_oracle(x: XState, axis: str) -> np.ndarray:
     return np.linalg.eigvalsh(comm @ comm)
 
 
-def qc_scalar(x: XState, axis: str) -> float:
+def qc_scalar(x: XState, axis: str):
     """The trace detector -Tr[rho, K]^2 / 4 = -sum_n alpha_n / 4 >= 0."""
-    return float(-0.25 * np.sum(spectrum_eigenvalues(x, axis).alphas))
+    return -0.25 * np.sum(spectrum_eigenvalues(x, axis).alphas, axis=0)
 
 
-def coherence_entropy(x: XState, axis: str) -> float:
+def coherence_entropy(x: XState, axis: str):
     """Entropy-like functional -sum_n |alpha_n| ln |alpha_n| (0 ln 0 = 0)."""
     mags = np.abs(spectrum_eigenvalues(x, axis).alphas)
-    out = 0.0
-    for m in mags:
-        if m > 0.0:
-            out -= m * math.log(m)
-    return out
+    terms = mags * np.log(np.where(mags > 0.0, mags, 1.0))
+    # 0.0 - sum, not -sum: an all-zero spectrum gives +0.0, not -0.0
+    return 0.0 - np.sum(terms, axis=0)
 
 
 def log_spectrum(x: XState, axis: str) -> DetectorValue:
@@ -125,8 +125,8 @@ def log_spectrum(x: XState, axis: str) -> DetectorValue:
     computed with |alpha_n| clamped below at EPS_DIVERGENCE.
     """
     mags = np.abs(spectrum_eigenvalues(x, axis).alphas)
-    min_abs = float(np.min(mags))
-    value = float(-np.sum(np.log(np.maximum(mags, EPS_DIVERGENCE))))
+    min_abs = np.min(mags, axis=0)
+    value = -np.sum(np.log(np.maximum(mags, EPS_DIVERGENCE)), axis=0)
     return DetectorValue(
         value=value, divergent=min_abs < EPS_DIVERGENCE, min_abs_alpha=min_abs
     )

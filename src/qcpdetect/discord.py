@@ -10,14 +10,15 @@ discord is
 
 with all entropies in nats.  S~(theta) has a closed form in the X-state
 parameters, so the minimization is a cheap 1-d search: a coarse grid scan
-followed by nested-grid refinement of the best bracket.  The search runs on
-blocks of states at once, as (states x angles) arrays.
+followed by nested-grid refinement of the best bracket.  Every function here
+takes one X state or a column of them (an XState whose fields are arrays);
+the search runs on blocks of a column's states at once, as (states x angles)
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,10 @@ _BLOCK = 16
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Discord value in nats together with the minimizing angle."""
+    """Discord value in nats together with the minimizing angle.
+
+    Numpy scalars for one state, arrays for a column.
+    """
 
     value: float
     theta_star: float
@@ -54,19 +58,19 @@ def _xlogx(p):
     return p * np.log(np.where(p > 0.0, p, 1.0))
 
 
-def entropy_single(x: XState) -> float:
+def entropy_single(x: XState):
     """Von Neumann entropy of the one-qubit reduction diag(a+b, b+d), in nats."""
-    return float(-np.sum(_xlogx(np.array([x.a + x.b, x.b + x.d]))))
+    return -np.sum(_xlogx(np.array([x.a + x.b, x.b + x.d])), axis=0)
 
 
-def entropy_pair(x: XState) -> float:
+def entropy_pair(x: XState):
     """Von Neumann entropy of the pair state, from the closed-form spectrum."""
-    return float(-np.sum(_xlogx(x.eigenvalues())))
+    return -np.sum(_xlogx(x.eigenvalues()), axis=0)
 
 
-def _coefficients(x: XState) -> tuple[float, float, float]:
+def _coefficients(x: XState) -> tuple:
     """The three combinations of X-state parameters that S~ depends on."""
-    return x.a - x.d, x.a - 2.0 * x.b + x.d, abs(x.c) + abs(x.e)
+    return x.a - x.d, x.a - 2.0 * x.b + x.d, np.abs(x.c) + np.abs(x.e)
 
 
 def _s_tilde(zdiff, zmid, off, ct, st):
@@ -88,7 +92,8 @@ def _s_tilde(zdiff, zmid, off, ct, st):
 
 
 def s_tilde(x: XState, theta) -> np.ndarray | float:
-    """Measured conditional entropy S~(theta); accepts scalar or array theta.
+    """Measured conditional entropy S~(theta) of one state; accepts scalar or
+    array theta.
 
     With Lambda_{1,2} = [1 +/- (a-d) cos(theta)] / 2 and
 
@@ -136,24 +141,6 @@ def _min_s_tilde(zdiff, zmid, off) -> tuple[np.ndarray, np.ndarray]:
     return theta, best
 
 
-def quantum_discords(states: Sequence[XState]) -> list[DiscordResult]:
-    """quantum_discord of every state, searched _BLOCK states at a time.
-
-    Each result equals quantum_discord of that state alone.
-    """
-    results = []
-    for start in range(0, len(states), _BLOCK):
-        block = states[start : start + _BLOCK]
-        coeffs = np.array([_coefficients(x) for x in block]).T[:, :, None]
-        theta, best = _min_s_tilde(*coeffs)
-        for x, theta_star, s_min in zip(block, theta.tolist(), best.tolist()):
-            value = entropy_single(x) - entropy_pair(x) + s_min
-            if -ZERO_CLAMP <= value < 0.0:
-                value = 0.0
-            results.append(DiscordResult(value=value, theta_star=theta_star))
-    return results
-
-
 def quantum_discord(x: XState) -> DiscordResult:
     """Discord QD = S(rho_B) - S(rho_AB) + min_theta S~(theta), in nats.
 
@@ -161,6 +148,15 @@ def quantum_discord(x: XState) -> DiscordResult:
     refines around the best of them on nested grids until the final bracket
     is at most THETA_REFINE_TOL wide.  A refined value replaces the grid
     value only where it is lower.  Values within ZERO_CLAMP of zero clamp to
-    exactly 0.  This is quantum_discords on the one state.
+    exactly 0.  A column is searched _BLOCK states at a time; each state's
+    result equals that of the state alone.
     """
-    return quantum_discords([x])[0]
+    shape = np.shape(x.a)
+    coeffs = np.array(_coefficients(x)).reshape(3, -1, 1)  # (3, states, 1)
+    theta, s_min = np.empty(coeffs.shape[1]), np.empty(coeffs.shape[1])
+    for start in range(0, coeffs.shape[1], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        theta[block], s_min[block] = _min_s_tilde(*coeffs[:, block])
+    value = entropy_single(x) - entropy_pair(x) + s_min.reshape(shape)
+    value = np.where((-ZERO_CLAMP <= value) & (value < 0.0), 0.0, value)
+    return DiscordResult(value=value[()], theta_star=theta.reshape(shape)[()])

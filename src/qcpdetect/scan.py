@@ -4,13 +4,14 @@ A sweep walks one control axis (anisotropy, field, coupling, ...) over a
 uniform grid, computes the thermal pair correlators at each point (one
 model solve per point, reused across every requested temperature), and
 evaluates all five detectors on the resulting X states, one temperature
-column at a time: the discord search runs once over the column's states,
-the other detectors per point.  Each temperature's result is a set of
-columns, one array per correlator and detector over the grid, in the order
-of ``COLUMNS``.  Failures at a grid point are caught and recorded (its
-message in ``errors``, ``FAILED_ROW`` in the columns), never aborting the
-sweep or failing another point; downstream derivative stencils that touch
-a failed point come out undefined (NaN) rather than interpolated.
+column at a time: each point's X state is built and validated on its own,
+and every detector then runs once on the column of states that were built.
+Each temperature's result is a set of columns, one array per correlator
+and detector over the grid, in the order of ``COLUMNS``.  Failures at a
+grid point are caught and recorded (its message in ``errors``,
+``FAILED_ROW`` in the columns), never aborting the sweep or failing
+another point; downstream derivative stencils that touch a failed point
+come out undefined (NaN) rather than interpolated.
 
 Critical points are then located as the extremum of a finite-difference
 derivative of a chosen detector: forward [f(x+e)-f(x)]/e, central
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 
 import numpy as np
 
 from .coherence import AXES, coherence_entropy, log_spectrum
-from .discord import DiscordResult, quantum_discord, quantum_discords
+from .discord import quantum_discord
 from .models import ModelSpec, thermal_solution
 from .teleport import max_mean_fidelity, min_mean_trace_distance
 from .xstate import Correlators, XState, build_xstate
@@ -108,9 +109,11 @@ class SweepResult:
         return sum(err is not None for err in self.errors)
 
 
-def _row(corr: Correlators, x: XState, qd: DiscordResult) -> dict:
-    """One row of the schema: the correlators, their X state's discord and
-    the other four detectors on that state."""
+def _columns(corr: Correlators, x: XState) -> dict:
+    """The schema's values for correlators and their X state, every detector
+    run once on ``x``.  The fields of both are floats for one row, or arrays
+    over a column for a column of rows."""
+    qd = quantum_discord(x)
     sqc = {ax: coherence_entropy(x, ax) for ax in AXES}
     lqc = {ax: log_spectrum(x, ax) for ax in AXES}
     fmax = max_mean_fidelity(x)
@@ -141,12 +144,17 @@ def _row(corr: Correlators, x: XState, qd: DiscordResult) -> dict:
 def evaluate_detectors(param: float, corr: Correlators) -> dict:
     """All five detectors on the X state built from one set of correlators.
 
-    Returns one row of the schema, correlators included.  ``param`` is the
-    grid point the correlators belong to; the row itself does not hold it.
-    A sweep builds the same row, with the discord searched once per column.
+    Returns one row of the schema, correlators included, as numpy scalars
+    and str labels.  ``param`` is the grid point the correlators belong to;
+    the row itself does not hold it.  A sweep computes the same values with
+    each detector run once per temperature column.
     """
-    x = build_xstate(corr)
-    return _row(corr, x, quantum_discord(x))
+    return _columns(corr, build_xstate(corr))
+
+
+def _stack(cls, items: list):
+    """One ``cls`` dataclass whose fields are arrays over ``items``."""
+    return cls(*(np.array([getattr(it, f.name) for it in items]) for f in fields(cls)))
 
 
 def _error(exc: BaseException) -> str:
@@ -172,34 +180,42 @@ def _point_correlators(
         return _error(exc)
 
 
-def _point_rows(column: list[Correlators | str]) -> list[tuple[dict, str | None]]:
-    """(row, error) for every grid point of one temperature column.
+def _temperature_columns(
+    column: list[Correlators | str],
+) -> tuple[dict[str, np.ndarray], tuple[str | None, ...]]:
+    """(columns, errors) of one temperature over the grid.
 
     ``column`` holds each point's correlators, or its model failure message.
-    Each point's X state is built on its own, the discord is searched once
-    over every state that was built, and the rest of each row is filled per
-    point.  A build or detector failure fails only its own point.
+    Each point's X state is built and validated on its own, so a build
+    failure fails only its own point; the detectors then run once on the
+    column of states that were built, and their values fill those points.
     """
-    out = [(FAILED_ROW, c if isinstance(c, str) else None) for c in column]
+    errors = [c if isinstance(c, str) else None for c in column]
     built = {}
     for i, corr in enumerate(column):
-        if isinstance(corr, Correlators):
+        if errors[i] is None:
             try:
                 built[i] = build_xstate(corr)
             except Exception as exc:
-                out[i] = (FAILED_ROW, _error(exc))
-    try:
-        discords = quantum_discords(list(built.values()))
-    except Exception as exc:
-        for i in built:
-            out[i] = (FAILED_ROW, _error(exc))
-        return out
-    for (i, x), qd in zip(built.items(), discords):
+                errors[i] = _error(exc)
+    out = {
+        name: np.full(len(column), FAILED_ROW[name], dtype)
+        for name, dtype in COLUMN_DTYPES.items()
+    }
+    if built:
+        points = list(built)
         try:
-            out[i] = (_row(column[i], x, qd), None)
+            values = _columns(
+                _stack(Correlators, [column[i] for i in points]),
+                _stack(XState, list(built.values())),
+            )
         except Exception as exc:
-            out[i] = (FAILED_ROW, _error(exc))
-    return out
+            for i in points:
+                errors[i] = _error(exc)
+        else:
+            for name, col in out.items():
+                col[points] = values[name]
+    return out, tuple(errors)
 
 
 def _grid(start: float, stop: float, eta: float) -> np.ndarray:
@@ -255,11 +271,7 @@ def sweep(
     results = []
     for j, kT in enumerate(kts):
         column = [p if isinstance(p, str) else p[j] for p in per_point]
-        rows, errors = zip(*_point_rows(column))
-        columns = {
-            name: np.array([row[name] for row in rows], dtype=dtype)
-            for name, dtype in COLUMN_DTYPES.items()
-        }
+        columns, errors = _temperature_columns(column)
         results.append(SweepResult(axis, eta, kT, params, columns, errors))
     return results
 

@@ -56,6 +56,8 @@ CORRECTION_SETS = {
 
 # Outcomes with probability below this are treated as impossible.
 _Q_FLOOR = 1e-15
+# Zoom rounds of the brute-force fidelity search after its grid.
+_REFINE_ROUNDS = 12
 
 
 class OutcomeImpossibleError(ValueError):
@@ -83,9 +85,18 @@ class InputQubit:
         return np.outer(k, k.conj())
 
 
+# Branch labels of the two closed forms, in tie-break order; object arrays,
+# so that indexing by a column of branch numbers gives a column of labels.
+_FMAX_BRANCHES = np.array(("xx", "yy", "zz"), dtype=object)
+_DMIN_BRANCHES = np.array(("1-D-", "D+"), dtype=object)
+
+
 @dataclass(frozen=True)
 class MaxMeanFidelity:
-    """External-protocol maximum mean fidelity and the branch attaining it."""
+    """External-protocol maximum mean fidelity and the branch attaining it.
+
+    A numpy scalar and a str for one state, arrays for a column.
+    """
 
     value: float
     branch: str  # "xx" | "yy" | "zz"
@@ -93,7 +104,10 @@ class MaxMeanFidelity:
 
 @dataclass(frozen=True)
 class MinMeanTraceDistance:
-    """Internal-protocol minimum mean trace distance and its branch."""
+    """Internal-protocol minimum mean trace distance and its branch.
+
+    A numpy scalar and a str for one state, arrays for a column.
+    """
 
     value: float
     branch: str  # "1-D-" | "D+"
@@ -203,13 +217,15 @@ def max_mean_fidelity(x: XState) -> MaxMeanFidelity:
     The three branches are (1+|ss|)/2 for ss in {xx, yy, zz}; equivalently
     max[2b, 1-2b, 1/2+|c|+|e|].  Ties resolve in the order xx, yy, zz.
     """
-    candidates = [
-        ("xx", 0.5 + abs(x.c + x.e)),
-        ("yy", 0.5 + abs(x.c - x.e)),
-        ("zz", max(2.0 * x.b, 1.0 - 2.0 * x.b)),
-    ]
-    branch, value = max(candidates, key=lambda kv: kv[1])  # first of any tie
-    return MaxMeanFidelity(value=value, branch=branch)
+    candidates = np.array(
+        [
+            0.5 + np.abs(x.c + x.e),
+            0.5 + np.abs(x.c - x.e),
+            np.maximum(2.0 * x.b, 1.0 - 2.0 * x.b),
+        ]
+    )
+    branch = _FMAX_BRANCHES[np.argmax(candidates, axis=0)]  # first of any tie
+    return MaxMeanFidelity(value=np.max(candidates, axis=0), branch=branch)
 
 
 def _bloch_grid(n_theta: int, n_chi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,15 +282,13 @@ def max_mean_fidelity_bruteforce(
     x: XState,
     n_theta: int = 128,
     n_chi: int = 256,
-    refine: bool = True,
-    refine_rounds: int = 12,
 ) -> BruteForceFidelity:
     """Protocol-level search over a Bloch-angle grid and the four sets.
 
     ``grid_value`` is the raw grid maximum (accuracy limited by spacing);
-    ``value`` additionally zooms into the best cell of each set, shrinking
-    the search window by 4 per round.  Serves as the oracle for
-    max_mean_fidelity.
+    ``value`` additionally zooms into the best cell of each set for
+    _REFINE_ROUNDS rounds, shrinking the search window by 4 per round.
+    Serves as the oracle for max_mean_fidelity.
     """
     forms = _fidelity_quadratic_forms(x)
     kets, thetas, chis = _bloch_grid(n_theta, n_chi)
@@ -289,22 +303,13 @@ def max_mean_fidelity_bruteforce(
     grid_set = max(per_set, key=lambda s: per_set[s][0])
     grid_value, grid_theta, grid_chi = per_set[grid_set]
 
-    if not refine:
-        return BruteForceFidelity(
-            value=grid_value,
-            grid_value=grid_value,
-            theta=grid_theta,
-            chi=grid_chi,
-            set_label=grid_set,
-        )
-
     best = (grid_value, grid_theta, grid_chi, grid_set)
     d_theta0 = math.pi / (n_theta - 1)
     d_chi0 = 2.0 * math.pi / n_chi
     for set_label, w in forms.items():
         val, th, ch = per_set[set_label]
         d_theta, d_chi = d_theta0, d_chi0
-        for _ in range(refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             th_grid = np.clip(np.linspace(th - d_theta, th + d_theta, 9), 0.0, math.pi)
             ch_grid = np.linspace(ch - d_chi, ch + d_chi, 9)
             tt, cc = np.meshgrid(th_grid, ch_grid, indexing="ij")
@@ -356,10 +361,11 @@ def min_mean_trace_distance(x: XState) -> MinMeanTraceDistance:
     """
     bd = x.b + x.d
     base = 2.0 * x.b + x.d - bd * bd
-    gap = abs(bd * bd - x.d)
-    candidates = [("1-D-", 1.0 - (base - gap)), ("D+", base + gap)]
-    branch, inner = min(candidates, key=lambda kv: kv[1])  # first of any tie
-    return MinMeanTraceDistance(value=abs(1.0 - 2.0 * bd) * inner, branch=branch)
+    gap = np.abs(bd * bd - x.d)
+    candidates = np.array([1.0 - (base - gap), base + gap])
+    branch = _DMIN_BRANCHES[np.argmin(candidates, axis=0)]  # first of any tie
+    inner = np.min(candidates, axis=0)
+    return MinMeanTraceDistance(value=np.abs(1.0 - 2.0 * bd) * inner, branch=branch)
 
 
 def min_mean_trace_distance_bruteforce(x: XState) -> float:

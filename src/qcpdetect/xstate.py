@@ -72,6 +72,9 @@ class XState:
     [[a, e], [e, d]] on span{|00>, |11>} and the inner block
     [[b, c], [c, b]] on span{|01>, |10>}.  Eigenvalues are b +/- c and
     (a + d +/- sqrt((a - d)^2 + 4 e^2)) / 2.
+
+    The five fields are floats for one state, or equal-length arrays for a
+    column of states; every closed form in the package accepts either.
     """
 
     a: float
@@ -81,8 +84,11 @@ class XState:
     e: float
 
     def eigenvalues(self) -> np.ndarray:
-        """All four eigenvalues, inner block first: [b+c, b-c, outer+, outer-]."""
-        s = math.sqrt((self.a - self.d) ** 2 + 4.0 * self.e**2)
+        """All four eigenvalues, inner block first: [b+c, b-c, outer+, outer-].
+
+        Shape (4,) for one state, (4, n) for a column.
+        """
+        s = np.sqrt(np.square(self.a - self.d) + 4.0 * np.square(self.e))
         return np.array(
             [
                 self.b + self.c,
@@ -105,11 +111,15 @@ class XState:
 def make_xstate(a: float, b: float, c: float, d: float, e: float) -> XState:
     """Validate raw X-state parameters, snapping rounding noise to the boundary.
 
-    Checks unit trace and positive semidefiniteness of both 2x2 blocks.
-    Violations within VALIDATION_TOL are repaired (tiny negative populations
-    zeroed, |c| capped at b, |e| capped at sqrt(a d)); larger ones raise
-    PhysicalityError carrying the failing eigenvalue.
+    Checks that every parameter is finite, then unit trace and positive
+    semidefiniteness of both 2x2 blocks.  Violations within VALIDATION_TOL
+    are repaired (tiny negative populations zeroed, |c| capped at b, |e|
+    capped at sqrt(a d)); larger ones raise PhysicalityError carrying the
+    failing eigenvalue, or the non-finite parameter.
     """
+    for name, value in zip("abcde", (a, b, c, d, e)):
+        if not math.isfinite(value):
+            raise PhysicalityError(f"parameter {name} not finite", value)
     trace = a + 2.0 * b + d
     if abs(trace - 1.0) > VALIDATION_TOL:
         raise PhysicalityError("trace a + 2b + d differs from 1", trace - 1.0)

@@ -73,6 +73,7 @@ def test_criterion_2_bell_coherence_spectrum():
         assert coherence_entropy(BELL, axis) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.slow
 def test_criterion_3_detector_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250818)
@@ -115,6 +116,7 @@ def test_criterion_4_symmetry_identities_at_criticality():
             assert log_spectrum(build_xstate(cxy), "z").divergent
 
 
+@pytest.mark.slow
 def test_criterion_5_teleportation_sanity(xxz_zero_field_sweep):
     inputs = [
         InputQubit(theta, chi)
@@ -210,6 +212,7 @@ def test_criterion_8a_ising_extrapolation(ising_sweeps):
         assert abs(fit.intercept - 1.0) <= 0.15, (detector, fit.intercept)
 
 
+@pytest.mark.slow
 def test_criterion_8b_xxz_field_trend(xxz_field_sweeps):
     for detector, (order, method) in XXZ_FIELD_PIPELINES.items():
         distance = {}

@@ -1,19 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qcpdetect.coherence import (
+    AXES,
+    coherence_entropy,
+    log_spectrum,
+    qc_scalar,
+    spectrum_eigenvalues,
+)
 from qcpdetect.discord import (
     _BLOCK,
     THETA_GRID_POINTS,
     entropy_pair,
     entropy_single,
     quantum_discord,
-    quantum_discords,
     s_tilde,
 )
+from qcpdetect.teleport import max_mean_fidelity, min_mean_trace_distance
 from qcpdetect.xstate import (
     Correlators,
+    XState,
     build_xstate,
     dense_matrix,
     make_xstate,
@@ -109,37 +118,105 @@ def test_discord_beats_coarse_grid():
         assert res.value >= max(direct, 0.0) - 1e-8
 
 
+MIXED = make_xstate(0.25, 0.25, 0.0, 0.25, 0.0)
+BELL = make_xstate(0.5, 0.0, 0.0, 0.5, 0.5)
+
+# Every closed form that takes one X state or a column of them, by name.
+COLUMN_KERNELS = {
+    "eigenvalues": XState.eigenvalues,
+    "entropy_single": entropy_single,
+    "entropy_pair": entropy_pair,
+    "quantum_discord": quantum_discord,
+    "max_mean_fidelity": max_mean_fidelity,
+    "min_mean_trace_distance": min_mean_trace_distance,
+    **{
+        f"{fn.__name__}_{axis}": (lambda x, fn=fn, axis=axis: fn(x, axis))
+        for fn in (spectrum_eigenvalues, qc_scalar, coherence_entropy, log_spectrum)
+        for axis in AXES
+    },
+}
+
+
+def _column(states):
+    return XState(*(np.array([getattr(x, f) for x in states]) for f in "abcde"))
+
+
+def _parts(result) -> list:
+    """A kernel's result as a list of values: one per dataclass field."""
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [result]
+
+
+def _assert_same(got, want):
+    """Equal element by element, signed zeros included (assert_equal on
+    scalars tells 0.0 from -0.0, on arrays it does not)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    for g, w in zip(got.ravel(), want.ravel()):
+        np.testing.assert_equal(g, w)
+
+
 def test_batched_search_matches_single_calls():
-    # one batch: interior minima, theta* = 0 and pi/2 (random states), flat S~
-    # (maximally mixed, Werner, product), not a whole number of blocks
+    # one column: interior minima, theta* = 0 and pi/2 (random states), flat S~
+    # (maximally mixed, Werner, product), exact ties (MIXED, Werner), signed
+    # zeros (Bell spectra, pure product states), divergent log spectra
+    # (MIXED, Bell, product); not a whole number of blocks
     rng = np.random.default_rng(SEED + 7)
     interior = [
         make_xstate(0.08, 0.06, 0.06, 0.8, 0.1264),
         make_xstate(0.14, 0.14, 0.0, 0.58, 0.1423),
         make_xstate(0.02, 0.04, 0.02, 0.9, 0.067),
     ]
-    flat = [make_xstate(0.25, 0.25, 0.0, 0.25, 0.0)]
+    flat = [MIXED]
     flat += [build_xstate(Correlators(0.0, -p, -p, -p)) for p in (0.2, 0.6, 0.9)]
     flat += [sample_product_xstate(rng) for _ in range(6)]
-    states = interior + [sample_random_xstate(rng) for _ in range(40)] + flat
+    signed = [BELL, make_xstate(1.0, 0.0, 0.0, 0.0, 0.0), make_xstate(0.0, 0.0, 0.0, 1.0, 0.0)]
+    states = interior + [sample_random_xstate(rng) for _ in range(40)] + flat + signed
     assert len(states) % _BLOCK != 0
+
+    column = _column(states)
+    for kernel in COLUMN_KERNELS.values():
+        batched = _parts(kernel(column))
+        for i, x in enumerate(states):
+            for got, want in zip(batched, _parts(kernel(x))):
+                if isinstance(got, str):  # the axis of a spectrum
+                    assert got == want
+                else:
+                    _assert_same(got[..., i], want)
+    # the column really holds zeros of both signs and exact ties
+    alphas = spectrum_eigenvalues(column, "x").alphas
+    assert np.any((alphas == 0.0) & np.signbit(alphas))
+    assert np.any((entropy_single(column) == 0.0) & np.signbit(entropy_single(column)))
+    sqc = coherence_entropy(column, "z")
+    assert np.any((sqc == 0.0) & ~np.signbit(sqc))
+    assert max_mean_fidelity(MIXED).branch == "xx"
+    assert min_mean_trace_distance(MIXED).branch == "1-D-"
+    assert max_mean_fidelity(flat[2]).branch == "xx"
+    # and divergent log spectra next to finite ones
+    flags = log_spectrum(column, "z").divergent
+    assert flags.any() and not flags.all()
+
+    # a single state gives numpy scalars and str labels
+    fmax, lqc = max_mean_fidelity(BELL), log_spectrum(BELL, "x")
+    assert type(fmax.value) is np.float64 and type(fmax.branch) is str
+    assert type(lqc.divergent) is np.bool_ and bool(lqc.divergent)
+    assert type(quantum_discord(BELL).theta_star) is np.float64
 
     dense = np.linspace(0.0, math.pi / 2, 100_001)
     grid = np.linspace(0.0, math.pi / 2, THETA_GRID_POINTS)
-    results = quantum_discords(states)
-    assert len(results) == len(states)
+    results = quantum_discord(column)
     argmins = []
-    for x, res in zip(states, results):
-        assert res == quantum_discord(x)
+    for x, value, theta_star in zip(states, results.value, results.theta_star):
         on_dense = s_tilde(x, dense)
         argmins.append(int(np.argmin(on_dense)))
         base = entropy_single(x) - entropy_pair(x)
-        assert res.value == pytest.approx(max(base + on_dense.min(), 0.0), abs=1e-12)
-        assert 0.0 <= res.theta_star <= math.pi / 2
-        assert s_tilde(x, res.theta_star) <= on_dense.min() + 1e-12
+        assert value == pytest.approx(max(base + on_dense.min(), 0.0), abs=1e-12)
+        assert 0.0 <= theta_star <= math.pi / 2
+        assert s_tilde(x, theta_star) <= on_dense.min() + 1e-12
         # refinement never makes the grid's best value worse
-        assert res.value <= max(base + float(np.min(s_tilde(x, grid))), 0.0)
-    # the batch really holds every kind of minimum
+        assert value <= max(base + float(np.min(s_tilde(x, grid))), 0.0)
+    # the column really holds every kind of minimum
     assert all(0 < k < dense.size - 1 for k in argmins[: len(interior)])
     assert 0 in argmins and dense.size - 1 in argmins
 

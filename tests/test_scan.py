@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcpdetect.coherence import AXES
 from qcpdetect.models import ModelSpec
 from qcpdetect.scan import (
     COLUMN_DTYPES,
@@ -347,6 +348,42 @@ def test_sweep_rows_match_evaluate_detectors(template, axis, start, stop, eta, k
             assert res.columns["theta_star"][i] == row["theta_star"]
             for name in COLUMNS:
                 np.testing.assert_equal(res.columns[name][i], row[name])
+
+
+def test_sweep_calls_each_detector_once_per_column(monkeypatch):
+    import qcpdetect.scan as scan_mod
+
+    calls = []
+
+    def counted(name):
+        original = getattr(scan_mod, name)
+
+        def wrapper(x, *args):
+            calls.append((name, *args))
+            return original(x, *args)
+
+        monkeypatch.setattr(scan_mod, name, wrapper)
+
+    detectors = (
+        "quantum_discord",
+        "coherence_entropy",
+        "log_spectrum",
+        "max_mean_fidelity",
+        "min_mean_trace_distance",
+    )
+    for name in (*detectors, "build_xstate"):
+        counted(name)
+    kts = (0.1, 0.5, 1.0)
+    results = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, eta=0.1, kT_list=kts)
+    points = results[0].params.size
+    assert points > 16 and all(r.failed_count == 0 for r in results)
+    assert calls.count(("build_xstate",)) == points * len(kts)
+    for name in ("quantum_discord", "max_mean_fidelity", "min_mean_trace_distance"):
+        assert calls.count((name,)) == len(kts)
+    for name in ("coherence_entropy", "log_spectrum"):
+        for axis in AXES:
+            assert calls.count((name, axis)) == len(kts)
+    assert len(calls) == points * len(kts) + 9 * len(kts)
 
 
 def test_record_rejects_unknown_column():

@@ -76,24 +76,40 @@ def test_reduced_single_matches_partial_trace():
 def test_trace_violation_raises():
     with pytest.raises(PhysicalityError):
         make_xstate(0.5, 0.2, 0.0, 0.2, 0.0)  # trace 1.1
+    for b in (math.nan, math.inf):
+        with pytest.raises(PhysicalityError) as err:
+            make_xstate(0.25, b, 0.0, 0.25, 0.0)
+        np.testing.assert_equal(err.value.value, b)
 
 
 def test_negative_population_raises():
     with pytest.raises(PhysicalityError) as err:
         make_xstate(-0.01, 0.25, 0.0, 0.51, 0.0)
     assert err.value.value == pytest.approx(-0.01)
+    for a in (math.nan, -math.inf):
+        with pytest.raises(PhysicalityError) as err:
+            make_xstate(a, 0.25, 0.0, 0.5, 0.0)
+        np.testing.assert_equal(err.value.value, a)
 
 
 def test_inner_block_violation_raises():
     # |c| > b by much more than the snap tolerance
     with pytest.raises(PhysicalityError):
         make_xstate(0.3, 0.1, 0.2, 0.5, 0.0)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PhysicalityError) as err:
+            make_xstate(0.25, 0.25, c, 0.25, 0.0)
+        np.testing.assert_equal(err.value.value, c)
 
 
 def test_outer_block_violation_raises():
     # e^2 > a d makes the outer block indefinite
     with pytest.raises(PhysicalityError):
         make_xstate(0.1, 0.25, 0.0, 0.4, 0.3)
+    for e in (math.nan, math.inf):
+        with pytest.raises(PhysicalityError) as err:
+            make_xstate(0.25, 0.25, 0.0, 0.25, e)
+        np.testing.assert_equal(err.value.value, e)
 
 
 def test_boundary_noise_is_snapped():
