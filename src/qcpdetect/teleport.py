@@ -20,12 +20,19 @@ Two figures of merit feed the critical-point detectors:
       D_pm  = 2b + d - (b+d)^2 +/- |(b+d)^2 - d|.
 
 Both closed forms ship with brute-force protocol implementations used as
-oracles in the test suite.
+oracles in the test suite.  The fidelity oracle searches a Bloch-angle grid:
+for u = psi (x) conj(psi) the mean fidelity sum_pq W_pq u_p conj(u_q) is
+linear in the 16 real features of u_p conj(u_q), with coefficients from
+per-set quadratic forms W that the literal protocol gives.  The grid's
+feature matrix is built once per grid size and cached, so one matrix product
+per state evaluates every grid point under all four correction sets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +63,10 @@ CORRECTION_SETS = {
 
 # Outcomes with probability below this are treated as impossible.
 _Q_FLOOR = 1e-15
-# Zoom rounds of the brute-force fidelity search after its grid.
+# Zoom rounds of the brute-force fidelity search after its grid, and the
+# offsets of each round's 9 x 9 window in units of the current cell size.
 _REFINE_ROUNDS = 12
+_ZOOM = np.linspace(-1.0, 1.0, 9)
 
 
 class OutcomeImpossibleError(ValueError):
@@ -162,22 +171,28 @@ _ALICE_PROJECTORS = {
 
 
 def _projected_bob(rho1: np.ndarray, x: XState, label: str) -> tuple[np.ndarray, float]:
-    """Unnormalized Bob state Tr_12[P (rho1 (x) rho23) P] and its weight Q."""
-    rho = np.kron(np.asarray(rho1, dtype=complex), dense_matrix(x))
+    """Unnormalized Bob state Tr_12[P (rho1 (x) rho23) P] and its weight Q.
+
+    ``rho1`` may be a stack of 2x2 matrices, shape (..., 2, 2); the state and
+    weight then carry the same leading axes.
+    """
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho = np.kron(rho1, dense_matrix(x))
     proj = _ALICE_PROJECTORS[label]
     sandwiched = proj @ rho @ proj
-    reduced = np.einsum("abcabd->cd", sandwiched.reshape(2, 2, 2, 2, 2, 2))
-    return reduced, float(np.trace(reduced).real)
+    reduced = np.einsum(
+        "...abcabd->...cd", sandwiched.reshape(rho1.shape[:-2] + (2,) * 6)
+    )
+    return reduced, np.trace(reduced, axis1=-2, axis2=-1).real
 
 
 def _corrected_bob(
-    rho1: np.ndarray, x: XState, label: str, set_label: str
+    reduced: np.ndarray, q: float, label: str, set_label: str
 ) -> tuple[np.ndarray | None, float]:
-    """Bob's state after outcome ``label`` and its correction from the set
-    ``set_label``, U_j Tr_12[P rho P] U_j^dag (unnormalized: Q_j is inside),
+    """Bob's projected state after outcome ``label``, corrected by the set
+    ``set_label``: U_j Tr_12[P rho P] U_j^dag (unnormalized: Q_j is inside),
     and its weight Q_j.  The state is None when the outcome is impossible
     (Q_j below the floor)."""
-    reduced, q = _projected_bob(rho1, x, label)
     if q < _Q_FLOOR:
         return None, q
     u = CORRECTION_SETS[set_label][BELL_LABELS.index(label)]
@@ -192,7 +207,8 @@ def outcome_probability(input_state, x: XState, label: str) -> float:
 
 def bob_output(input_state, x: XState, label: str, set_label: str) -> np.ndarray:
     """Bob's corrected conditional state U_j Tr_12[P rho P] U_j^dag / Q_j."""
-    corrected, q = _corrected_bob(_as_density(input_state), x, label, set_label)
+    projected = _projected_bob(_as_density(input_state), x, label)
+    corrected, q = _corrected_bob(*projected, label, set_label)
     if corrected is None:
         raise OutcomeImpossibleError(
             f"outcome {label!r} has probability {q:.3e}; conditional state undefined"
@@ -205,7 +221,8 @@ def mean_fidelity(input_state, x: XState, set_label: str) -> float:
     rho_in = _as_density(input_state)
     total = 0.0
     for label in BELL_LABELS:
-        corrected, _ = _corrected_bob(rho_in, x, label, set_label)
+        projected = _projected_bob(rho_in, x, label)
+        corrected, _ = _corrected_bob(*projected, label, set_label)
         if corrected is not None:
             total += float(np.einsum("ij,ji->", rho_in, corrected).real)
     return total
@@ -228,54 +245,83 @@ def max_mean_fidelity(x: XState) -> MaxMeanFidelity:
     return MaxMeanFidelity(value=np.max(candidates, axis=0), branch=branch)
 
 
-def _bloch_grid(n_theta: int, n_chi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kets for an (n_theta x n_chi) grid: theta in [0, pi], chi in [0, 2 pi)."""
-    theta = np.linspace(0.0, math.pi, n_theta)
-    chi = np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False)
-    tt, cc = np.meshgrid(theta, chi, indexing="ij")
-    return _kets_from_angles(tt.ravel(), cc.ravel()), tt.ravel(), cc.ravel()
+# The six index pairs p < q of u = psi (x) conj(psi).
+_PAIRS = np.triu_indices(4, 1)
+# Grid points per block while the cached feature matrix is built, so that
+# no grid-wide complex temporaries are made.
+_FEATURE_BLOCK = 2048
 
 
-def _kets_from_angles(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Stack of kets, shape (2, n)."""
-    return np.stack(
+def _bloch_features(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """The 16 real features of u_p conj(u_q), u = psi (x) conj(psi), shape (16, n).
+
+    Rows: the four |u_p|^2, then Re and Im of u_p conj(u_q) for p < q.
+    """
+    kets = np.stack(
         [np.cos(0.5 * theta) + 0.0j, np.exp(1j * chi) * np.sin(0.5 * theta)]
     )
+    u = (kets[:, None] * kets.conj()).reshape(4, -1)
+    z = u[_PAIRS[0]] * u[_PAIRS[1]].conj()
+    return np.concatenate([u.real**2 + u.imag**2, z.real, z.imag])
 
 
-def _fidelity_quadratic_forms(x: XState) -> dict[str, np.ndarray]:
-    """Per-set 4x4 forms W with F(psi) = u^T W conj(u), u = psi (x) conj(psi).
+@functools.lru_cache(maxsize=4)
+def _grid_features(n_theta: int, n_chi: int) -> tuple[np.ndarray, ...]:
+    """theta, chi and the (16, n_theta * n_chi) features of the search grid,
+    theta in [0, pi] and chi in [0, 2 pi), theta-major; read-only, because
+    every call with the same grid size shares them."""
+    theta = np.repeat(np.linspace(0.0, math.pi, n_theta), n_chi)
+    chi = np.tile(np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False), n_theta)
+    features = np.empty((16, theta.size))
+    for start in range(0, theta.size, _FEATURE_BLOCK):
+        block = slice(start, start + _FEATURE_BLOCK)
+        features[:, block] = _bloch_features(theta[block], chi[block])
+    for array in (theta, chi, features):
+        array.flags.writeable = False
+    return theta, chi, features
+
+
+# One-qubit matrix units: _MATRIX_UNITS[a, b] is |a><b|.
+_MATRIX_UNITS = np.eye(4).reshape(2, 2, 2, 2)
+# Correction unitaries indexed [set, outcome], both in BELL_LABELS order.
+_CORRECTIONS = np.array([CORRECTION_SETS[label] for label in BELL_LABELS])
+
+
+def _fidelity_quadratic_forms(x: XState) -> np.ndarray:
+    """Per-set 4x4 forms W, shape (set, 4, 4) in BELL_LABELS order, with
+    F(psi) = u^T W conj(u), u = psi (x) conj(psi).
 
     Built by running the literal protocol on the four one-qubit matrix units,
     so this encodes nothing but protocol algebra (linearity in rho1).
     """
-    t_blocks = np.empty((4, 2, 2, 2, 2), dtype=complex)  # [j, a, b, :, :]
-    for a in range(2):
-        for b in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[a, b] = 1.0
-            for j, label in enumerate(BELL_LABELS):
-                t_blocks[j, a, b] = _projected_bob(unit, x, label)[0]
-    forms = {}
-    for set_label, unitaries in CORRECTION_SETS.items():
-        w = np.zeros((2, 2, 2, 2), dtype=complex)  # [a, b, c, d]
-        for j in range(4):
-            u = unitaries[j]
-            corrected = np.einsum("ce,abef,df->abcd", u, t_blocks[j], u.conj())
-            w += corrected
-        forms[set_label] = w.reshape(4, 4)
-    return forms
+    projected = np.array(
+        [_projected_bob(_MATRIX_UNITS, x, label)[0] for label in BELL_LABELS]
+    )  # [outcome, a, b, :, :]
+    forms = np.einsum(
+        "sjce,jabef,sjdf->sabcd", _CORRECTIONS, projected, _CORRECTIONS.conj()
+    )
+    return forms.reshape(4, 4, 4)
 
 
-def _ket_products(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = psi (x) conj(psi) for each ket column, shape (4, n), and conj(u)."""
-    u = np.einsum("an,bn->abn", kets, kets.conj()).reshape(4, -1)
-    return u, u.conj()
+def _feature_coefficients(forms: np.ndarray) -> np.ndarray:
+    """Coefficients of the 16 Bloch features per set, shape (set, 16).
+
+    F = Re sum_pq W_pq u_p conj(u_q) = sum_p (V_pp / 2) |u_p|^2
+    + sum_{p<q} [Re V_pq Re(u_p conj(u_q)) - Im V_pq Im(u_p conj(u_q))],
+    with V = W + W^dag.
+    """
+    v = forms + forms.conj().transpose(0, 2, 1)
+    pairs = v[:, _PAIRS[0], _PAIRS[1]]
+    diagonal = np.diagonal(v, axis1=1, axis2=2).real
+    return np.concatenate([0.5 * diagonal, pairs.real, -pairs.imag], axis=1)
 
 
-def _eval_forms(w: np.ndarray, u: np.ndarray, u_conj: np.ndarray) -> np.ndarray:
-    """Mean fidelity for each column of u: sum_pq u_p W_pq conj(u)_q."""
-    return np.einsum("pn,pn->n", u, w @ u_conj).real
+def _grid_size(name: str, value, least: int) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` if it is not an
+    integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
+    return int(value)
 
 
 def max_mean_fidelity_bruteforce(
@@ -285,50 +331,51 @@ def max_mean_fidelity_bruteforce(
 ) -> BruteForceFidelity:
     """Protocol-level search over a Bloch-angle grid and the four sets.
 
-    ``grid_value`` is the raw grid maximum (accuracy limited by spacing);
-    ``value`` additionally zooms into the best cell of each set for
-    _REFINE_ROUNDS rounds, shrinking the search window by 4 per round.
-    Serves as the oracle for max_mean_fidelity.
+    The mean fidelity is linear in the 16 real features of u_p conj(u_q),
+    u = psi (x) conj(psi), with per-set coefficients from the protocol's
+    quadratic forms.  The features of the (n_theta x n_chi) grid are cached
+    per grid size, so one (4 x 16) @ (16 x n) product gives every set's grid
+    values.  ``grid_value`` is the raw grid maximum (accuracy limited by
+    spacing); ``value`` additionally zooms into the best cell of each set,
+    the four sets in lockstep, for _REFINE_ROUNDS rounds of a 9 x 9 window
+    that shrinks by 4 per round.  Serves as the oracle for max_mean_fidelity.
     """
-    forms = _fidelity_quadratic_forms(x)
-    kets, thetas, chis = _bloch_grid(n_theta, n_chi)
+    n_theta = _grid_size("n_theta", n_theta, 2)
+    n_chi = _grid_size("n_chi", n_chi, 1)
+    thetas, chis, features = _grid_features(n_theta, n_chi)
+    coefficients = _feature_coefficients(_fidelity_quadratic_forms(x))
 
-    products = _ket_products(kets)  # shared by the four sets
-    per_set = {}
-    for set_label, w in forms.items():
-        vals = _eval_forms(w, *products)
-        k = int(np.argmax(vals))
-        per_set[set_label] = (float(vals[k]), float(thetas[k]), float(chis[k]))
+    sets = np.arange(len(BELL_LABELS))
+    grid_values = coefficients @ features
+    cells = np.argmax(grid_values, axis=1)
+    val, th, ch = grid_values[sets, cells], thetas[cells], chis[cells]
+    grid_value = float(np.max(val))
 
-    grid_set = max(per_set, key=lambda s: per_set[s][0])
-    grid_value, grid_theta, grid_chi = per_set[grid_set]
+    d_theta = math.pi / (n_theta - 1)
+    d_chi = 2.0 * math.pi / n_chi
+    for _ in range(_REFINE_ROUNDS):
+        # Each set's 9 x 9 window, theta-major: shape (set, 81).
+        th_window = np.clip(th[:, None] + d_theta * _ZOOM, 0.0, math.pi)
+        tt = np.repeat(th_window, 9, axis=1)
+        cc = np.tile(ch[:, None] + d_chi * _ZOOM, 9)
+        local = _bloch_features(tt.ravel(), cc.ravel()).reshape(16, *tt.shape)
+        lv = np.einsum("sf,fsn->sn", coefficients, local)
+        m = np.argmax(lv, axis=1)
+        top = lv[sets, m]
+        better = top > val
+        val = np.where(better, top, val)
+        th = np.where(better, tt[sets, m], th)
+        ch = np.where(better, cc[sets, m], ch)
+        d_theta *= 0.25
+        d_chi *= 0.25
 
-    best = (grid_value, grid_theta, grid_chi, grid_set)
-    d_theta0 = math.pi / (n_theta - 1)
-    d_chi0 = 2.0 * math.pi / n_chi
-    for set_label, w in forms.items():
-        val, th, ch = per_set[set_label]
-        d_theta, d_chi = d_theta0, d_chi0
-        for _ in range(_REFINE_ROUNDS):
-            th_grid = np.clip(np.linspace(th - d_theta, th + d_theta, 9), 0.0, math.pi)
-            ch_grid = np.linspace(ch - d_chi, ch + d_chi, 9)
-            tt, cc = np.meshgrid(th_grid, ch_grid, indexing="ij")
-            local = _kets_from_angles(tt.ravel(), cc.ravel())
-            lv = _eval_forms(w, *_ket_products(local))
-            m = int(np.argmax(lv))
-            if lv[m] > val:
-                val, th, ch = float(lv[m]), float(tt.ravel()[m]), float(cc.ravel()[m])
-            d_theta *= 0.25
-            d_chi *= 0.25
-        if val > best[0]:
-            best = (val, th, ch % (2.0 * math.pi), set_label)
-
+    best = int(np.argmax(val))
     return BruteForceFidelity(
-        value=best[0],
+        value=float(val[best]),
         grid_value=grid_value,
-        theta=best[1],
-        chi=best[2],
-        set_label=best[3],
+        theta=float(th[best]),
+        chi=float(ch[best] % (2.0 * math.pi)),
+        set_label=BELL_LABELS[best],
     )
 
 
@@ -375,11 +422,13 @@ def min_mean_trace_distance_bruteforce(x: XState) -> float:
     sum_j Q_j D(rho_in, rho_Bj), then minimizes over sets.
     """
     rho_in = reduced_single(x).astype(complex)
+    # Bob's projected state depends on the outcome alone, not on the set.
+    projected = {label: _projected_bob(rho_in, x, label) for label in BELL_LABELS}
     best = math.inf
     for set_label in BELL_LABELS:
         total = 0.0
         for label in BELL_LABELS:
-            corrected, q = _corrected_bob(rho_in, x, label, set_label)
+            corrected, q = _corrected_bob(*projected[label], label, set_label)
             if corrected is not None:
                 total += q * trace_distance(rho_in, corrected / q)
         best = min(best, total)
@@ -403,7 +452,8 @@ def simulate_protocol(
     fids = np.zeros(4)
     dists = np.zeros(4)
     for j, label in enumerate(BELL_LABELS):
-        corrected, q = _corrected_bob(rho_in, x, label, set_label)
+        projected = _projected_bob(rho_in, x, label)
+        corrected, q = _corrected_bob(*projected, label, set_label)
         qs[j] = max(q, 0.0)
         if corrected is not None:
             rho_out = corrected / q

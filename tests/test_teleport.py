@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcpdetect import teleport
 from qcpdetect.teleport import (
     BELL_LABELS,
     CORRECTION_SETS,
@@ -27,6 +30,16 @@ from qcpdetect.xstate import (
 )
 
 SEED = 555001
+
+# The benchmark's stored oracles outputs for its default seed, 20250818: the
+# first 40 random X states drawn from that seed.
+ORACLES_REFERENCE = (
+    Path(__file__).resolve().parents[1]
+    / "bench"
+    / "reference"
+    / "oracles"
+    / "seed_20250818.json"
+)
 
 BELL = make_xstate(0.5, 0.0, 0.0, 0.5, 0.5)  # Phi+
 SINGLET = make_xstate(0.0, 0.5, -0.5, 0.0, 0.0)  # Psi-
@@ -141,6 +154,79 @@ def test_closed_forms_match_bruteforce():
         dclosed = min_mean_trace_distance(x).value
         dbrute = min_mean_trace_distance_bruteforce(x)
         assert dclosed == pytest.approx(dbrute, abs=1e-9)
+
+
+def test_bruteforce_matches_stored_oracle_outputs():
+    # The default grid and refinement reproduce the benchmark's reference
+    # outputs to rounding, so a change to either shows in the quick layer.
+    want = json.loads(ORACLES_REFERENCE.read_text())["states"]
+    rng = np.random.default_rng(20250818)
+    for ref in want:
+        x = sample_random_xstate(rng)
+        brute = max_mean_fidelity_bruteforce(x)
+        assert abs(brute.grid_value - ref["fidelity_grid"]) <= 1e-12
+        assert abs(brute.value - ref["fidelity_brute"]) <= 1e-12
+        dbrute = min_mean_trace_distance_bruteforce(x)
+        assert abs(dbrute - ref["trace_distance_brute"]) <= 1e-12
+
+
+def test_bruteforce_point_attains_its_value():
+    # The literal protocol at the reported input and set gives the reported
+    # value.  Sets can tie to rounding, so the labels themselves are not pinned.
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(200):
+        x = sample_random_xstate(rng)
+        brute = max_mean_fidelity_bruteforce(x)
+        qubit = InputQubit(brute.theta, brute.chi)
+        assert mean_fidelity(qubit, x, brute.set_label) == pytest.approx(
+            brute.value, abs=1e-12
+        )
+
+
+def test_fidelity_features_match_literal_protocol():
+    rng = np.random.default_rng(SEED + 4)
+    for _ in range(10):
+        x = sample_random_xstate(rng)
+        theta = rng.uniform(0.0, math.pi, 50)
+        chi = rng.uniform(0.0, 2.0 * math.pi, 50)
+        forms = teleport._fidelity_quadratic_forms(x)
+        features = teleport._bloch_features(theta, chi)
+        values = teleport._feature_coefficients(forms) @ features
+        for s, set_label in enumerate(BELL_LABELS):
+            for n in range(50):
+                want = mean_fidelity(InputQubit(theta[n], chi[n]), x, set_label)
+                assert values[s, n] == pytest.approx(want, abs=1e-14)
+
+
+def test_grid_feature_cache_is_read_only_and_order_free():
+    x = sample_random_xstate(np.random.default_rng(SEED + 5))
+    fresh = {}
+    for size in ((48, 96), (128, 256)):
+        teleport._grid_features.cache_clear()
+        fresh[size] = max_mean_fidelity_bruteforce(x, *size)
+    teleport._grid_features.cache_clear()
+    for size in ((48, 96), (128, 256), (48, 96)):
+        assert max_mean_fidelity_bruteforce(x, *size) == fresh[size]
+    for array in teleport._grid_features(48, 96):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "sizes, name",
+    [
+        ({"n_theta": 1}, "n_theta"),
+        ({"n_theta": 0}, "n_theta"),
+        ({"n_chi": 0}, "n_chi"),
+        ({"n_theta": 128.0}, "n_theta"),
+        ({"n_chi": 256.0}, "n_chi"),
+    ],
+)
+def test_bruteforce_rejects_bad_grid_sizes(sizes, name):
+    lookups = teleport._grid_features.cache_info()
+    with pytest.raises(ValueError, match=name):
+        max_mean_fidelity_bruteforce(BELL, **sizes)
+    after = teleport._grid_features.cache_info()
+    assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
 
 
 def test_trace_distance_against_eigen_oracle():
