@@ -234,6 +234,9 @@ class RunConfig:
         cfg.kT_list = tuple(kts)
         if any(not (k >= 0.0) for k in cfg.kT_list):
             raise ConfigError(f"all kT must be >= 0, got {cfg.kT_list}")
+        for i, k in enumerate(kts):
+            if k in kts[:i]:
+                raise ConfigError(f"kT = {k} appears more than once in {cfg.kT_list}")
         cfg.delta = _as_float(raw, "delta", 0.0)
         cfg.h = _as_float(raw, "h", 0.0)
         cfg.lam = _as_float(raw, "lam", 0.0)
@@ -442,14 +445,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    if cfg.input_theta is None or cfg.input_chi is None:
+        raise ConfigError("missing key 'input_theta' or 'input_chi'")
     if cfg.correlators is not None:
         corr = cfg.correlators
     else:
         spec = cfg.model_template()
         corr = thermal_correlators(spec, method=cfg.solver)
     x = build_xstate(corr)
-    if cfg.input_theta is None or cfg.input_chi is None:
-        raise ConfigError("missing key 'input_theta' or 'input_chi'")
     qubit = InputQubit(theta=cfg.input_theta, chi=cfg.input_chi)
     result = simulate_protocol(x, qubit, cfg.bell, runs=cfg.runs, seed=cfg.seed)
     closed_f = max_mean_fidelity(x)

@@ -35,6 +35,7 @@ the latter inverted numerically for Delta_2(h).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,8 @@ class ModelSpec:
             if self.family != "xy":
                 raise ValueError("L = None (thermodynamic limit) requires family 'xy'")
         else:
+            if isinstance(self.L, bool) or not isinstance(self.L, numbers.Integral):
+                raise ValueError(f"L must be an integer or None, got {self.L!r}")
             if self.L % 2 != 0 or not (4 <= self.L <= self.l_max):
                 raise ValueError(
                     f"L must be even with 4 <= L <= {self.l_max}, got {self.L}"

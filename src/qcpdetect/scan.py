@@ -257,6 +257,9 @@ def sweep(
     kts = tuple(float(k) for k in (kT_list or (template.kT,)))
     if any(not (k >= 0.0) for k in kts):
         raise ValueError(f"all kT must be >= 0, got {kts}")
+    for i, k in enumerate(kts):
+        if k in kts[:i]:
+            raise ValueError(f"kT = {k} appears more than once in {kts}")
     params = _grid(start, stop, eta)
 
     def work(param: float) -> list[Correlators] | str:
@@ -412,16 +415,14 @@ def extrapolate_to_zero(estimates: list[QcpEstimate]) -> ZeroTemperatureExtrapol
     unbiased residual variance.  A fit through exactly collinear points
     reports stderr 0.
     """
-    if len(estimates) < 3:
-        raise ValueError("need at least 3 estimates to extrapolate")
+    kts = np.array([e.kT for e in estimates])
+    if np.unique(kts).size < 3:
+        raise ValueError(f"need estimates at >= 3 distinct kT, got kT {kts.tolist()}")
     keys = {(e.detector, e.method, e.order) for e in estimates}
     if len(keys) != 1:
         raise ValueError(f"estimates mix detectors/methods/orders: {sorted(keys)}")
     detector, method, order = next(iter(keys))
-    kts = np.array([e.kT for e in estimates])
     vals = np.array([e.estimate for e in estimates])
-    if np.ptp(kts) == 0.0:
-        raise ValueError("all estimates share one kT; fit is degenerate")
     n = kts.size
     kt_mean = kts.mean()
     sxx = float(((kts - kt_mean) ** 2).sum())

@@ -20,12 +20,14 @@ Two figures of merit feed the critical-point detectors:
       D_pm  = 2b + d - (b+d)^2 +/- |(b+d)^2 - d|.
 
 Both closed forms ship with brute-force protocol implementations used as
-oracles in the test suite.  The fidelity oracle searches a Bloch-angle grid:
-for u = psi (x) conj(psi) the mean fidelity sum_pq W_pq u_p conj(u_q) is
-linear in the 16 real features of u_p conj(u_q), with coefficients from
-per-set quadratic forms W that the literal protocol gives.  The grid's
-feature matrix is built once per grid size and cached, so one matrix product
-per state evaluates every grid point under all four correction sets.
+oracles in the test suite.  One protocol step gives Bob's states for all four
+Bell outcomes at once; impossible outcomes are masked, never divided by.  The
+Bell kets, corrections and X state are real, so the arithmetic is real unless
+the input is.  For u = psi (x) conj(psi) the mean fidelity is linear in the 10
+real features |u_p|^2 and Re u_p conj(u_q), p < q, with coefficients from
+per-set real forms W that the literal protocol gives.  The fidelity oracle
+caches the feature matrix of its Bloch-angle grid per grid size, so one matrix
+product per state evaluates every grid point under all four correction sets.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _as_density(state) -> np.ndarray:
     """Accept an InputQubit, a ket vector, or a 2x2 density matrix."""
     if isinstance(state, InputQubit):
         return state.density()
-    arr = np.asarray(state, dtype=complex)
+    arr = np.asarray(state)
     if arr.shape == (2,):
         return np.outer(arr, arr.conj())
     if arr.shape == (2, 2):
@@ -164,68 +166,74 @@ def bell_projector(label: str) -> np.ndarray:
     return np.outer(ket, ket)
 
 
-# P (x) 1 on qubits (1, 2, 3) for each Bell outcome P.
-_ALICE_PROJECTORS = {
-    label: np.kron(bell_projector(label), IDENTITY_2) for label in BELL_LABELS
-}
+# Position of each Bell label on the outcome and correction-set axes.
+_BELL_INDEX = {label: j for j, label in enumerate(BELL_LABELS)}
+# P (x) 1 on qubits (1, 2, 3), stacked over the Bell outcomes P.
+_ALICE_PROJECTORS = np.array(
+    [np.kron(bell_projector(label), IDENTITY_2) for label in BELL_LABELS]
+)
+# Correction unitaries indexed [set, outcome], both in BELL_LABELS order.
+_CORRECTIONS = np.array([CORRECTION_SETS[label] for label in BELL_LABELS])
 
 
-def _projected_bob(rho1: np.ndarray, x: XState, label: str) -> tuple[np.ndarray, float]:
-    """Unnormalized Bob state Tr_12[P (rho1 (x) rho23) P] and its weight Q.
+def _projected_bob(rho1: np.ndarray, x: XState) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized Bob states Tr_12[P_j (rho1 (x) rho23) P_j] for all four
+    outcomes, shape (..., 4, 2, 2), and their weights Q_j, shape (..., 4).
 
-    ``rho1`` may be a stack of 2x2 matrices, shape (..., 2, 2); the state and
-    weight then carry the same leading axes.
+    ``rho1`` may be a stack of 2x2 matrices, shape (..., 2, 2).  The
+    arithmetic stays in the dtype of ``rho1``: real in, real out.
     """
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho = np.kron(rho1, dense_matrix(x))
-    proj = _ALICE_PROJECTORS[label]
-    sandwiched = proj @ rho @ proj
+    rho = np.kron(np.asarray(rho1), dense_matrix(x))[..., None, :, :]
+    sandwiched = _ALICE_PROJECTORS @ rho @ _ALICE_PROJECTORS
     reduced = np.einsum(
-        "...abcabd->...cd", sandwiched.reshape(rho1.shape[:-2] + (2,) * 6)
+        "...abcabd->...cd", sandwiched.reshape(sandwiched.shape[:-2] + (2,) * 6)
     )
     return reduced, np.trace(reduced, axis1=-2, axis2=-1).real
 
 
-def _corrected_bob(
-    reduced: np.ndarray, q: float, label: str, set_label: str
-) -> tuple[np.ndarray | None, float]:
-    """Bob's projected state after outcome ``label``, corrected by the set
-    ``set_label``: U_j Tr_12[P rho P] U_j^dag (unnormalized: Q_j is inside),
-    and its weight Q_j.  The state is None when the outcome is impossible
-    (Q_j below the floor)."""
-    if q < _Q_FLOOR:
-        return None, q
-    u = CORRECTION_SETS[set_label][BELL_LABELS.index(label)]
-    return u @ reduced @ u.conj().T, q
+def _corrected_bob(reduced: np.ndarray, corrections: np.ndarray) -> np.ndarray:
+    """U_j reduced_j U_j^dag for a (4, 2, 2) correction set, or for the
+    (set, 4, 2, 2) stack of all four; still unnormalized (Q_j is inside)."""
+    return corrections @ reduced @ corrections.conj().swapaxes(-1, -2)
+
+
+def _conditional_states(
+    rho1: np.ndarray, x: XState, corrections: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bob's corrected, normalized states, the weights Q_j, and the mask of
+    possible outcomes (Q_j >= _Q_FLOOR).  Impossible outcomes are divided by
+    1 instead of Q_j; their states are meaningless and must be masked."""
+    reduced, q = _projected_bob(rho1, x)
+    possible = q >= _Q_FLOOR
+    corrected = _corrected_bob(reduced, corrections)
+    return corrected / np.where(possible, q, 1.0)[..., None, None], q, possible
 
 
 def outcome_probability(input_state, x: XState, label: str) -> float:
     """Probability Q_j of Alice's Bell outcome ``label``."""
-    _, q = _projected_bob(_as_density(input_state), x, label)
-    return q
+    j = _BELL_INDEX[label]
+    return _projected_bob(_as_density(input_state), x)[1][j]
 
 
 def bob_output(input_state, x: XState, label: str, set_label: str) -> np.ndarray:
     """Bob's corrected conditional state U_j Tr_12[P rho P] U_j^dag / Q_j."""
-    projected = _projected_bob(_as_density(input_state), x, label)
-    corrected, q = _corrected_bob(*projected, label, set_label)
-    if corrected is None:
+    j = _BELL_INDEX[label]
+    corrections = _CORRECTIONS[_BELL_INDEX[set_label]]
+    states, q, possible = _conditional_states(_as_density(input_state), x, corrections)
+    if not possible[j]:
         raise OutcomeImpossibleError(
-            f"outcome {label!r} has probability {q:.3e}; conditional state undefined"
+            f"outcome {label!r} has probability {q[j]:.3e}; conditional state undefined"
         )
-    return corrected / q
+    return states[j]
 
 
 def mean_fidelity(input_state, x: XState, set_label: str) -> float:
     """Mean fidelity sum_j Q_j <psi| rho_Bj |psi> for a pure input."""
     rho_in = _as_density(input_state)
-    total = 0.0
-    for label in BELL_LABELS:
-        projected = _projected_bob(rho_in, x, label)
-        corrected, _ = _corrected_bob(*projected, label, set_label)
-        if corrected is not None:
-            total += float(np.einsum("ij,ji->", rho_in, corrected).real)
-    return total
+    reduced, q = _projected_bob(rho_in, x)
+    corrected = _corrected_bob(reduced, _CORRECTIONS[_BELL_INDEX[set_label]])
+    overlaps = np.einsum("ij,kji->k", rho_in, corrected).real
+    return float(np.sum(overlaps, where=q >= _Q_FLOOR))
 
 
 def max_mean_fidelity(x: XState) -> MaxMeanFidelity:
@@ -253,26 +261,26 @@ _FEATURE_BLOCK = 2048
 
 
 def _bloch_features(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """The 16 real features of u_p conj(u_q), u = psi (x) conj(psi), shape (16, n).
+    """The 10 real features of u = psi (x) conj(psi), shape (10, n).
 
-    Rows: the four |u_p|^2, then Re and Im of u_p conj(u_q) for p < q.
+    Rows: the four |u_p|^2, then Re u_p conj(u_q) for p < q.
     """
     kets = np.stack(
         [np.cos(0.5 * theta) + 0.0j, np.exp(1j * chi) * np.sin(0.5 * theta)]
     )
     u = (kets[:, None] * kets.conj()).reshape(4, -1)
     z = u[_PAIRS[0]] * u[_PAIRS[1]].conj()
-    return np.concatenate([u.real**2 + u.imag**2, z.real, z.imag])
+    return np.concatenate([u.real**2 + u.imag**2, z.real])
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_features(n_theta: int, n_chi: int) -> tuple[np.ndarray, ...]:
-    """theta, chi and the (16, n_theta * n_chi) features of the search grid,
+    """theta, chi and the (10, n_theta * n_chi) features of the search grid,
     theta in [0, pi] and chi in [0, 2 pi), theta-major; read-only, because
     every call with the same grid size shares them."""
     theta = np.repeat(np.linspace(0.0, math.pi, n_theta), n_chi)
     chi = np.tile(np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False), n_theta)
-    features = np.empty((16, theta.size))
+    features = np.empty((10, theta.size))  # the rows of _bloch_features
     for start in range(0, theta.size, _FEATURE_BLOCK):
         block = slice(start, start + _FEATURE_BLOCK)
         features[:, block] = _bloch_features(theta[block], chi[block])
@@ -283,8 +291,6 @@ def _grid_features(n_theta: int, n_chi: int) -> tuple[np.ndarray, ...]:
 
 # One-qubit matrix units: _MATRIX_UNITS[a, b] is |a><b|.
 _MATRIX_UNITS = np.eye(4).reshape(2, 2, 2, 2)
-# Correction unitaries indexed [set, outcome], both in BELL_LABELS order.
-_CORRECTIONS = np.array([CORRECTION_SETS[label] for label in BELL_LABELS])
 
 
 def _fidelity_quadratic_forms(x: XState) -> np.ndarray:
@@ -292,28 +298,24 @@ def _fidelity_quadratic_forms(x: XState) -> np.ndarray:
     F(psi) = u^T W conj(u), u = psi (x) conj(psi).
 
     Built by running the literal protocol on the four one-qubit matrix units,
-    so this encodes nothing but protocol algebra (linearity in rho1).
+    so this encodes nothing but protocol algebra (linearity in rho1).  The
+    Bell kets, the corrections, the X state and the units are all real, so
+    W is real.
     """
-    projected = np.array(
-        [_projected_bob(_MATRIX_UNITS, x, label)[0] for label in BELL_LABELS]
-    )  # [outcome, a, b, :, :]
-    forms = np.einsum(
-        "sjce,jabef,sjdf->sabcd", _CORRECTIONS, projected, _CORRECTIONS.conj()
-    )
+    projected, _ = _projected_bob(_MATRIX_UNITS, x)  # [a, b, outcome, :, :]
+    forms = np.einsum("sjce,abjef,sjdf->sabcd", _CORRECTIONS, projected, _CORRECTIONS)
     return forms.reshape(4, 4, 4)
 
 
 def _feature_coefficients(forms: np.ndarray) -> np.ndarray:
-    """Coefficients of the 16 Bloch features per set, shape (set, 16).
+    """Coefficients of the 10 Bloch features per set, shape (set, 10).
 
-    F = Re sum_pq W_pq u_p conj(u_q) = sum_p (V_pp / 2) |u_p|^2
-    + sum_{p<q} [Re V_pq Re(u_p conj(u_q)) - Im V_pq Im(u_p conj(u_q))],
-    with V = W + W^dag.
+    F = sum_pq W_pq u_p conj(u_q) = sum_p (V_pp / 2) |u_p|^2
+    + sum_{p<q} V_pq Re(u_p conj(u_q)), with V = W + W^T for a real W.
     """
-    v = forms + forms.conj().transpose(0, 2, 1)
-    pairs = v[:, _PAIRS[0], _PAIRS[1]]
-    diagonal = np.diagonal(v, axis1=1, axis2=2).real
-    return np.concatenate([0.5 * diagonal, pairs.real, -pairs.imag], axis=1)
+    v = forms + forms.transpose(0, 2, 1)
+    diagonal = np.diagonal(v, axis1=1, axis2=2)
+    return np.concatenate([0.5 * diagonal, v[:, _PAIRS[0], _PAIRS[1]]], axis=1)
 
 
 def _grid_size(name: str, value, least: int) -> int:
@@ -331,10 +333,10 @@ def max_mean_fidelity_bruteforce(
 ) -> BruteForceFidelity:
     """Protocol-level search over a Bloch-angle grid and the four sets.
 
-    The mean fidelity is linear in the 16 real features of u_p conj(u_q),
+    The mean fidelity is linear in the 10 real features of u_p conj(u_q),
     u = psi (x) conj(psi), with per-set coefficients from the protocol's
     quadratic forms.  The features of the (n_theta x n_chi) grid are cached
-    per grid size, so one (4 x 16) @ (16 x n) product gives every set's grid
+    per grid size, so one (4 x 10) @ (10 x n) product gives every set's grid
     values.  ``grid_value`` is the raw grid maximum (accuracy limited by
     spacing); ``value`` additionally zooms into the best cell of each set,
     the four sets in lockstep, for _REFINE_ROUNDS rounds of a 9 x 9 window
@@ -358,7 +360,7 @@ def max_mean_fidelity_bruteforce(
         th_window = np.clip(th[:, None] + d_theta * _ZOOM, 0.0, math.pi)
         tt = np.repeat(th_window, 9, axis=1)
         cc = np.tile(ch[:, None] + d_chi * _ZOOM, 9)
-        local = _bloch_features(tt.ravel(), cc.ravel()).reshape(16, *tt.shape)
+        local = _bloch_features(tt.ravel(), cc.ravel()).reshape(-1, *tt.shape)
         lv = np.einsum("sf,fsn->sn", coefficients, local)
         m = np.argmax(lv, axis=1)
         top = lv[sets, m]
@@ -380,23 +382,23 @@ def max_mean_fidelity_bruteforce(
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Single-qubit trace distance via Bloch vectors: half the vector gap."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    delta = rho - sigma
-    dx = 2.0 * delta[0, 1].real
-    dy = -2.0 * delta[0, 1].imag
-    dz = (delta[0, 0] - delta[1, 1]).real
-    return 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
+    """Single-qubit trace distance via Bloch vectors: half the vector gap.
+    Broadcasts over the leading axes of (..., 2, 2) stacks."""
+    delta = np.asarray(rho) - np.asarray(sigma)
+    dx = 2.0 * delta[..., 0, 1].real
+    dy = -2.0 * delta[..., 0, 1].imag
+    dz = (delta[..., 0, 0] - delta[..., 1, 1]).real
+    return 0.5 * np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _qubit_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity for qubits: Tr(rho sigma) + 2 sqrt(det rho det sigma)."""
-    overlap = float(np.einsum("ij,ji->", rho, sigma).real)
-    dets = max(float(np.linalg.det(rho).real), 0.0) * max(
-        float(np.linalg.det(sigma).real), 0.0
+def _qubit_fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity for qubits: Tr(rho sigma) + 2 sqrt(det rho det sigma).
+    Broadcasts over the leading axes of (..., 2, 2) stacks."""
+    overlap = np.einsum("...ij,...ji->...", rho, sigma).real
+    dets = np.maximum(np.linalg.det(rho).real, 0.0) * np.maximum(
+        np.linalg.det(sigma).real, 0.0
     )
-    return overlap + 2.0 * math.sqrt(dets)
+    return overlap + 2.0 * np.sqrt(dets)
 
 
 def min_mean_trace_distance(x: XState) -> MinMeanTraceDistance:
@@ -421,18 +423,10 @@ def min_mean_trace_distance_bruteforce(x: XState) -> float:
     Sends the chain's own one-site reduction and accumulates
     sum_j Q_j D(rho_in, rho_Bj), then minimizes over sets.
     """
-    rho_in = reduced_single(x).astype(complex)
-    # Bob's projected state depends on the outcome alone, not on the set.
-    projected = {label: _projected_bob(rho_in, x, label) for label in BELL_LABELS}
-    best = math.inf
-    for set_label in BELL_LABELS:
-        total = 0.0
-        for label in BELL_LABELS:
-            corrected, q = _corrected_bob(*projected[label], label, set_label)
-            if corrected is not None:
-                total += q * trace_distance(rho_in, corrected / q)
-        best = min(best, total)
-    return best
+    rho_in = reduced_single(x)
+    states, q, possible = _conditional_states(rho_in, x, _CORRECTIONS)
+    totals = np.where(possible, q * trace_distance(rho_in, states), 0.0).sum(axis=1)
+    return float(np.min(totals))
 
 
 def simulate_protocol(
@@ -448,17 +442,11 @@ def simulate_protocol(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     rho_in = _as_density(input_state)
-    qs = np.empty(4)
-    fids = np.zeros(4)
-    dists = np.zeros(4)
-    for j, label in enumerate(BELL_LABELS):
-        projected = _projected_bob(rho_in, x, label)
-        corrected, q = _corrected_bob(*projected, label, set_label)
-        qs[j] = max(q, 0.0)
-        if corrected is not None:
-            rho_out = corrected / q
-            fids[j] = _qubit_fidelity(rho_in, rho_out)
-            dists[j] = trace_distance(rho_in, rho_out)
+    corrections = _CORRECTIONS[_BELL_INDEX[set_label]]
+    states, q, possible = _conditional_states(rho_in, x, corrections)
+    fids = np.where(possible, _qubit_fidelity(rho_in, states), 0.0)
+    dists = np.where(possible, trace_distance(rho_in, states), 0.0)
+    qs = np.maximum(q, 0.0)
     qs /= qs.sum()
 
     rng = np.random.default_rng(seed)

@@ -82,6 +82,8 @@ def test_run_config_validation():
         RunConfig.from_mapping({"eta": "0"})
     with pytest.raises(ConfigError):
         RunConfig.from_mapping({"workers": "0"})
+    with pytest.raises(ConfigError, match="kT = 0.1 appears more than once"):
+        RunConfig.from_mapping({"kT_list": "0.1, 0.1, 0.2"})
 
 
 def test_run_config_model_template_requirements():
@@ -202,6 +204,16 @@ def test_sweep_command_missing_axis_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_command_rejects_repeated_temperature(tmp_path, capsys):
+    text = SWEEP_CONFIG.replace("kT_list = 0.5, 1.0", "kT_list = 0.1, 0.1, 0.2")
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
+    assert main(["sweep", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "kT = 0.1 appears more than once" in captured.err
+    assert "wrote" not in captured.out
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_flag_overrides_config(tmp_path):
     # --L overrides the default length; the sweep then runs at L = 6
     cfg = _write(tmp_path, SWEEP_CONFIG.replace("L = 4\n", "") + f"out = {tmp_path}\n")
@@ -316,10 +328,20 @@ def test_simulate_command_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out != first
 
 
-def test_simulate_command_requires_input_angles(tmp_path, capsys):
+def test_simulate_command_requires_input_angles(tmp_path, capsys, monkeypatch):
     text = SIMULATE_CONFIG.replace("input_theta = 1.0\n", "")
     cfg = _write(tmp_path, text)
     assert main(["simulate", "--config", cfg]) == 1
+    # A model config is checked before its model is solved.
+    import qcpdetect.cli as cli_mod
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the model was solved before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "thermal_correlators", solve)
+    text = "family = xxz\nL = 4\nkT = 0.5\ninput_chi = 0.0\n"
+    assert main(["simulate", "--config", _write(tmp_path, text, "model.cfg")]) == 1
+    assert "missing key 'input_theta' or 'input_chi'" in capsys.readouterr().err
 
 
 def test_simulate_command_from_model(tmp_path, capsys):

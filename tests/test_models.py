@@ -206,8 +206,12 @@ def test_model_spec_validation():
         ModelSpec("xxz", None, 1.0)  # thermodynamic limit is xy-only
     with pytest.raises(ValueError):
         ModelSpec("xxz", 6, -0.1)
-    # valid: thermodynamic-limit xy
+    for length in (8.0, True, "8", np.float64(8.0)):
+        with pytest.raises(ValueError, match="L must be an integer"):
+            ModelSpec("xxz", length, 1.0)
+    # valid: thermodynamic-limit xy, and a numpy integer length
     ModelSpec("xy", None, 0.05, lam=1.0, gamma=1.0)
+    ModelSpec("xxz", np.int64(6), 1.0)
 
 
 def test_critical_line_delta1():

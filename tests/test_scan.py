@@ -227,6 +227,11 @@ def test_extrapolation_input_validation():
         extrapolate_to_zero(_make_estimates([0.1, 0.2], [1.0, 1.1]))
     with pytest.raises(ValueError):
         extrapolate_to_zero(_make_estimates([0.1, 0.1, 0.1], [1.0, 1.0, 1.0]))
+    # three estimates, but only two distinct temperatures
+    with pytest.raises(ValueError, match="distinct"):
+        extrapolate_to_zero(_make_estimates([0.1, 0.1, 0.2], [1.0, 1.1, 1.2]))
+    with pytest.raises(ValueError, match="distinct"):
+        extrapolate_to_zero([])
     mixed = _make_estimates([0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
     mixed[1] = QcpEstimate(0.2, "fmax_ext", 1, "forward", 1.0, 0.01)
     with pytest.raises(ValueError):
@@ -282,6 +287,8 @@ def test_sweep_validates_inputs():
         sweep(template, "delta", 1.0, 0.0, eta=0.1)
     with pytest.raises(ValueError):
         sweep(template, "delta", 0.0, 1.0, eta=0.1, kT_list=(-1.0,))
+    with pytest.raises(ValueError, match="kT = 0.1 appears more than once"):
+        sweep(template, "delta", 0.0, 1.0, eta=0.1, kT_list=(0.1, 0.1, 0.2))
 
 
 def test_sweep_isolates_detector_failures(monkeypatch):

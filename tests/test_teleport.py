@@ -25,7 +25,9 @@ from qcpdetect.teleport import (
 from qcpdetect.xstate import (
     Correlators,
     build_xstate,
+    dense_matrix,
     make_xstate,
+    reduced_single,
     sample_random_xstate,
 )
 
@@ -44,6 +46,9 @@ ORACLES_REFERENCE = (
 BELL = make_xstate(0.5, 0.0, 0.0, 0.5, 0.5)  # Phi+
 SINGLET = make_xstate(0.0, 0.5, -0.5, 0.0, 0.0)  # Psi-
 MIXED = make_xstate(0.25, 0.25, 0.0, 0.25, 0.0)
+# Product channels |00><00| and |11><11|: two of the four outcomes are impossible.
+UP_UP = make_xstate(1.0, 0.0, 0.0, 0.0, 0.0)
+DOWN_DOWN = make_xstate(0.0, 0.0, 0.0, 1.0, 0.0)
 
 INPUTS = [
     InputQubit(0.0, 0.0),  # |0>
@@ -62,6 +67,34 @@ def test_bell_projectors_resolve_identity():
         p = bell_projector(label)
         assert np.allclose(p @ p, p, atol=1e-15)
         assert np.trace(p) == pytest.approx(1.0)
+
+
+def _literal_projected_bob(rho1, x, label):
+    """Tr_12[(P (x) 1)(rho1 (x) rho23)(P (x) 1)] for one 2x2 rho1 and one outcome."""
+    proj = np.kron(bell_projector(label), np.eye(2))
+    sandwiched = proj @ np.kron(rho1, dense_matrix(x)) @ proj
+    return np.einsum("ajak->jk", sandwiched.reshape(4, 2, 4, 2))
+
+
+def test_projected_bob_stacks_all_outcomes():
+    rng = np.random.default_rng(SEED + 6)
+    x = sample_random_xstate(rng)
+    g = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+    inputs = [
+        reduced_single(x),  # real
+        InputQubit(1.1, 2.3).density(),  # complex
+        g @ g.conj().swapaxes(-1, -2),  # a (2, 2) stack of complex matrices
+    ]
+    for rho1 in inputs:
+        reduced, q = teleport._projected_bob(rho1, x)
+        lead = rho1.shape[:-2]
+        assert reduced.shape == lead + (4, 2, 2) and q.shape == lead + (4,)
+        assert reduced.dtype == rho1.dtype
+        for idx in np.ndindex(lead):
+            for j, label in enumerate(BELL_LABELS):
+                want = _literal_projected_bob(rho1[idx], x, label)
+                np.testing.assert_allclose(reduced[idx][j], want, rtol=0, atol=1e-15)
+                assert q[idx][j] == pytest.approx(np.trace(want).real, abs=1e-15)
 
 
 def test_correction_sets_are_row_permutations():
@@ -198,6 +231,17 @@ def test_fidelity_features_match_literal_protocol():
                 assert values[s, n] == pytest.approx(want, abs=1e-14)
 
 
+def test_fidelity_forms_and_features_are_real():
+    rng = np.random.default_rng(SEED + 7)
+    for _ in range(20):
+        assert teleport._fidelity_quadratic_forms(sample_random_xstate(rng)).dtype == (
+            np.float64
+        )
+    features = teleport._bloch_features(rng.uniform(0.0, math.pi, 7), np.arange(7.0))
+    assert features.shape == (10, 7) and features.dtype == np.float64
+    assert teleport._grid_features(48, 96)[2].shape == (10, 48 * 96)
+
+
 def test_grid_feature_cache_is_read_only_and_order_free():
     x = sample_random_xstate(np.random.default_rng(SEED + 5))
     fresh = {}
@@ -231,6 +275,7 @@ def test_bruteforce_rejects_bad_grid_sizes(sizes, name):
 
 def test_trace_distance_against_eigen_oracle():
     rng = np.random.default_rng(SEED + 2)
+    rhos, sigmas, wants = [], [], []
     for _ in range(200):
         # two random qubit density matrices via normalized Wishart draws
         mats = []
@@ -240,6 +285,13 @@ def test_trace_distance_against_eigen_oracle():
             mats.append(m / np.trace(m).real)
         want = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(mats[0] - mats[1]))))
         assert trace_distance(mats[0], mats[1]) == pytest.approx(want, abs=1e-12)
+        rhos.append(mats[0])
+        sigmas.append(mats[1])
+        wants.append(want)
+    # one call on the (200, 2, 2) stacks gives the same distances
+    stacked = trace_distance(np.array(rhos), np.array(sigmas))
+    assert stacked.shape == (200,)
+    np.testing.assert_allclose(stacked, wants, rtol=0, atol=1e-12)
 
 
 def test_impossible_outcome_raises():
@@ -250,6 +302,36 @@ def test_impossible_outcome_raises():
     assert outcome_probability(one, pure, "phi+") == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(OutcomeImpossibleError):
         bob_output(one, pure, "phi+", "phi+")
+
+
+@pytest.mark.parametrize(
+    "channel, theta", [(UP_UP, 0.0), (DOWN_DOWN, math.pi)], ids=["00", "11"]
+)
+def test_impossible_outcomes_are_masked_not_divided(channel, theta):
+    # The basis input that matches the channel's qubits (the internal
+    # protocol's own input) leaves two outcomes impossible; as an InputQubit
+    # at theta = pi their weights are about 1e-33 instead of exactly 0.
+    inputs = (reduced_single(channel), InputQubit(theta, 0.0))
+    with np.errstate(all="raise"):
+        dbrute = min_mean_trace_distance_bruteforce(channel)
+        results = [
+            (qubit, s, simulate_protocol(channel, qubit, s, runs=2000, seed=11))
+            for qubit in inputs
+            for s in BELL_LABELS
+        ]
+    assert isinstance(dbrute, float)
+    assert dbrute == pytest.approx(min_mean_trace_distance(channel).value, abs=1e-12)
+    for qubit, set_label, res in results:
+        weights = [outcome_probability(qubit, channel, label) for label in BELL_LABELS]
+        impossible = np.array(weights) < 1e-15
+        assert impossible.sum() == 2
+        assert np.all(res.counts[impossible] == 0) and res.counts.sum() == 2000
+        # Bob holds the input's basis state already, so every set either
+        # returns it (F = 1, D = 0) or flips it (F = 0, D = 1) per outcome.
+        assert res.mean_fidelity + res.mean_trace_distance == pytest.approx(1.0)
+        assert res.mean_fidelity == pytest.approx(
+            mean_fidelity(qubit, channel, set_label), abs=1e-12
+        )
 
 
 def test_simulation_deterministic_and_convergent():
