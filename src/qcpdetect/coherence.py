@@ -38,7 +38,11 @@ AXES = ("x", "y", "z")
 # here, keeping sweep output finite while preserving the blow-up shape.
 EPS_DIVERGENCE = 1e-12
 
-_PAULI_BY_AXIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+# K = 1 (x) sigma_axis on the pair, per axis, for the dense oracle.
+_K_BY_AXIS = {
+    axis: np.kron(IDENTITY_2, pauli)
+    for axis, pauli in zip(AXES, (PAULI_X, PAULI_Y, PAULI_Z))
+}
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,10 @@ def spectrum_eigenvalues_oracle(x: XState, axis: str) -> np.ndarray:
 
     Independent of the closed forms; used to validate them.  One state only.
     """
-    if axis not in _PAULI_BY_AXIS:
+    if axis not in _K_BY_AXIS:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     rho = dense_matrix(x).astype(complex)
-    k = np.kron(IDENTITY_2, _PAULI_BY_AXIS[axis])
+    k = _K_BY_AXIS[axis]
     comm = rho @ k - k @ rho
     return np.linalg.eigvalsh(comm @ comm)
 

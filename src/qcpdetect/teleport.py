@@ -25,14 +25,13 @@ Bell outcomes at once; impossible outcomes are masked, never divided by.  The
 Bell kets, corrections and X state are real, so the arithmetic is real unless
 the input is.  For u = psi (x) conj(psi) the mean fidelity is linear in the 10
 real features |u_p|^2 and Re u_p conj(u_q), p < q, with coefficients from
-per-set real forms W that the literal protocol gives.  The fidelity oracle
-caches the feature matrix of its Bloch-angle grid per grid size, so one matrix
-product per state evaluates every grid point under all four correction sets.
+per-set real forms W that the literal protocol gives.  On the Bloch sphere
+that is six real coefficients per set, so the fidelity oracle evaluates its
+whole grid under all four sets as one small batched matrix product.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -69,6 +68,8 @@ _Q_FLOOR = 1e-15
 # offsets of each round's 9 x 9 window in units of the current cell size.
 _REFINE_ROUNDS = 12
 _ZOOM = np.linspace(-1.0, 1.0, 9)
+# Orders of the chi harmonics 1, cos chi, cos 2 chi of the fidelity, a column.
+_HARMONICS = np.arange(3.0)[:, None]
 
 
 class OutcomeImpossibleError(ValueError):
@@ -255,38 +256,6 @@ def max_mean_fidelity(x: XState) -> MaxMeanFidelity:
 
 # The six index pairs p < q of u = psi (x) conj(psi).
 _PAIRS = np.triu_indices(4, 1)
-# Grid points per block while the cached feature matrix is built, so that
-# no grid-wide complex temporaries are made.
-_FEATURE_BLOCK = 2048
-
-
-def _bloch_features(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """The 10 real features of u = psi (x) conj(psi), shape (10, n).
-
-    Rows: the four |u_p|^2, then Re u_p conj(u_q) for p < q.
-    """
-    kets = np.stack(
-        [np.cos(0.5 * theta) + 0.0j, np.exp(1j * chi) * np.sin(0.5 * theta)]
-    )
-    u = (kets[:, None] * kets.conj()).reshape(4, -1)
-    z = u[_PAIRS[0]] * u[_PAIRS[1]].conj()
-    return np.concatenate([u.real**2 + u.imag**2, z.real])
-
-
-@functools.lru_cache(maxsize=4)
-def _grid_features(n_theta: int, n_chi: int) -> tuple[np.ndarray, ...]:
-    """theta, chi and the (10, n_theta * n_chi) features of the search grid,
-    theta in [0, pi] and chi in [0, 2 pi), theta-major; read-only, because
-    every call with the same grid size shares them."""
-    theta = np.repeat(np.linspace(0.0, math.pi, n_theta), n_chi)
-    chi = np.tile(np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False), n_theta)
-    features = np.empty((10, theta.size))  # the rows of _bloch_features
-    for start in range(0, theta.size, _FEATURE_BLOCK):
-        block = slice(start, start + _FEATURE_BLOCK)
-        features[:, block] = _bloch_features(theta[block], chi[block])
-    for array in (theta, chi, features):
-        array.flags.writeable = False
-    return theta, chi, features
 
 
 # One-qubit matrix units: _MATRIX_UNITS[a, b] is |a><b|.
@@ -318,10 +287,41 @@ def _feature_coefficients(forms: np.ndarray) -> np.ndarray:
     return np.concatenate([0.5 * diagonal, v[:, _PAIRS[0], _PAIRS[1]]], axis=1)
 
 
+def _trig_coefficients(features: np.ndarray) -> np.ndarray:
+    """The six real coefficients a0, a1, a2, b0, b1, d per set, shape (6, set),
+    of F = a0 + a1 ct + a2 ct^2 + st (b0 + b1 ct) cos chi + d st^2 cos 2 chi,
+    ct = cos theta and st = sin theta, from the (set, 10) feature coefficients.
+
+    With c = cos(theta/2) and s = sin(theta/2), u = (c^2, c s e^{-i chi},
+    c s e^{i chi}, s^2): the features are c^4, s^4, c^2 s^2 (three, and one
+    more times cos 2 chi), and c^3 s cos chi and c s^3 cos chi (two each).
+    a1, b0 and b1 vanish for X states but are kept: the form uses only the protocol.
+    """
+    k = features.T
+    mixed = k[1] + k[2] + k[6]  # the c^2 s^2 features
+    b_up, b_down = k[4] + k[5], k[8] + k[9]  # c^3 s and c s^3 times cos chi
+    a = (k[0] + mixed + k[3], 2.0 * (k[0] - k[3]), k[0] - mixed + k[3])
+    return 0.25 * np.array([*a, b_up + b_down, b_up - b_down, k[7]])
+
+
+def _mean_fidelities(trig: np.ndarray, theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """F of every set at every (theta, chi) of two axes, shape (set, n, m).
+
+    The axes are shared, shape (n,) and (m,), or per set, shape (set, n) and
+    (set, m).  One batched product of the theta profiles (a, b, d) with the
+    harmonics (1, cos chi, cos 2 chi); ``trig`` is from _trig_coefficients.
+    """
+    a0, a1, a2, b0, b1, d = trig[..., None]
+    ct, st = np.cos(theta), np.sin(theta)
+    profiles = np.stack([a0 + ct * (a1 + a2 * ct), st * (b0 + b1 * ct), d * st * st], -1)
+    return profiles @ np.cos(_HARMONICS * chi[..., None, :])
+
+
 def _grid_size(name: str, value, least: int) -> int:
     """``value`` as an int, or a ValueError naming ``name`` if it is not an
-    integer of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    integer (a bool is not) of at least ``least``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < least:
         raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
     return int(value)
 
@@ -333,24 +333,25 @@ def max_mean_fidelity_bruteforce(
 ) -> BruteForceFidelity:
     """Protocol-level search over a Bloch-angle grid and the four sets.
 
-    The mean fidelity is linear in the 10 real features of u_p conj(u_q),
-    u = psi (x) conj(psi), with per-set coefficients from the protocol's
-    quadratic forms.  The features of the (n_theta x n_chi) grid are cached
-    per grid size, so one (4 x 10) @ (10 x n) product gives every set's grid
-    values.  ``grid_value`` is the raw grid maximum (accuracy limited by
-    spacing); ``value`` additionally zooms into the best cell of each set,
-    the four sets in lockstep, for _REFINE_ROUNDS rounds of a 9 x 9 window
-    that shrinks by 4 per round.  Serves as the oracle for max_mean_fidelity.
+    Each set's mean fidelity is a trigonometric polynomial in the Bloch
+    angles with six real coefficients (_trig_coefficients), so one batched
+    (set, n_theta, 3) @ (3, n_chi) product gives every set's values on the
+    grid theta in [0, pi] by chi in [0, 2 pi), theta-major.  ``grid_value``
+    is the raw grid maximum (accuracy limited by spacing); ``value``
+    additionally zooms into the best cell of each set, the four sets in
+    lockstep, for _REFINE_ROUNDS rounds of a 9 x 9 window that shrinks by 4
+    per round.  Serves as the oracle for max_mean_fidelity.
     """
     n_theta = _grid_size("n_theta", n_theta, 2)
     n_chi = _grid_size("n_chi", n_chi, 1)
-    thetas, chis, features = _grid_features(n_theta, n_chi)
-    coefficients = _feature_coefficients(_fidelity_quadratic_forms(x))
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    chis = np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False)
+    trig = _trig_coefficients(_feature_coefficients(_fidelity_quadratic_forms(x)))
 
     sets = np.arange(len(BELL_LABELS))
-    grid_values = coefficients @ features
-    cells = np.argmax(grid_values, axis=1)
-    val, th, ch = grid_values[sets, cells], thetas[cells], chis[cells]
+    grid_values = _mean_fidelities(trig, thetas, chis).reshape(len(sets), -1)
+    cells = np.argmax(grid_values, axis=1)  # first of any tie
+    val, th, ch = grid_values[sets, cells], thetas[cells // n_chi], chis[cells % n_chi]
     grid_value = float(np.max(val))
 
     d_theta = math.pi / (n_theta - 1)
@@ -358,16 +359,14 @@ def max_mean_fidelity_bruteforce(
     for _ in range(_REFINE_ROUNDS):
         # Each set's 9 x 9 window, theta-major: shape (set, 81).
         th_window = np.clip(th[:, None] + d_theta * _ZOOM, 0.0, math.pi)
-        tt = np.repeat(th_window, 9, axis=1)
-        cc = np.tile(ch[:, None] + d_chi * _ZOOM, 9)
-        local = _bloch_features(tt.ravel(), cc.ravel()).reshape(-1, *tt.shape)
-        lv = np.einsum("sf,fsn->sn", coefficients, local)
+        ch_window = ch[:, None] + d_chi * _ZOOM
+        lv = _mean_fidelities(trig, th_window, ch_window).reshape(len(sets), -1)
         m = np.argmax(lv, axis=1)
         top = lv[sets, m]
         better = top > val
         val = np.where(better, top, val)
-        th = np.where(better, tt[sets, m], th)
-        ch = np.where(better, cc[sets, m], ch)
+        th = np.where(better, th_window[sets, m // 9], th)
+        ch = np.where(better, ch_window[sets, m % 9], ch)
         d_theta *= 0.25
         d_chi *= 0.25
 

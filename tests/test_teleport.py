@@ -33,14 +33,12 @@ from qcpdetect.xstate import (
 
 SEED = 555001
 
-# The benchmark's stored oracles outputs for its default seed, 20250818: the
-# first 40 random X states drawn from that seed.
-ORACLES_REFERENCE = (
-    Path(__file__).resolve().parents[1]
-    / "bench"
-    / "reference"
-    / "oracles"
-    / "seed_20250818.json"
+# The benchmark's stored oracles outputs, one file per seed: the first 40
+# random X states drawn from that seed.
+ORACLES_REFERENCES = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference" / "oracles").glob(
+        "seed_*.json"
+    )
 )
 
 BELL = make_xstate(0.5, 0.0, 0.0, 0.5, 0.5)  # Phi+
@@ -189,11 +187,12 @@ def test_closed_forms_match_bruteforce():
         assert dclosed == pytest.approx(dbrute, abs=1e-9)
 
 
-def test_bruteforce_matches_stored_oracle_outputs():
+@pytest.mark.parametrize("path", ORACLES_REFERENCES, ids=lambda p: p.stem)
+def test_bruteforce_matches_stored_oracle_outputs(path):
     # The default grid and refinement reproduce the benchmark's reference
     # outputs to rounding, so a change to either shows in the quick layer.
-    want = json.loads(ORACLES_REFERENCE.read_text())["states"]
-    rng = np.random.default_rng(20250818)
+    want = json.loads(path.read_text())["states"]
+    rng = np.random.default_rng(int(path.stem.removeprefix("seed_")))
     for ref in want:
         x = sample_random_xstate(rng)
         brute = max_mean_fidelity_bruteforce(x)
@@ -201,6 +200,10 @@ def test_bruteforce_matches_stored_oracle_outputs():
         assert abs(brute.value - ref["fidelity_brute"]) <= 1e-12
         dbrute = min_mean_trace_distance_bruteforce(x)
         assert abs(dbrute - ref["trace_distance_brute"]) <= 1e-12
+
+
+def test_stored_oracle_seeds_are_all_present():
+    assert len(ORACLES_REFERENCES) == 11
 
 
 def test_bruteforce_point_attains_its_value():
@@ -216,43 +219,87 @@ def test_bruteforce_point_attains_its_value():
         )
 
 
+def _trig(x):
+    forms = teleport._fidelity_quadratic_forms(x)
+    return teleport._trig_coefficients(teleport._feature_coefficients(forms))
+
+
 def test_fidelity_features_match_literal_protocol():
+    # The six Bloch-sphere coefficients per set give the literal protocol's
+    # mean fidelity at random angles, on shared and on per-set axes.
     rng = np.random.default_rng(SEED + 4)
     for _ in range(10):
         x = sample_random_xstate(rng)
-        theta = rng.uniform(0.0, math.pi, 50)
-        chi = rng.uniform(0.0, 2.0 * math.pi, 50)
-        forms = teleport._fidelity_quadratic_forms(x)
-        features = teleport._bloch_features(theta, chi)
-        values = teleport._feature_coefficients(forms) @ features
+        theta = rng.uniform(0.0, math.pi, (4, 5))
+        chi = rng.uniform(0.0, 2.0 * math.pi, (4, 6))
+        trig = _trig(x)
+        per_set = teleport._mean_fidelities(trig, theta, chi)
+        shared = teleport._mean_fidelities(trig, theta[0], chi[0])
         for s, set_label in enumerate(BELL_LABELS):
-            for n in range(50):
-                want = mean_fidelity(InputQubit(theta[n], chi[n]), x, set_label)
-                assert values[s, n] == pytest.approx(want, abs=1e-14)
+            for i, j in np.ndindex(5, 6):
+                qubit = InputQubit(theta[s, i], chi[s, j])
+                want = mean_fidelity(qubit, x, set_label)
+                assert per_set[s, i, j] == pytest.approx(want, abs=1e-14)
+                want = mean_fidelity(InputQubit(theta[0, i], chi[0, j]), x, set_label)
+                assert shared[s, i, j] == pytest.approx(want, abs=1e-14)
+
+
+def test_six_coefficients_are_the_features_on_the_bloch_sphere():
+    # An identity in the 10 feature coefficients, so random ones check it.
+    # For X states a1, b0 and b1 vanish, so only such inputs reach their signs.
+    rng = np.random.default_rng(SEED + 9)
+    k = rng.uniform(-1.0, 1.0, (4, 10))
+    theta = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 5)])
+    chi = rng.uniform(0.0, 2.0 * math.pi, 5)
+    values = teleport._mean_fidelities(teleport._trig_coefficients(k), theta, chi)
+    for i, j in np.ndindex(7, 5):
+        psi = InputQubit(theta[i], chi[j]).ket()
+        u = np.kron(psi, psi.conj())
+        pairs = [u[p] * u[q].conj() for p, q in zip(*np.triu_indices(4, 1))]
+        features = np.concatenate([np.abs(u) ** 2, np.real(pairs)])
+        np.testing.assert_allclose(values[:, i, j], k @ features, rtol=0, atol=1e-14)
 
 
 def test_fidelity_forms_and_features_are_real():
     rng = np.random.default_rng(SEED + 7)
     for _ in range(20):
-        assert teleport._fidelity_quadratic_forms(sample_random_xstate(rng)).dtype == (
-            np.float64
+        x = sample_random_xstate(rng)
+        assert teleport._fidelity_quadratic_forms(x).dtype == np.float64
+        trig = _trig(x)
+        assert trig.shape == (6, 4) and trig.dtype == np.float64
+    values = teleport._mean_fidelities(
+        trig, rng.uniform(0.0, math.pi, 7), np.arange(5.0)
+    )
+    assert values.shape == (4, 7, 5) and values.dtype == np.float64
+
+
+@pytest.mark.parametrize("n_theta, n_chi", [(2, 1), (3, 4), (5, 6)])
+def test_bruteforce_grid_value_is_literal_grid_maximum(n_theta, n_chi):
+    # theta in [0, pi] with both ends, chi in [0, 2 pi) without its end: the
+    # grid maximum is the literal protocol's maximum over every grid point and
+    # every set, and refinement never lowers it.
+    rng = np.random.default_rng(SEED + 8)
+    for _ in range(10):
+        x = sample_random_xstate(rng)
+        want = max(
+            mean_fidelity(InputQubit(theta, chi), x, set_label)
+            for theta in np.linspace(0.0, math.pi, n_theta)
+            for chi in np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False)
+            for set_label in BELL_LABELS
         )
-    features = teleport._bloch_features(rng.uniform(0.0, math.pi, 7), np.arange(7.0))
-    assert features.shape == (10, 7) and features.dtype == np.float64
-    assert teleport._grid_features(48, 96)[2].shape == (10, 48 * 96)
+        brute = max_mean_fidelity_bruteforce(x, n_theta=n_theta, n_chi=n_chi)
+        assert brute.grid_value == pytest.approx(want, abs=1e-14)
+        assert brute.value >= brute.grid_value
 
 
-def test_grid_feature_cache_is_read_only_and_order_free():
+def test_bruteforce_is_order_free():
+    # Nothing is kept between calls: a call at one grid size leaves the
+    # result at another unchanged.
     x = sample_random_xstate(np.random.default_rng(SEED + 5))
-    fresh = {}
-    for size in ((48, 96), (128, 256)):
-        teleport._grid_features.cache_clear()
-        fresh[size] = max_mean_fidelity_bruteforce(x, *size)
-    teleport._grid_features.cache_clear()
-    for size in ((48, 96), (128, 256), (48, 96)):
-        assert max_mean_fidelity_bruteforce(x, *size) == fresh[size]
-    for array in teleport._grid_features(48, 96):
-        assert not array.flags.writeable
+    sizes = ((48, 96), (128, 256), (48, 96))
+    small, large, again = (max_mean_fidelity_bruteforce(x, *size) for size in sizes)
+    assert again == small
+    assert large == max_mean_fidelity_bruteforce(x, 128, 256)
 
 
 @pytest.mark.parametrize(
@@ -263,14 +310,13 @@ def test_grid_feature_cache_is_read_only_and_order_free():
         ({"n_chi": 0}, "n_chi"),
         ({"n_theta": 128.0}, "n_theta"),
         ({"n_chi": 256.0}, "n_chi"),
+        ({"n_chi": True}, "n_chi"),
+        ({"n_theta": False}, "n_theta"),
     ],
 )
 def test_bruteforce_rejects_bad_grid_sizes(sizes, name):
-    lookups = teleport._grid_features.cache_info()
     with pytest.raises(ValueError, match=name):
         max_mean_fidelity_bruteforce(BELL, **sizes)
-    after = teleport._grid_features.cache_info()
-    assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
 
 
 def test_trace_distance_against_eigen_oracle():
