@@ -36,7 +36,6 @@ from .discord import quantum_discord, s_tilde, entropy_single, entropy_pair
 from .models import (
     DEFAULT_L_MAX,
     FAMILIES,
-    SOLVERS,
     ModelSpec,
     thermal_correlators,
     xxz_delta1,
@@ -124,9 +123,7 @@ KNOWN_KEYS = frozenset(
         "window_hi",
         "candidate",
         "out",
-        "workers",
         "seed",
-        "solver",
         "input_theta",
         "input_chi",
         "bell",
@@ -206,9 +203,7 @@ class RunConfig:
     window: tuple[float, float] | None = None
     candidate: float | None = None
     out: Path = Path(".")
-    workers: int = 1
     seed: int = 0
-    solver: str = "auto"
     input_theta: float | None = None
     input_chi: float | None = None
     bell: str = "phi+"
@@ -218,43 +213,50 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "RunConfig":
         cfg = cls()
-        cfg.family = raw.get("family")
+        cfg.family = raw.get("family", cfg.family)
         if cfg.family is not None and cfg.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {cfg.family!r}")
         if "L" in raw:
             cfg.L = _as_length(raw["L"])
-        kts: list[float] = []
         if "kT_list" in raw:
             try:
-                kts = [float(p) for p in raw["kT_list"].split(",") if p.strip()]
+                cfg.kT_list = tuple(
+                    float(p) for p in raw["kT_list"].split(",") if p.strip()
+                )
             except ValueError as exc:
                 raise ConfigError(f"key 'kT_list': {exc}") from None
         elif "kT" in raw:
-            kts = [_as_float(raw, "kT")]
-        cfg.kT_list = tuple(kts)
-        if any(not (k >= 0.0) for k in cfg.kT_list):
-            raise ConfigError(f"all kT must be >= 0, got {cfg.kT_list}")
+            cfg.kT_list = (_as_float(raw, "kT"),)
+        kts = cfg.kT_list
+        if any(not (k >= 0.0) for k in kts):
+            raise ConfigError(f"all kT must be >= 0, got {kts}")
         for i, k in enumerate(kts):
             if k in kts[:i]:
-                raise ConfigError(f"kT = {k} appears more than once in {cfg.kT_list}")
-        cfg.delta = _as_float(raw, "delta", 0.0)
-        cfg.h = _as_float(raw, "h", 0.0)
-        cfg.lam = _as_float(raw, "lam", 0.0)
-        cfg.gamma = _as_float(raw, "gamma", 1.0)
-        cfg.axis = raw.get("axis")
+                raise ConfigError(f"kT = {k} appears more than once in {kts}")
+            for other in kts[:i]:
+                if _fmt(other) == _fmt(k):
+                    raise ConfigError(
+                        f"kT = {other} and kT = {k} would both write "
+                        f"{_sweep_csv_name(k)}"
+                    )
+        cfg.delta = _as_float(raw, "delta", cfg.delta)
+        cfg.h = _as_float(raw, "h", cfg.h)
+        cfg.lam = _as_float(raw, "lam", cfg.lam)
+        cfg.gamma = _as_float(raw, "gamma", cfg.gamma)
+        cfg.axis = raw.get("axis", cfg.axis)
         if cfg.axis is not None and cfg.axis not in AXIS_FIELDS:
             raise ConfigError(
                 f"axis must be one of {sorted(AXIS_FIELDS)}, got {cfg.axis!r}"
             )
-        cfg.start = _as_float(raw, "start")
-        cfg.stop = _as_float(raw, "stop")
-        cfg.eta = _as_float(raw, "eta", DEFAULT_ETA)
-        if not (cfg.eta > 0.0):
-            raise ConfigError(f"eta must be > 0, got {cfg.eta}")
-        cfg.method = raw.get("method", DEFAULT_METHOD)
+        cfg.start = _as_float(raw, "start", cfg.start)
+        cfg.stop = _as_float(raw, "stop", cfg.stop)
+        cfg.eta = _as_float(raw, "eta", cfg.eta)
+        if not (0.0 < cfg.eta < math.inf):
+            raise ConfigError(f"eta must be finite and > 0, got {cfg.eta}")
+        cfg.method = raw.get("method", cfg.method)
         if cfg.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
-        cfg.order = _as_int(raw, "order", 1)
+        cfg.order = _as_int(raw, "order", cfg.order)
         if cfg.order not in (1, 2):
             raise ConfigError(f"order must be 1 or 2, got {cfg.order}")
         if "detectors" in raw:
@@ -273,24 +275,16 @@ class RunConfig:
             if not (lo < hi):
                 raise ConfigError(f"need window_lo < window_hi, got ({lo}, {hi})")
             cfg.window = (lo, hi)
-        cfg.candidate = _as_float(raw, "candidate")
+        cfg.candidate = _as_float(raw, "candidate", cfg.candidate)
         if "out" in raw:
             cfg.out = Path(raw["out"])
-        cfg.workers = _as_int(raw, "workers", 1)
-        if cfg.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-        cfg.seed = _as_int(raw, "seed", 0)
-        cfg.solver = raw.get("solver", "auto")
-        if cfg.solver not in SOLVERS:
-            raise ConfigError(
-                f"solver must be {'|'.join(SOLVERS)}, got {cfg.solver!r}"
-            )
-        cfg.input_theta = _as_float(raw, "input_theta")
-        cfg.input_chi = _as_float(raw, "input_chi")
-        cfg.bell = raw.get("bell", "phi+")
+        cfg.seed = _as_int(raw, "seed", cfg.seed)
+        cfg.input_theta = _as_float(raw, "input_theta", cfg.input_theta)
+        cfg.input_chi = _as_float(raw, "input_chi", cfg.input_chi)
+        cfg.bell = raw.get("bell", cfg.bell)
         if cfg.bell not in BELL_LABELS:
             raise ConfigError(f"bell must be one of {BELL_LABELS}, got {cfg.bell!r}")
-        cfg.runs = _as_int(raw, "runs", 10000)
+        cfg.runs = _as_int(raw, "runs", cfg.runs)
         if cfg.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
         corr_keys = [k for k in ("z", "xx", "yy", "zz") if k in raw]
@@ -329,12 +323,21 @@ class RunConfig:
             raise ConfigError("missing key 'axis'")
         if self.start is None or self.stop is None:
             raise ConfigError("missing key 'start' or 'stop'")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(
+                f"start and stop must be finite, got [{self.start}, {self.stop}]"
+            )
         if not (self.stop > self.start):
             raise ConfigError(f"need stop > start, got [{self.start}, {self.stop}]")
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _sweep_csv_name(kT: float) -> str:
+    """The file name of one temperature's sweep CSV."""
+    return f"sweep_kT{_fmt(kT)}.csv"
 
 
 def _cell(value) -> str:
@@ -365,14 +368,7 @@ def write_sweep_csv(result, path: Path) -> None:
 
 def _run_sweep(cfg: RunConfig):
     return sweep(
-        cfg.model_template(),
-        cfg.axis,
-        cfg.start,
-        cfg.stop,
-        cfg.eta,
-        cfg.kT_list,
-        method=cfg.solver,
-        workers=cfg.workers,
+        cfg.model_template(), cfg.axis, cfg.start, cfg.stop, cfg.eta, cfg.kT_list
     )
 
 
@@ -381,7 +377,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     results = _run_sweep(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
     for result in results:
-        path = cfg.out / f"sweep_kT{_fmt(result.kT)}.csv"
+        path = cfg.out / _sweep_csv_name(result.kT)
         write_sweep_csv(result, path)
         note = ""
         if result.failed_count:
@@ -451,7 +447,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         corr = cfg.correlators
     else:
         spec = cfg.model_template()
-        corr = thermal_correlators(spec, method=cfg.solver)
+        corr = thermal_correlators(spec)
     x = build_xstate(corr)
     qubit = InputQubit(theta=cfg.input_theta, chi=cfg.input_chi)
     result = simulate_protocol(x, qubit, cfg.bell, runs=cfg.runs, seed=cfg.seed)
@@ -657,7 +653,6 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", type=Path, help="flat key = value config file")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--workers", type=int, help="parallel grid workers")
         p.add_argument("--seed", type=int, help="RNG seed (simulate)")
         p.add_argument("--method", choices=METHODS, help="finite-difference method")
         p.add_argument("--L", type=str, help="chain length (or 'none' for L = inf)")
@@ -679,8 +674,6 @@ def _load_config(args) -> RunConfig:
         raw = parse_config_text(text, source=str(args.config))
     if args.out is not None:
         raw["out"] = str(args.out)
-    if args.workers is not None:
-        raw["workers"] = str(args.workers)
     if args.seed is not None:
         raw["seed"] = str(args.seed)
     if args.method is not None:

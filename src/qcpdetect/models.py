@@ -24,6 +24,10 @@ the pair X state.  ``thermal_solution`` picks the exact solver for a spec:
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
     free fermions, also an oracle for the finite-L pipeline.
 
+A sweep always takes the default choice; the 'dense' and 'sector' methods
+are oracles, reached through ``diagonalize``, ``thermal_solution`` and
+``thermal_correlators`` by the tests and ``qcpdetect verify symmetry``.
+
 Critical couplings for the field-carrying xxz chain:
 
   Delta_1 = h/4 - 1                      (saturation line, coupling J = 1)
@@ -47,6 +51,7 @@ from .xstate import Correlators
 
 FAMILIES = ("xxz", "xxz_field", "xy")
 
+# Largest finite L a ModelSpec accepts (2^L-dimensional ED stays affordable).
 DEFAULT_L_MAX = 12
 
 # Solver names for diagonalize and thermal_solution; see diagonalize.
@@ -63,8 +68,9 @@ class ModelSpec:
 
     ``L = None`` selects the thermodynamic limit, available only for the xy
     family (free-fermion solution).  Finite ``L`` must be even, between 4 and
-    ``l_max``: odd rings frustrate the antiferromagnet and a 2-site ring
-    double-counts its single bond.
+    ``DEFAULT_L_MAX``: odd rings frustrate the antiferromagnet and a 2-site
+    ring double-counts its single bond.  The couplings must be finite; kT may
+    be inf.
     """
 
     family: str
@@ -74,11 +80,14 @@ class ModelSpec:
     h: float = 0.0  # xxz_field longitudinal field
     lam: float = 0.0  # xy coupling strength
     gamma: float = 1.0  # xy anisotropy in [0, 1]
-    l_max: int = DEFAULT_L_MAX
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        for name in ("delta", "h", "lam", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.kT >= 0.0):
             raise ValueError(f"kT must be >= 0, got {self.kT}")
         if self.L is None:
@@ -87,9 +96,9 @@ class ModelSpec:
         else:
             if isinstance(self.L, bool) or not isinstance(self.L, numbers.Integral):
                 raise ValueError(f"L must be an integer or None, got {self.L!r}")
-            if self.L % 2 != 0 or not (4 <= self.L <= self.l_max):
+            if self.L % 2 != 0 or not (4 <= self.L <= DEFAULT_L_MAX):
                 raise ValueError(
-                    f"L must be even with 4 <= L <= {self.l_max}, got {self.L}"
+                    f"L must be even with 4 <= L <= {DEFAULT_L_MAX}, got {self.L}"
                 )
 
 
@@ -320,17 +329,6 @@ class ThermalSolution:
         norm = w.sum()
         avg = {k: float(np.dot(w, v) / norm) for k, v in self.expectations.items()}
         return Correlators(z=avg["z"], xx=avg["xx"], yy=avg["yy"], zz=avg["zz"])
-
-    def log_partition_function(self, kT: float) -> float:
-        """ln Z, stable at any kT > 0."""
-        if kT <= 0.0:
-            raise ValueError("partition function defined for kT > 0")
-        return float(-self.e0 / kT + math.log(np.exp(-(self.energies - self.e0) / kT).sum()))
-
-    def partition_function(self, kT: float) -> float:
-        """Z = sum_n exp(-E_n / kT); may overflow to inf for very small kT."""
-        log_z = self.log_partition_function(kT)
-        return math.exp(log_z) if log_z < 709.0 else math.inf
 
 
 def diagonalize(

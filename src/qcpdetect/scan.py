@@ -2,10 +2,11 @@
 
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
 uniform grid, computes the thermal pair correlators at each point (one
-model solve per point, reused across every requested temperature), and
-evaluates all five detectors on the resulting X states, one temperature
-column at a time: each point's X state is built and validated on its own,
-and every detector then runs once on the column of states that were built.
+solve per point by the exact solver ``thermal_solution`` picks, reused
+across every requested temperature), and evaluates all five detectors on
+the resulting X states, one temperature column at a time: each point's X
+state is built and validated on its own, and every detector then runs once
+on the column of states that were built.
 Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``,
@@ -24,7 +25,6 @@ extrapolate to kT = 0 by a linear least-squares fit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
@@ -166,7 +166,6 @@ def _point_correlators(
     axis_field: str,
     param: float,
     kT_list: tuple[float, ...],
-    method: str,
 ) -> list[Correlators] | str:
     """One grid point's correlators at every temperature, or the error message.
 
@@ -174,7 +173,7 @@ def _point_correlators(
     """
     try:
         spec = replace(template, **{axis_field: param}, kT=kT_list[0])
-        solution = thermal_solution(spec, method=method)
+        solution = thermal_solution(spec)
         return [solution.correlators(kT) for kT in kT_list]
     except Exception as exc:
         return _error(exc)
@@ -219,8 +218,10 @@ def _temperature_columns(
 
 
 def _grid(start: float, stop: float, eta: float) -> np.ndarray:
-    if not (eta > 0.0):
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not (0.0 < eta < math.inf):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"start and stop must be finite, got [{start}, {stop}]")
     if not (stop > start):
         raise ValueError(f"need stop > start, got [{start}, {stop}]")
     count = (stop - start) / eta
@@ -239,15 +240,11 @@ def sweep(
     stop: float,
     eta: float = DEFAULT_ETA,
     kT_list: tuple[float, ...] | list[float] = (),
-    method: str = "auto",
-    workers: int = 1,
 ) -> list[SweepResult]:
     """Sweep one control axis, returning one SweepResult per temperature.
 
-    The model solves are independent work items, one per point (optionally
-    evaluated by a thread pool); the detectors then run once per temperature
-    column.  Assembly is index-ordered, so results are deterministic and
-    independent of evaluation order.
+    The model is solved once per point, in grid order; the detectors then run
+    once per temperature column.
     """
     if axis not in AXIS_FIELDS:
         raise ValueError(f"axis must be one of {sorted(AXIS_FIELDS)}, got {axis!r}")
@@ -261,15 +258,9 @@ def sweep(
         if k in kts[:i]:
             raise ValueError(f"kT = {k} appears more than once in {kts}")
     params = _grid(start, stop, eta)
-
-    def work(param: float) -> list[Correlators] | str:
-        return _point_correlators(template, axis_field, float(param), kts, method)
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(work, params))
-    else:
-        per_point = [work(p) for p in params]
+    per_point = [
+        _point_correlators(template, axis_field, p, kts) for p in params.tolist()
+    ]
 
     results = []
     for j, kT in enumerate(kts):

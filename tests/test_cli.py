@@ -6,6 +6,7 @@ import pytest
 from qcpdetect.cli import (
     ESTIMATE_HEADER,
     EXTRAPOLATION_HEADER,
+    KNOWN_KEYS,
     SWEEP_HEADER,
     ConfigError,
     RunConfig,
@@ -57,6 +58,48 @@ def test_parse_config_text_errors():
         parse_config_text("eta = 0.1\neta = 0.2\n")
     with pytest.raises(ConfigError, match="expected key = value"):
         parse_config_text("just some words\n")
+    # removed settings are unknown keys, not silently ignored ones
+    for line in ("workers = 2", "solver = dense"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line)
+
+
+# One sample per config key (grouped where keys only make sense together),
+# each different from the RunConfig default.
+KEY_SAMPLES = {
+    ("family",): ("xy",),
+    ("L",): ("8",),
+    ("kT",): ("0.5",),
+    ("kT_list",): ("0.5, 1",),
+    ("delta",): ("0.5",),
+    ("h",): ("1",),
+    ("lam",): ("0.5",),
+    ("gamma",): ("0.5",),
+    ("axis",): ("lambda",),
+    ("start",): ("0",),
+    ("stop",): ("1",),
+    ("eta",): ("0.05",),
+    ("method",): ("central",),
+    ("order",): ("2",),
+    ("detectors",): ("qd",),
+    ("window_lo", "window_hi"): ("0.1", "0.2"),
+    ("candidate",): ("1",),
+    ("out",): ("elsewhere",),
+    ("seed",): ("3",),
+    ("input_theta",): ("1",),
+    ("input_chi",): ("0.5",),
+    ("bell",): ("psi-",),
+    ("runs",): ("5",),
+    ("z", "xx", "yy", "zz"): ("0.1", "0.2", "0.2", "0.3"),
+}
+
+
+def test_every_known_key_is_read():
+    assert {k for keys in KEY_SAMPLES for k in keys} == KNOWN_KEYS
+    default = RunConfig.from_mapping({})
+    assert default == RunConfig()
+    for keys, values in KEY_SAMPLES.items():
+        assert RunConfig.from_mapping(dict(zip(keys, values))) != default, keys
 
 
 def test_run_config_validation():
@@ -78,10 +121,9 @@ def test_run_config_validation():
         RunConfig.from_mapping({"detectors": "qd,nonsense"})
     with pytest.raises(ConfigError):
         RunConfig.from_mapping({"bell": "omega+"})
-    with pytest.raises(ConfigError):
-        RunConfig.from_mapping({"eta": "0"})
-    with pytest.raises(ConfigError):
-        RunConfig.from_mapping({"workers": "0"})
+    for eta in ("0", "inf", "nan"):
+        with pytest.raises(ConfigError, match="eta must be finite and > 0"):
+            RunConfig.from_mapping({"eta": eta})
     with pytest.raises(ConfigError, match="kT = 0.1 appears more than once"):
         RunConfig.from_mapping({"kT_list": "0.1, 0.1, 0.2"})
 
@@ -98,6 +140,33 @@ def test_run_config_model_template_requirements():
     # default length when L is omitted
     cfg = RunConfig.from_mapping({"family": "xxz", "kT": "0.5"})
     assert cfg.model_template().L == 12
+    # a non-finite coupling is a config error, named by its key
+    for key in ("delta", "h", "lam", "gamma"):
+        cfg = RunConfig.from_mapping({"family": "xxz", "kT": "0.5", key: "nan"})
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            cfg.model_template()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("eta = inf", "eta must be finite and > 0"),
+        ("start = -inf", "start and stop must be finite"),
+        ("stop = inf", "start and stop must be finite"),
+        ("delta = nan", "delta must be finite"),
+    ],
+)
+def test_sweep_command_rejects_non_finite_settings(tmp_path, capsys, line, message):
+    key = line.split()[0]
+    text = "\n".join(
+        row for row in SWEEP_CONFIG.splitlines() if not row.startswith(key + " ")
+    )
+    cfg = _write(tmp_path, text + f"\n{line}\nout = {tmp_path}\n")
+    assert main(["sweep", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "wrote" not in captured.out
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +260,7 @@ def test_sweep_command_is_reproducible(tmp_path):
     cfg_a = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path / 'a'}\n", "a.cfg")
     cfg_b = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path / 'b'}\n", "b.cfg")
     assert main(["sweep", "--config", cfg_a]) == 0
-    assert main(["sweep", "--config", cfg_b, "--workers", "3"]) == 0
+    assert main(["sweep", "--config", cfg_b]) == 0
     for name in ("sweep_kT0.5.csv", "sweep_kT1.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
@@ -212,6 +281,22 @@ def test_sweep_command_rejects_repeated_temperature(tmp_path, capsys):
     assert "kT = 0.1 appears more than once" in captured.err
     assert "wrote" not in captured.out
     assert not list(tmp_path.glob("*.csv"))
+    # distinct floats that format to one file name are rejected as well
+    text = SWEEP_CONFIG.replace("kT_list = 0.5, 1.0", "kT_list = 0.1, 0.1000000000001")
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n", "near.cfg")
+    assert main(["sweep", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert (
+        "kT = 0.1 and kT = 0.1000000000001 would both write sweep_kT0.1.csv"
+        in captured.err
+    )
+    assert "wrote" not in captured.out
+    assert not list(tmp_path.glob("*.csv"))
+    # 0 and -0 are the same temperature, though they format differently
+    text = SWEEP_CONFIG.replace("kT_list = 0.5, 1.0", "kT_list = 0, -0")
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n", "zero.cfg")
+    assert main(["sweep", "--config", cfg]) == 1
+    assert "appears more than once" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -381,3 +466,6 @@ def test_bad_arguments_are_config_errors(tmp_path, capsys):
     assert main(["verify", "everything"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
+    cfg = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path}\n")
+    assert main(["sweep", "--config", cfg, "--workers", "3"]) == 1
+    assert not list(tmp_path.glob("*.csv"))
