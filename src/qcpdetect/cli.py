@@ -37,7 +37,9 @@ from .models import (
     DEFAULT_L_MAX,
     FAMILIES,
     ModelSpec,
+    diagonalize,
     thermal_correlators,
+    thermal_solution,
     xxz_delta1,
     xxz_delta2,
     xy_thermo_correlators,
@@ -276,9 +278,13 @@ class RunConfig:
                 raise ConfigError(f"need window_lo < window_hi, got ({lo}, {hi})")
             cfg.window = (lo, hi)
         cfg.candidate = _as_float(raw, "candidate", cfg.candidate)
+        if cfg.candidate is not None and not math.isfinite(cfg.candidate):
+            raise ConfigError(f"candidate must be finite, got {cfg.candidate}")
         if "out" in raw:
             cfg.out = Path(raw["out"])
         cfg.seed = _as_int(raw, "seed", cfg.seed)
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         cfg.input_theta = _as_float(raw, "input_theta", cfg.input_theta)
         cfg.input_chi = _as_float(raw, "input_chi", cfg.input_chi)
         cfg.bell = raw.get("bell", cfg.bell)
@@ -443,13 +449,16 @@ def cmd_estimate(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.input_theta is None or cfg.input_chi is None:
         raise ConfigError("missing key 'input_theta' or 'input_chi'")
+    try:
+        qubit = InputQubit(theta=cfg.input_theta, chi=cfg.input_chi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.correlators is not None:
         corr = cfg.correlators
     else:
         spec = cfg.model_template()
         corr = thermal_correlators(spec)
     x = build_xstate(corr)
-    qubit = InputQubit(theta=cfg.input_theta, chi=cfg.input_chi)
     result = simulate_protocol(x, qubit, cfg.bell, runs=cfg.runs, seed=cfg.seed)
     closed_f = max_mean_fidelity(x)
     closed_d = min_mean_trace_distance(x)
@@ -585,14 +594,14 @@ def _verify_symmetry() -> list[Check]:
     # lam = 1, gamma = 0 has a doubly degenerate ground space (a zero mode)
     xy0 = ModelSpec("xy", 8, 0.0, lam=1.0, gamma=0.0)
     comparisons = [
-        ("xxz_field sector vs dense", field, "sector"),
-        ("xy sector vs dense", xy, "sector"),
-        ("xy free fermions vs dense ED (kT=0.2)", xy, "auto"),
-        ("xy free fermions vs dense ED (kT=0, gamma=0)", xy0, "auto"),
+        ("xxz_field sector vs dense", field, diagonalize(field, method="sector")),
+        ("xy sector vs dense", xy, diagonalize(xy, method="sector")),
+        ("xy free fermions vs dense ED (kT=0.2)", xy, thermal_solution(xy)),
+        ("xy free fermions vs dense ED (kT=0, gamma=0)", xy0, thermal_solution(xy0)),
     ]
-    for label, spec, method in comparisons:
-        got = thermal_correlators(spec, method=method)
-        want = thermal_correlators(spec, method="dense")
+    for label, spec, solution in comparisons:
+        got = solution.correlators(spec.kT)
+        want = diagonalize(spec, method="dense").correlators(spec.kT)
         for name in ("z", "xx", "yy", "zz"):
             checks.append(
                 _close(

@@ -9,24 +9,23 @@ Three periodic chains (sigma are Pauli matrices, site L+1 = site 1):
 
 The canonical ensemble rho = exp(-H/kT)/Z yields the one-site magnetization
 z = <sz> and the nearest-neighbour correlators xx, yy, zz that parameterize
-the pair X state.  ``thermal_solution`` picks the exact solver for a spec:
+the pair X state.  ``thermal_solution`` picks the one exact solver for a
+spec, and ``thermal_correlators`` and every sweep use it:
 
   * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
     sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
     Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
     O(L^3) per temperature;
-  * finite xxz chains, and xy rings when a diagonalization method is asked
-    for: exact diagonalization, dense or per symmetry sector (total
-    magnetization for the xxz families, global spin-flip parity for xy);
-    both routes agree to rounding because the thermal trace is block
-    diagonal either way.  For xy, diagonalization is the oracle of the
-    free-fermion solver;
+  * finite xxz chains: exact diagonalization per symmetry sector (total
+    magnetization);
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
     free fermions, also an oracle for the finite-L pipeline.
 
-A sweep always takes the default choice; the 'dense' and 'sector' methods
-are oracles, reached through ``diagonalize``, ``thermal_solution`` and
-``thermal_correlators`` by the tests and ``qcpdetect verify symmetry``.
+``diagonalize(spec, method)`` is also the oracle: 'dense' (one block) or
+'sector' (total magnetization for the xxz families, global spin-flip parity
+for xy) agree to rounding because the thermal trace is block diagonal
+either way, and for xy either one checks the free fermions.  The tests and
+``qcpdetect verify symmetry`` call it directly.
 
 Critical couplings for the field-carrying xxz chain:
 
@@ -54,8 +53,8 @@ FAMILIES = ("xxz", "xxz_field", "xy")
 # Largest finite L a ModelSpec accepts (2^L-dimensional ED stays affordable).
 DEFAULT_L_MAX = 12
 
-# Solver names for diagonalize and thermal_solution; see diagonalize.
-SOLVERS = ("auto", "dense", "sector")
+# Method names for diagonalize.
+SOLVERS = ("dense", "sector")
 
 # Degeneracy window for the kT = 0 ground-space average, relative to
 # max(1, |E0|).
@@ -309,7 +308,6 @@ class ThermalSolution:
     ground energy, so low temperatures cannot overflow.
     """
 
-    spec: ModelSpec
     energies: np.ndarray
     expectations: dict[str, np.ndarray]
     e0: float
@@ -333,15 +331,15 @@ class ThermalSolution:
 
 def diagonalize(
     spec: ModelSpec,
-    method: str = "auto",
+    method: str = "sector",
     pair_site: int = 1,
 ) -> ThermalSolution:
     """Exactly diagonalize the chain and cache per-eigenstate observables.
 
-    ``method``: 'dense' (single block), 'sector' (symmetry blocks), or 'auto'
-    (sectors; they agree with dense to rounding and win above L ~ 8).  For
-    the xy family this is the oracle: ``thermal_solution`` sends 'auto' to
-    the free-fermion solver and only 'dense' or 'sector' here.
+    ``method``: 'sector' (symmetry blocks, the ``thermal_solution`` choice
+    for xxz chains) or 'dense' (single block); they agree to rounding, and
+    sectors win above L ~ 8.  For the xy family this is the oracle of the
+    free-fermion solver.
     ``pair_site`` selects which nearest-neighbour pair the two-site
     observables live on (translation invariance makes the choice immaterial;
     exposing it lets tests verify exactly that).
@@ -352,7 +350,7 @@ def diagonalize(
         raise ValueError(f"method must be {'|'.join(SOLVERS)}, got {method!r}")
     ham = build_hamiltonian(spec)
     ops = _pair_operators(spec.L, pair_site)
-    groups = _sector_indices(spec, "dense" if method == "dense" else "sector")
+    groups = _sector_indices(spec, method)
 
     energies = []
     expect = {name: [] for name in ("z", "xx", "yy", "zz")}
@@ -371,7 +369,6 @@ def diagonalize(
     energies = np.concatenate(energies)
     expectations = {k: np.concatenate(v) for k, v in expect.items()}
     return ThermalSolution(
-        spec=spec,
         energies=energies,
         expectations=expectations,
         e0=float(energies.min()),
@@ -379,24 +376,24 @@ def diagonalize(
 
 
 def thermal_solution(
-    spec: ModelSpec, method: str = "auto"
+    spec: ModelSpec,
 ) -> ThermalSolution | FreeFermionSolution | ThermoLimitSolution:
     """The exact solver for ``spec``; its ``correlators(kT)`` serves any kT.
 
-    L = None is the xy thermodynamic limit; a finite xy ring with
-    ``method = 'auto'`` gets the free fermions; everything else, including
-    xy with 'dense' or 'sector', is diagonalized.
+    L = None is the xy thermodynamic limit, a finite xy ring gets the free
+    fermions, and an xxz chain is diagonalized per sector.  ``spec.kT`` is
+    not read.
     """
     if spec.L is None:
         return ThermoLimitSolution(spec)
-    if spec.family == "xy" and method == "auto":
+    if spec.family == "xy":
         return FreeFermionSolution(spec)
-    return diagonalize(spec, method=method)
+    return diagonalize(spec)
 
 
-def thermal_correlators(spec: ModelSpec, method: str = "auto") -> Correlators:
+def thermal_correlators(spec: ModelSpec) -> Correlators:
     """Canonical-ensemble correlators (z, xx, yy, zz) for the pair (1, 2)."""
-    return thermal_solution(spec, method).correlators(spec.kT)
+    return thermal_solution(spec).correlators(spec.kT)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Parameter sweeps, finite differences, and critical-point estimation.
 
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
-uniform grid, computes the thermal pair correlators at each point (one
-solve per point by the exact solver ``thermal_solution`` picks, reused
-across every requested temperature), and evaluates all five detectors on
-the resulting X states, one temperature column at a time: each point's X
-state is built and validated on its own, and every detector then runs once
-on the column of states that were built.
+uniform grid, solves the model once per point with the exact solver
+``thermal_solution`` picks (reused at every requested temperature) into one
+(temperature, 4, point) array of z, xx, yy, zz, and evaluates all five
+detectors one temperature column at a time: each point's X state is built
+and validated on its own, and every detector then runs once on the column
+of states that were built.
 Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``,
@@ -26,7 +26,7 @@ extrapolate to kT = 0 by a linear least-squares fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -152,62 +152,59 @@ def evaluate_detectors(param: float, corr: Correlators) -> dict:
     return _columns(corr, build_xstate(corr))
 
 
-def _stack(cls, items: list):
-    """One ``cls`` dataclass whose fields are arrays over ``items``."""
-    return cls(*(np.array([getattr(it, f.name) for it in items]) for f in fields(cls)))
-
-
 def _error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _point_correlators(
+def _solve(
     template: ModelSpec,
     axis_field: str,
-    param: float,
-    kT_list: tuple[float, ...],
-) -> list[Correlators] | str:
-    """One grid point's correlators at every temperature, or the error message.
-
-    The model is solved once; each temperature reuses the solution.
-    """
-    try:
-        spec = replace(template, **{axis_field: param}, kT=kT_list[0])
-        solution = thermal_solution(spec)
-        return [solution.correlators(kT) for kT in kT_list]
-    except Exception as exc:
-        return _error(exc)
+    params: np.ndarray,
+    kts: tuple[float, ...],
+) -> tuple[np.ndarray, list[str | None]]:
+    """The (len(kts), 4, points) z, xx, yy, zz of the grid and each point's
+    error message or None; a point that fails at any kT is NaN at all."""
+    rows, errors = [], []
+    for param in params.tolist():
+        try:
+            solution = thermal_solution(replace(template, **{axis_field: param}))
+            corrs = [solution.correlators(kT) for kT in kts]
+            rows.append([(c.z, c.xx, c.yy, c.zz) for c in corrs])
+            errors.append(None)
+        except Exception as exc:
+            rows.append([(math.nan,) * 4] * len(kts))
+            errors.append(_error(exc))
+    return np.array(rows).transpose(1, 2, 0), errors
 
 
 def _temperature_columns(
-    column: list[Correlators | str],
+    corr: np.ndarray, model_errors: list[str | None]
 ) -> tuple[dict[str, np.ndarray], tuple[str | None, ...]]:
     """(columns, errors) of one temperature over the grid.
 
-    ``column`` holds each point's correlators, or its model failure message.
-    Each point's X state is built and validated on its own, so a build
-    failure fails only its own point; the detectors then run once on the
-    column of states that were built, and their values fill those points.
+    ``corr`` is the temperature's (4, points) slice of ``_solve`` and
+    ``model_errors`` each point's model failure message, or None.  Each
+    point's X state is built and validated on its own, so a build failure
+    fails only its own point; the detectors then run once on the column of
+    states that were built, and their values fill those points.
     """
-    errors = [c if isinstance(c, str) else None for c in column]
+    errors = list(model_errors)
     built = {}
-    for i, corr in enumerate(column):
+    for i, values in enumerate(corr.T.tolist()):
         if errors[i] is None:
             try:
-                built[i] = build_xstate(corr)
+                built[i] = build_xstate(Correlators(*values))
             except Exception as exc:
                 errors[i] = _error(exc)
     out = {
-        name: np.full(len(column), FAILED_ROW[name], dtype)
+        name: np.full(len(errors), FAILED_ROW[name], dtype)
         for name, dtype in COLUMN_DTYPES.items()
     }
     if built:
         points = list(built)
+        states = np.array([(x.a, x.b, x.c, x.d, x.e) for x in built.values()])
         try:
-            values = _columns(
-                _stack(Correlators, [column[i] for i in points]),
-                _stack(XState, list(built.values())),
-            )
+            values = _columns(Correlators(*corr[:, points]), XState(*states.T))
         except Exception as exc:
             for i in points:
                 errors[i] = _error(exc)
@@ -258,16 +255,11 @@ def sweep(
         if k in kts[:i]:
             raise ValueError(f"kT = {k} appears more than once in {kts}")
     params = _grid(start, stop, eta)
-    per_point = [
-        _point_correlators(template, axis_field, p, kts) for p in params.tolist()
+    corrs, errors = _solve(template, axis_field, params, kts)
+    return [
+        SweepResult(axis, eta, kT, params, *_temperature_columns(corr, errors))
+        for kT, corr in zip(kts, corrs)
     ]
-
-    results = []
-    for j, kT in enumerate(kts):
-        column = [p if isinstance(p, str) else p[j] for p in per_point]
-        columns, errors = _temperature_columns(column)
-        results.append(SweepResult(axis, eta, kT, params, columns, errors))
-    return results
 
 
 # ---------------------------------------------------------------------------

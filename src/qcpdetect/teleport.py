@@ -83,6 +83,12 @@ class InputQubit:
     theta: float
     chi: float
 
+    def __post_init__(self):
+        for name in ("theta", "chi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"input qubit {name} must be finite, got {value}")
+
     def ket(self) -> np.ndarray:
         return np.array(
             [

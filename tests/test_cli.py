@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,6 +155,7 @@ def test_run_config_model_template_requirements():
         ("start = -inf", "start and stop must be finite"),
         ("stop = inf", "start and stop must be finite"),
         ("delta = nan", "delta must be finite"),
+        ("candidate = nan", "candidate must be finite"),
     ],
 )
 def test_sweep_command_rejects_non_finite_settings(tmp_path, capsys, line, message):
@@ -161,12 +163,15 @@ def test_sweep_command_rejects_non_finite_settings(tmp_path, capsys, line, messa
     text = "\n".join(
         row for row in SWEEP_CONFIG.splitlines() if not row.startswith(key + " ")
     )
+    # estimate gets every other key it needs, so only the bad setting fails it
+    text += "\ndetectors = qd\nwindow_lo = -1.1\nwindow_hi = -0.9"
     cfg = _write(tmp_path, text + f"\n{line}\nout = {tmp_path}\n")
-    assert main(["sweep", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert "wrote" not in captured.out
-    assert not list(tmp_path.glob("*.csv"))
+    for command in ("sweep", "estimate"):
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "wrote" not in captured.out
+        assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +208,14 @@ def test_sweep_command_writes_expected_csv(tmp_path, capsys):
     assert params == pytest.approx([-1.2, -1.1, -1.0, -0.9, -0.8])
 
 
-@pytest.mark.parametrize("stage", ["detector", "model"])
+@pytest.mark.parametrize("stage", ["detector", "model", "temperature"])
 def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
     import qcpdetect.scan as scan_mod
 
     # fail the point delta = -1.1 in the detectors (its X-state build, found
-    # by its correlators at each temperature), or in the model solve (which
-    # fails it at every temperature)
+    # by its correlators at each temperature), in the model solve, or in its
+    # solution's correlators at the second temperature only (either of the
+    # last two fails it at every temperature)
     template = ModelSpec("xxz", 4, 0.5)
     if stage == "detector":
         clean = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
@@ -228,15 +234,25 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
     else:
         original = scan_mod.thermal_solution
 
-        def flaky(spec, method="auto"):
-            if abs(spec.delta + 1.1) < 1e-9:
+        def flaky(spec):
+            if abs(spec.delta + 1.1) > 1e-9:
+                return original(spec)
+            if stage == "model":
                 raise RuntimeError("boom")
-            return original(spec, method)
+            solution = original(spec)
+
+            def correlators(kT):
+                if kT == 1.0:
+                    raise RuntimeError("boom")
+                return solution.correlators(kT)
+
+            return SimpleNamespace(correlators=correlators)
 
         monkeypatch.setattr(scan_mod, "thermal_solution", flaky)
     results = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
     for result in results:
         assert result.failed_count == 1
+        assert result.errors[1] == "RuntimeError: boom"
         path = tmp_path / f"sweep_{result.kT}.csv"
         write_sweep_csv(result, path)
         lines = path.read_text().splitlines()
@@ -427,6 +443,17 @@ def test_simulate_command_requires_input_angles(tmp_path, capsys, monkeypatch):
     text = "family = xxz\nL = 4\nkT = 0.5\ninput_chi = 0.0\n"
     assert main(["simulate", "--config", _write(tmp_path, text, "model.cfg")]) == 1
     assert "missing key 'input_theta' or 'input_chi'" in capsys.readouterr().err
+    # so are a non-finite input angle and a negative seed
+    model = "family = xxz\nL = 4\nkT = 0.5\n"
+    for lines, message in (
+        ("input_theta = nan\ninput_chi = 0", "theta must be finite, got nan"),
+        ("input_theta = inf\ninput_chi = 0", "theta must be finite, got inf"),
+        ("input_theta = 1\ninput_chi = -inf", "chi must be finite, got -inf"),
+        ("input_theta = 1\ninput_chi = 0\nseed = -1", "seed must be >= 0, got -1"),
+    ):
+        cfg = _write(tmp_path, model + lines + "\n", "bad.cfg")
+        assert main(["simulate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_command_from_model(tmp_path, capsys):

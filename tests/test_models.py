@@ -374,6 +374,20 @@ def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():
                     assert r.vacuum_energy >= ns.vacuum_energy - 1e-12, (L, lam, gamma)
 
 
+@pytest.mark.parametrize("L", [8, 12])
+def test_xxz_field_at_zero_anisotropy_matches_xx_free_fermions(L):
+    # At Delta = 0, H_xxz_field(h) = h H_xy(lam = -4/h, gamma = 0), so the
+    # sector ED of xxz_field at kT equals the xy free fermions at kT / h: an
+    # oracle for the xxz diagonalization that shares none of its code.
+    for h, kT in ((3.0, 0.7), (1.0, 0.2), (5.0, 0.05), (12.0, 0.1)):
+        ed = thermal_correlators(ModelSpec("xxz_field", L, kT, delta=0.0, h=h))
+        free = thermal_correlators(ModelSpec("xy", L, kT / h, lam=-4.0 / h, gamma=0.0))
+        for name in ("z", "xx", "yy", "zz"):
+            assert getattr(ed, name) == pytest.approx(
+                getattr(free, name), abs=1e-12
+            ), (h, kT, name)
+
+
 def test_xy_auto_solver_needs_no_diagonalization(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("diagonalize called")
@@ -384,7 +398,7 @@ def test_xy_auto_solver_needs_no_diagonalization(monkeypatch):
     results = sweep(spec, "lambda", 0.9, 1.1, eta=0.1, kT_list=(0.05, 0.1))
     assert [r.failed_count for r in results] == [0, 0]
     with pytest.raises(RuntimeError, match="diagonalize called"):
-        thermal_correlators(spec, method="sector")
+        thermal_correlators(ModelSpec("xxz", 4, 0.5))
 
 
 def test_thermal_correlators_dispatch():

@@ -383,19 +383,21 @@ def test_sweep_calls_each_detector_once_per_column(monkeypatch):
         "max_mean_fidelity",
         "min_mean_trace_distance",
     )
-    for name in (*detectors, "build_xstate"):
+    for name in (*detectors, "build_xstate", "thermal_solution"):
         counted(name)
     kts = (0.1, 0.5, 1.0)
     results = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, eta=0.1, kT_list=kts)
     points = results[0].params.size
     assert points > 16 and all(r.failed_count == 0 for r in results)
+    # one model solve per point, reused at every temperature
+    assert calls.count(("thermal_solution",)) == points
     assert calls.count(("build_xstate",)) == points * len(kts)
     for name in ("quantum_discord", "max_mean_fidelity", "min_mean_trace_distance"):
         assert calls.count((name,)) == len(kts)
     for name in ("coherence_entropy", "log_spectrum"):
         for axis in AXES:
             assert calls.count((name, axis)) == len(kts)
-    assert len(calls) == points * len(kts) + 9 * len(kts)
+    assert len(calls) == points + points * len(kts) + 9 * len(kts)
 
 
 def test_record_rejects_unknown_column():
