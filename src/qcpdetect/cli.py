@@ -67,7 +67,13 @@ from .teleport import (
     min_mean_trace_distance_bruteforce,
     simulate_protocol,
 )
-from .xstate import Correlators, build_xstate, make_xstate, sample_random_xstate
+from .xstate import (
+    Correlators,
+    PhysicalityError,
+    build_xstate,
+    make_xstate,
+    sample_random_xstate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -455,10 +461,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from None
     if cfg.correlators is not None:
         corr = cfg.correlators
+        try:
+            x = build_xstate(corr)
+        except PhysicalityError as exc:
+            raise ConfigError(str(exc)) from None
     else:
-        spec = cfg.model_template()
-        corr = thermal_correlators(spec)
-    x = build_xstate(corr)
+        corr = thermal_correlators(cfg.model_template())
+        x = build_xstate(corr)
     result = simulate_protocol(x, qubit, cfg.bell, runs=cfg.runs, seed=cfg.seed)
     closed_f = max_mean_fidelity(x)
     closed_d = min_mean_trace_distance(x)

@@ -17,7 +17,9 @@ spec, and ``thermal_correlators`` and every sweep use it:
     Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
     O(L^3) per temperature;
   * finite xxz chains: exact diagonalization per symmetry sector (total
-    magnetization);
+    magnetization).  The Hamiltonian and the measured correlators both come
+    from four translation-summed operators of the ring (``_bond_sums``):
+    sum_j sz_j, sum_j sz_j sz_j+1, and the bond flips sum_j (sx sx +- sy sy);
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
     free fermions, also an oracle for the finite-L pipeline.
 
@@ -193,10 +195,6 @@ def xxz_delta2(h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bond_list(L: int) -> list[tuple[int, int]]:
-    return [(j, (j + 1) % L) for j in range(L)]
-
-
 def _bond_flips(
     states: np.ndarray, p: int, q: int, differ_amp: float, equal_amp: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,88 +212,63 @@ def _bond_flips(
     return src ^ np.int64((1 << p) | (1 << q)), src, amp[keep]
 
 
-def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
-    """Sparse 2^L x 2^L Hamiltonian in the sz product basis (bit j = site j+1).
+def _bond_sums(
+    L: int,
+) -> tuple[np.ndarray, np.ndarray, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """The ring's translation sums (z, zz, hop, pair) in the sz product basis.
 
-    Bit value 0 encodes sz = +1.  Each bond contributes the flips of
-    ``_bond_flips``; sz terms are diagonal.
+    Bit j of a basis index is site j+1, and bit value 0 encodes sz = +1.
+    z = sum_j sz_j and zz = sum_j sz_j sz_j+1 are diagonals; hop =
+    sum_j (sx sx + sy sy) and pair = sum_j (sx sx - sy sy) on the bonds
+    (j, j+1) are sparse.  Every operator of the chains is a combination of
+    these four, and each commutes with translation.
+    """
+    dim = 1 << L
+    states = np.arange(dim, dtype=np.int64)
+    sz = 1.0 - 2.0 * ((states[:, None] >> np.arange(L)) & 1)
+
+    def flip_sum(differ_amp: float, equal_amp: float) -> scipy.sparse.csr_matrix:
+        triplets = [
+            _bond_flips(states, j, (j + 1) % L, differ_amp, equal_amp) for j in range(L)
+        ]
+        rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+    zz = (sz * np.roll(sz, -1, axis=1)).sum(axis=1)
+    return sz.sum(axis=1), zz, flip_sum(2.0, 0.0), flip_sum(0.0, 2.0)
+
+
+def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
+    """Sparse 2^L x 2^L Hamiltonian in the sz product basis of ``_bond_sums``.
+
+    H = c_hop hop + c_pair pair + c_zz zz + c_z z, with one row of
+    coefficients per family; an ``xxz`` spec ignores its ``h``.
     """
     if spec.L is None:
         raise ValueError("build_hamiltonian needs a finite L")
-    L = spec.L
-    dim = 1 << L
-    states = np.arange(dim, dtype=np.int64)
-    bits = (states[:, None] >> np.arange(L)) & 1
-    sz = 1.0 - 2.0 * bits  # +1 for bit 0
-
-    diag = np.zeros(dim)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    if spec.family in ("xxz", "xxz_field"):
-        hop_amp, pair_amp = 2.0, 0.0  # (sx sx + sy sy) + Delta sz sz
-        zz_coef = spec.delta
-        if spec.family == "xxz_field":
-            diag -= 0.5 * spec.h * sz.sum(axis=1)
-    else:  # xy
-        hop_amp = -0.5 * spec.lam  # coefficient of the differ-bit flip
-        pair_amp = -0.5 * spec.lam * spec.gamma  # coefficient of the equal-bit flip
-        zz_coef = 0.0
-        diag -= 0.5 * sz.sum(axis=1)
-
-    for p, q in _bond_list(L):
-        diag += zz_coef * sz[:, p] * sz[:, q]
-        r, c, v = _bond_flips(states, p, q, hop_amp, pair_amp)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    rows.append(states)
-    cols.append(states)
-    vals.append(diag)
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return mat.tocsr()
+    if spec.family == "xy":
+        c_hop, c_pair, c_zz, c_z = -spec.lam / 4, -spec.lam * spec.gamma / 4, 0.0, -0.5
+    else:
+        field = spec.h if spec.family == "xxz_field" else 0.0
+        c_hop, c_pair, c_zz, c_z = 1.0, 0.0, spec.delta, -field / 2
+    z, zz, hop, pair = _bond_sums(spec.L)
+    diag = scipy.sparse.diags(c_zz * zz + c_z * z, format="csr")
+    return c_hop * hop + c_pair * pair + diag
 
 
-def _pair_operators(L: int, site: int) -> dict[str, object]:
-    """Observables for the pair (site, site+1), 1-based site index.
-
-    Returns diagonal arrays for sz_1 and sz_1 sz_2 and sparse CSC matrices
-    for sx_1 sx_2 and sy_1 sy_2.
-    """
-    p = site - 1
-    q = site % L
-    dim = 1 << L
-    states = np.arange(dim, dtype=np.int64)
-    sz_p = 1.0 - 2.0 * ((states >> p) & 1)
-    sz_q = 1.0 - 2.0 * ((states >> q) & 1)
-    ops = {"z": sz_p, "zz": sz_p * sz_q}
-    for name, equal_amp in (("xx", 1.0), ("yy", -1.0)):
-        r, c, v = _bond_flips(states, p, q, 1.0, equal_amp)
-        ops[name] = scipy.sparse.csc_matrix((v, (r, c)), shape=(dim, dim))
-    return ops
-
-
-def _sector_indices(spec: ModelSpec, method: str) -> list[np.ndarray]:
-    """Basis-index groups diagonalizing H in blocks.
+def _sector_indices(spec: ModelSpec, method: str, z: np.ndarray) -> list[np.ndarray]:
+    """Basis-index groups diagonalizing H in blocks, read from the z sum.
 
     'dense' yields one group with everything.  'sector' groups by conserved
     quantum number: total magnetization for the xxz families, global
     spin-flip parity for xy.
     """
-    states = np.arange(1 << spec.L, dtype=np.int64)
     if method == "dense":
-        return [states]
-    popcount = np.zeros_like(states)
-    for j in range(spec.L):
-        popcount += (states >> j) & 1
+        return [np.arange(len(z))]
+    down = (spec.L - z.astype(np.int64)) // 2  # number of sz = -1 sites
     if spec.family in ("xxz", "xxz_field"):
-        return [np.flatnonzero(popcount == m) for m in range(spec.L + 1)]
-    return [np.flatnonzero(popcount % 2 == r) for r in (0, 1)]
+        return [np.flatnonzero(down == m) for m in range(spec.L + 1)]
+    return [np.flatnonzero(down % 2 == r) for r in (0, 1)]
 
 
 @dataclass
@@ -303,7 +276,8 @@ class ThermalSolution:
     """Eigendecomposition of a finite chain plus per-eigenstate observables.
 
     ``energies`` concatenates all symmetry sectors; ``expectations`` maps each
-    correlator name to <n|O|n> aligned with ``energies``.  Thermal weights
+    correlator name to <n|O|n> aligned with ``energies``, where O is the
+    correlator's bond sum divided by L (see ``diagonalize``).  Thermal weights
     never exponentiate anything above zero: weights are relative to the
     ground energy, so low temperatures cannot overflow.
     """
@@ -315,8 +289,8 @@ class ThermalSolution:
     def weights(self, kT: float) -> np.ndarray:
         """Unnormalized Boltzmann weights exp(-(E - E0)/kT); kT = 0 gives an
         equal-weight indicator of the ground window."""
-        if kT < 0.0:
-            raise ValueError("kT must be >= 0")
+        if not (kT >= 0.0):
+            raise ValueError(f"kT must be >= 0, got {kT}")
         gap = self.energies - self.e0
         if kT == 0.0:
             return (gap <= GROUND_STATE_WINDOW * max(1.0, abs(self.e0))).astype(float)
@@ -329,42 +303,45 @@ class ThermalSolution:
         return Correlators(z=avg["z"], xx=avg["xx"], yy=avg["yy"], zz=avg["zz"])
 
 
-def diagonalize(
-    spec: ModelSpec,
-    method: str = "sector",
-    pair_site: int = 1,
-) -> ThermalSolution:
+def diagonalize(spec: ModelSpec, method: str = "sector") -> ThermalSolution:
     """Exactly diagonalize the chain and cache per-eigenstate observables.
 
     ``method``: 'sector' (symmetry blocks, the ``thermal_solution`` choice
     for xxz chains) or 'dense' (single block); they agree to rounding, and
     sectors win above L ~ 8.  For the xy family this is the oracle of the
     free-fermion solver.
-    ``pair_site`` selects which nearest-neighbour pair the two-site
-    observables live on (translation invariance makes the choice immaterial;
-    exposing it lets tests verify exactly that).
+
+    Each eigenstate stores the bond sums of ``_bond_sums`` divided by L, not
+    the operators of one pair: z, zz, xx = (hop + pair) / 2L and
+    yy = (hop - pair) / 2L.  Every thermal average, the kT = 0 average over
+    the ground window included, is a trace of f(H) O, and H commutes with
+    translation, so each bond contributes the same trace and the bond
+    average equals the pair (1, 2) exactly.
     """
     if spec.L is None:
         raise ValueError("diagonalize needs a finite L; use xy_thermo_correlators")
     if method not in SOLVERS:
         raise ValueError(f"method must be {'|'.join(SOLVERS)}, got {method!r}")
+    L = spec.L
+    z, zz, hop, pair = _bond_sums(L)
     ham = build_hamiltonian(spec)
-    ops = _pair_operators(spec.L, pair_site)
-    groups = _sector_indices(spec, method)
 
     energies = []
     expect = {name: [] for name in ("z", "xx", "yy", "zz")}
-    ham_csc = ham.tocsc()
-    for idx in groups:
-        block = ham_csc[:, idx].tocsr()[idx, :].toarray()
-        evals, evecs = scipy.linalg.eigh(block, driver="evd", check_finite=False)
+    for idx in _sector_indices(spec, method, z):
+        block, hop_block, pair_block = (op[idx][:, idx] for op in (ham, hop, pair))
+        evals, evecs = scipy.linalg.eigh(
+            block.toarray(), driver="evd", check_finite=False
+        )
         energies.append(evals)
-        for name in ("z", "zz"):
-            diag_vals = ops[name][idx]
-            expect[name].append((evecs * evecs).T @ diag_vals)
-        for name in ("xx", "yy"):
-            op_block = ops[name][:, idx].tocsr()[idx, :]
-            expect[name].append(np.einsum("in,in->n", evecs, op_block @ evecs))
+        density = (evecs * evecs).T
+        hop_n, pair_n = (
+            np.einsum("in,in->n", evecs, op @ evecs) for op in (hop_block, pair_block)
+        )
+        expect["z"].append(density @ z[idx] / L)
+        expect["zz"].append(density @ zz[idx] / L)
+        expect["xx"].append((hop_n + pair_n) / (2 * L))
+        expect["yy"].append((hop_n - pair_n) / (2 * L))
 
     energies = np.concatenate(energies)
     expectations = {k: np.concatenate(v) for k, v in expect.items()}
@@ -392,7 +369,8 @@ def thermal_solution(
 
 
 def thermal_correlators(spec: ModelSpec) -> Correlators:
-    """Canonical-ensemble correlators (z, xx, yy, zz) for the pair (1, 2)."""
+    """Canonical-ensemble correlators (z, xx, yy, zz) of a nearest-neighbour
+    pair; by translation invariance every pair gives the same ones."""
     return thermal_solution(spec).correlators(spec.kT)
 
 

@@ -454,6 +454,26 @@ def test_simulate_command_requires_input_angles(tmp_path, capsys, monkeypatch):
         cfg = _write(tmp_path, model + lines + "\n", "bad.cfg")
         assert main(["simulate", "--config", cfg]) == 1
         assert message in capsys.readouterr().err
+    # and so are given correlators that form no physical state
+    angles = "input_theta = 1\ninput_chi = 0\n"
+    unphysical = "z = 0.9\nxx = 0.9\nyy = 0.2\nzz = 0.3"
+    for lines, message in (
+        (unphysical, "population d negative (value -1.250e-01)"),
+        ("z = nan\nxx = 0.2\nyy = 0.2\nzz = 0.3", "z outside [-1, 1] (value nan)"),
+    ):
+        cfg = _write(tmp_path, angles + lines + "\n", "bad.cfg")
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+    # while a model solve that yields them is a computation error
+    monkeypatch.setattr(
+        cli_mod,
+        "thermal_correlators",
+        lambda spec: Correlators(z=0.9, xx=0.9, yy=0.2, zz=0.3),
+    )
+    cfg = _write(tmp_path, model + angles, "model.cfg")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "error: PhysicalityError: population d negative" in capsys.readouterr().err
 
 
 def test_simulate_command_from_model(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from qcpdetect import models
 from qcpdetect.models import (
     FreeFermionSolution,
     ModelSpec,
+    _bond_sums,
     _FermionSector,
-    _pair_operators,
     build_hamiltonian,
     diagonalize,
     thermal_correlators,
+    thermal_solution,
     xxz_delta1,
     xxz_delta2,
     xy_thermo_correlators,
@@ -75,22 +77,19 @@ def test_hamiltonian_matches_kron_reference(spec):
     assert np.allclose(built, ref.real, atol=1e-12)
 
 
+def _bond_sum(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+    return sum(_site_op(a, j, L) @ _site_op(b, j % L + 1, L) for j in range(1, L + 1))
+
+
 @pytest.mark.parametrize("L", [4, 6])
-def test_pair_operators_match_kron_reference(L):
-    # pair 1 and the wrap-around pair (site L, site 1)
-    for site in (1, L):
-        ops = _pair_operators(L, site)
-        nxt = site % L + 1
-        ref = {
-            "z": _site_op(SZ, site, L),
-            "xx": _site_op(SX, site, L) @ _site_op(SX, nxt, L),
-            "yy": _site_op(SY, site, L) @ _site_op(SY, nxt, L),
-            "zz": _site_op(SZ, site, L) @ _site_op(SZ, nxt, L),
-        }
-        for name in ("z", "zz"):
-            np.testing.assert_array_equal(np.diag(ops[name]), ref[name])
-        for name in ("xx", "yy"):
-            np.testing.assert_array_equal(ops[name].toarray(), ref[name])
+def test_bond_sums_match_kron_reference(L):
+    z, zz, hop, pair = _bond_sums(L)
+    xx, yy = _bond_sum(SX, SX, L), _bond_sum(SY, SY, L)
+    z_ref = sum(_site_op(SZ, j, L) for j in range(1, L + 1))
+    np.testing.assert_array_equal(np.diag(z), z_ref)
+    np.testing.assert_array_equal(np.diag(zz), _bond_sum(SZ, SZ, L))
+    np.testing.assert_array_equal(hop.toarray(), xx + yy)
+    np.testing.assert_array_equal(pair.toarray(), xx - yy)
 
 
 def test_hamiltonian_is_hermitian_sparse():
@@ -128,11 +127,39 @@ def test_sector_and_dense_solvers_agree(spec):
 
 
 def test_translation_invariance_of_pair_choice():
-    spec = ModelSpec("xy", 8, 0.7, lam=1.2, gamma=0.6)
-    c1 = diagonalize(spec, pair_site=1).correlators(0.7)
-    c5 = diagonalize(spec, pair_site=5).correlators(0.7)
-    for name in ("z", "xx", "yy", "zz"):
-        assert getattr(c1, name) == pytest.approx(getattr(c5, name), abs=1e-12)
+    # diagonalize averages the bonds; the oracle measures the single pairs
+    # (1, 2) and (5, 6) on the eigenvectors of the kron Hamiltonian.  The
+    # gamma = 0 ring has a two-fold ground space, whose kT = 0 average is
+    # translation invariant although its eigenvectors need not be.
+    L = 8
+    for spec in (
+        ModelSpec("xy", L, 0.7, lam=1.2, gamma=0.6),
+        ModelSpec("xy", L, 0.7, lam=1.0, gamma=0.0),
+        ModelSpec("xxz_field", L, 0.7, delta=1.5, h=3.0),
+    ):
+        solution = diagonalize(spec)
+        energies, vectors = np.linalg.eigh(_dense_reference(spec))
+        gap = energies - energies[0]
+        for kT in (0.0, 0.7):
+            if kT == 0.0:
+                w = gap <= models.GROUND_STATE_WINDOW * max(1.0, abs(energies[0]))
+            else:
+                w = np.exp(-gap / kT)
+            rho = (vectors * (w / w.sum())) @ vectors.conj().T
+            got = solution.correlators(kT)
+            for site in (1, 5):
+                nxt = site % L + 1
+                ops = {
+                    "z": _site_op(SZ, site, L),
+                    "xx": _site_op(SX, site, L) @ _site_op(SX, nxt, L),
+                    "yy": _site_op(SY, site, L) @ _site_op(SY, nxt, L),
+                    "zz": _site_op(SZ, site, L) @ _site_op(SZ, nxt, L),
+                }
+                for name, op in ops.items():
+                    want = np.trace(rho @ op).real
+                    assert getattr(got, name) == pytest.approx(want, abs=1e-12), (
+                        spec.family, kT, site, name
+                    )
 
 
 def test_su2_symmetry_at_isotropic_point():
@@ -182,6 +209,21 @@ def test_zero_temperature_uses_ground_space():
     c0 = sol.correlators(0.0)
     c_small = sol.correlators(1e-9)
     assert c0.xx == pytest.approx(c_small.xx, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("xxz", 4, 0.5, delta=0.7),
+        ModelSpec("xy", 4, 0.5, lam=0.8),
+        ModelSpec("xy", None, 0.5, lam=0.8),
+    ],
+    ids=["diagonalize", "free-fermions", "thermo-limit"],
+)
+@pytest.mark.parametrize("kT", [math.nan, -0.1])
+def test_solutions_reject_nan_and_negative_kT(spec, kT):
+    with pytest.raises(ValueError, match=re.escape(f"kT must be >= 0, got {kT}")):
+        thermal_solution(spec).correlators(kT)
 
 
 def test_model_spec_validation():
