@@ -440,9 +440,10 @@ def simulate_protocol(
     """Monte Carlo run of the protocol: sample outcomes, tally statistics.
 
     Outcome j is drawn ~ Q_j for each run; the corrected Bob state is
-    compared with the input by fidelity and trace distance.  Sampling uses
-    a counter-based generator seeded with ``seed``, so results are exactly
-    reproducible.  Standard errors are sample standard deviations / sqrt(runs).
+    compared with the input by fidelity and trace distance.  The counts are
+    one multinomial draw from numpy's default generator (PCG64) seeded with
+    ``seed``, so results are exactly reproducible.  Standard errors are
+    sample standard deviations / sqrt(runs).
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
