@@ -36,10 +36,10 @@ from .discord import quantum_discord, s_tilde, entropy_single, entropy_pair
 from .models import (
     DEFAULT_L_MAX,
     FAMILIES,
+    FreeFermionSolution,
     ModelSpec,
     diagonalize,
     thermal_correlators,
-    thermal_solution,
     xxz_delta1,
     xxz_delta2,
     xy_thermo_correlators,
@@ -57,6 +57,7 @@ from .scan import (
     extrapolate_to_zero,
     search_window,
     sweep,
+    sweep_inputs,
 )
 from .teleport import (
     BELL_LABELS,
@@ -330,17 +331,21 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def require_sweep_axis(self) -> None:
+    def require_sweep_axis(self) -> np.ndarray:
+        """The sweep's grid, once ``scan.sweep_inputs`` accepts the sweep
+        keys; nothing is solved."""
         if self.axis is None:
             raise ConfigError("missing key 'axis'")
         if self.start is None or self.stop is None:
             raise ConfigError("missing key 'start' or 'stop'")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(
-                f"start and stop must be finite, got [{self.start}, {self.stop}]"
+        template = self.model_template()
+        try:
+            _, params, _ = sweep_inputs(
+                template, self.axis, self.start, self.stop, self.eta, self.kT_list
             )
-        if not (self.stop > self.start):
-            raise ConfigError(f"need stop > start, got [{self.start}, {self.stop}]")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return params
 
 
 def _fmt(value: float) -> str:
@@ -399,16 +404,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    cfg.require_sweep_axis()
+    params = cfg.require_sweep_axis()
     if not cfg.detectors:
         raise ConfigError("missing key 'detectors'")
     if cfg.window is None and cfg.candidate is None:
         raise ConfigError("need window_lo/window_hi or candidate")
-    window = search_window(cfg.window, cfg.candidate)
-    if window[0] < cfg.start or window[1] > cfg.stop:
-        raise ConfigError(
-            f"window {window} leaves the sweep range [{cfg.start}, {cfg.stop}]"
-        )
+    try:
+        window = search_window(cfg.window, cfg.candidate, params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     results = _run_sweep(cfg)
     estimates = []
     for detector in cfg.detectors:
@@ -598,19 +602,24 @@ def _verify_symmetry() -> list[Check]:
     checks.append(_close("xxz Delta=1: xx = zz", c.xx - c.zz, 0.0, 1e-10))
     c = thermal_correlators(ModelSpec("xxz", 8, 0.3, delta=-1.0))
     checks.append(_close("xxz Delta=-1: xx = -zz", c.xx + c.zz, 0.0, 1e-10))
-    field = ModelSpec("xxz_field", 8, 0.2, delta=1.5, h=3.0)
+    # Every ED result is checked against the free fermions, which share no
+    # code with it.  At Delta = 0, H_xxz_field(h) = h H_xy(lam = -4/h,
+    # gamma = 0), so xxz_field at kT matches the xx ring at kT / h.
     xy = ModelSpec("xy", 8, 0.2, lam=1.1, gamma=1.0)
     # lam = 1, gamma = 0 has a doubly degenerate ground space (a zero mode)
     xy0 = ModelSpec("xy", 8, 0.0, lam=1.0, gamma=0.0)
     comparisons = [
-        ("xxz_field sector vs dense", field, diagonalize(field, method="sector")),
-        ("xy sector vs dense", xy, diagonalize(xy, method="sector")),
-        ("xy free fermions vs dense ED (kT=0.2)", xy, thermal_solution(xy)),
-        ("xy free fermions vs dense ED (kT=0, gamma=0)", xy0, thermal_solution(xy0)),
+        (
+            "xxz_field Delta=0 ED vs xx free fermions",
+            ModelSpec("xxz_field", 8, 0.6, delta=0.0, h=3.0),
+            ModelSpec("xy", 8, 0.2, lam=-4.0 / 3.0, gamma=0.0),
+        ),
+        ("xy free fermions vs ED (kT=0.2)", xy, xy),
+        ("xy free fermions vs ED (kT=0, gamma=0)", xy0, xy0),
     ]
-    for label, spec, solution in comparisons:
-        got = solution.correlators(spec.kT)
-        want = diagonalize(spec, method="dense").correlators(spec.kT)
+    for label, ed_spec, free_spec in comparisons:
+        got = FreeFermionSolution(free_spec).correlators(free_spec.kT)
+        want = diagonalize(ed_spec).correlators(ed_spec.kT)
         for name in ("z", "xx", "yy", "zz"):
             checks.append(
                 _close(

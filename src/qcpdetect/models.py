@@ -16,18 +16,17 @@ spec, and ``thermal_correlators`` and every sweep use it:
     sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
     Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
     O(L^3) per temperature;
-  * finite xxz chains: exact diagonalization per symmetry sector (total
-    magnetization).  The Hamiltonian and the measured correlators both come
-    from four translation-summed operators of the ring (``_bond_sums``):
-    sum_j sz_j, sum_j sz_j sz_j+1, and the bond flips sum_j (sx sx +- sy sy);
+  * finite xxz chains: exact diagonalization (``diagonalize``) per symmetry
+    sector, since H conserves the total magnetization.  The Hamiltonian and
+    the measured correlators both come from four translation-summed
+    operators of the ring (``_bond_sums``): sum_j sz_j, sum_j sz_j sz_j+1,
+    and the bond flips sum_j (sx sx +- sy sy);
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
     free fermions, also an oracle for the finite-L pipeline.
 
-``diagonalize(spec, method)`` is also the oracle: 'dense' (one block) or
-'sector' (total magnetization for the xxz families, global spin-flip parity
-for xy) agree to rounding because the thermal trace is block diagonal
-either way, and for xy either one checks the free fermions.  The tests and
-``qcpdetect verify symmetry`` call it directly.
+``diagonalize`` also solves a finite xy ring, in its two spin-flip parity
+sectors; the tests and ``qcpdetect verify symmetry`` check it and the free
+fermions against each other.
 
 Critical couplings for the field-carrying xxz chain:
 
@@ -54,9 +53,6 @@ FAMILIES = ("xxz", "xxz_field", "xy")
 
 # Largest finite L a ModelSpec accepts (2^L-dimensional ED stays affordable).
 DEFAULT_L_MAX = 12
-
-# Method names for diagonalize.
-SOLVERS = ("dense", "sector")
 
 # Degeneracy window for the kT = 0 ground-space average, relative to
 # max(1, |E0|).
@@ -256,15 +252,10 @@ def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
     return c_hop * hop + c_pair * pair + diag
 
 
-def _sector_indices(spec: ModelSpec, method: str, z: np.ndarray) -> list[np.ndarray]:
-    """Basis-index groups diagonalizing H in blocks, read from the z sum.
-
-    'dense' yields one group with everything.  'sector' groups by conserved
-    quantum number: total magnetization for the xxz families, global
-    spin-flip parity for xy.
+def _sector_indices(spec: ModelSpec, z: np.ndarray) -> list[np.ndarray]:
+    """Basis-index groups diagonalizing H in blocks, read from the z sum:
+    total magnetization for the xxz families, global spin-flip parity for xy.
     """
-    if method == "dense":
-        return [np.arange(len(z))]
     down = (spec.L - z.astype(np.int64)) // 2  # number of sz = -1 sites
     if spec.family in ("xxz", "xxz_field"):
         return [np.flatnonzero(down == m) for m in range(spec.L + 1)]
@@ -303,13 +294,9 @@ class ThermalSolution:
         return Correlators(z=avg["z"], xx=avg["xx"], yy=avg["yy"], zz=avg["zz"])
 
 
-def diagonalize(spec: ModelSpec, method: str = "sector") -> ThermalSolution:
-    """Exactly diagonalize the chain and cache per-eigenstate observables.
-
-    ``method``: 'sector' (symmetry blocks, the ``thermal_solution`` choice
-    for xxz chains) or 'dense' (single block); they agree to rounding, and
-    sectors win above L ~ 8.  For the xy family this is the oracle of the
-    free-fermion solver.
+def diagonalize(spec: ModelSpec) -> ThermalSolution:
+    """Exactly diagonalize the chain per symmetry sector (``_sector_indices``)
+    and cache per-eigenstate observables.
 
     Each eigenstate stores the bond sums of ``_bond_sums`` divided by L, not
     the operators of one pair: z, zz, xx = (hop + pair) / 2L and
@@ -320,15 +307,13 @@ def diagonalize(spec: ModelSpec, method: str = "sector") -> ThermalSolution:
     """
     if spec.L is None:
         raise ValueError("diagonalize needs a finite L; use xy_thermo_correlators")
-    if method not in SOLVERS:
-        raise ValueError(f"method must be {'|'.join(SOLVERS)}, got {method!r}")
     L = spec.L
     z, zz, hop, pair = _bond_sums(L)
     ham = build_hamiltonian(spec)
 
     energies = []
     expect = {name: [] for name in ("z", "xx", "yy", "zz")}
-    for idx in _sector_indices(spec, method, z):
+    for idx in _sector_indices(spec, z):
         block, hop_block, pair_block = (op[idx][:, idx] for op in (ham, hop, pair))
         evals, evecs = scipy.linalg.eigh(
             block.toarray(), driver="evd", check_finite=False

@@ -230,6 +230,32 @@ def _grid(start: float, stop: float, eta: float) -> np.ndarray:
     return start + np.arange(n + 1) * eta
 
 
+def sweep_inputs(
+    template: ModelSpec,
+    axis: str,
+    start: float,
+    stop: float,
+    eta: float = DEFAULT_ETA,
+    kT_list: tuple[float, ...] | list[float] = (),
+) -> tuple[str, np.ndarray, tuple[float, ...]]:
+    """Check the arguments of ``sweep``, which it calls first, and return
+    the ModelSpec field the axis drives, the grid and the temperatures
+    (``kT_list``, else the template's kT).  Raises ValueError, solving
+    nothing."""
+    if axis not in AXIS_FIELDS:
+        raise ValueError(f"axis must be one of {sorted(AXIS_FIELDS)}, got {axis!r}")
+    axis_field, families = AXIS_FIELDS[axis]
+    if template.family not in families:
+        raise ValueError(f"axis {axis!r} does not apply to family {template.family!r}")
+    kts = tuple(float(k) for k in (kT_list or (template.kT,)))
+    if any(not (k >= 0.0) for k in kts):
+        raise ValueError(f"all kT must be >= 0, got {kts}")
+    for i, k in enumerate(kts):
+        if k in kts[:i]:
+            raise ValueError(f"kT = {k} appears more than once in {kts}")
+    return axis_field, _grid(start, stop, eta), kts
+
+
 def sweep(
     template: ModelSpec,
     axis: str,
@@ -243,18 +269,7 @@ def sweep(
     The model is solved once per point, in grid order; the detectors then run
     once per temperature column.
     """
-    if axis not in AXIS_FIELDS:
-        raise ValueError(f"axis must be one of {sorted(AXIS_FIELDS)}, got {axis!r}")
-    axis_field, families = AXIS_FIELDS[axis]
-    if template.family not in families:
-        raise ValueError(f"axis {axis!r} does not apply to family {template.family!r}")
-    kts = tuple(float(k) for k in (kT_list or (template.kT,)))
-    if any(not (k >= 0.0) for k in kts):
-        raise ValueError(f"all kT must be >= 0, got {kts}")
-    for i, k in enumerate(kts):
-        if k in kts[:i]:
-            raise ValueError(f"kT = {k} appears more than once in {kts}")
-    params = _grid(start, stop, eta)
+    axis_field, params, kts = sweep_inputs(template, axis, start, stop, eta, kT_list)
     corrs, errors = _solve(template, axis_field, params, kts)
     return [
         SweepResult(axis, eta, kT, params, *_temperature_columns(corr, errors))
@@ -322,17 +337,30 @@ class QcpEstimate:
 
 
 def search_window(
-    window: tuple[float, float] | None, candidate: float | None
+    window: tuple[float, float] | None,
+    candidate: float | None,
+    params: np.ndarray,
 ) -> tuple[float, float]:
-    """The explicit (lo, hi) window, else candidate +- DEFAULT_WINDOW_HALF_WIDTH."""
+    """The explicit (lo, hi) window, else candidate +- DEFAULT_WINDOW_HALF_WIDTH.
+
+    Raises ValueError unless lo < hi and the window lies on the grid
+    ``params``; it may overhang either end by 1e-12, the rounding of
+    candidate +- DEFAULT_WINDOW_HALF_WIDTH.
+    """
     if window is not None:
-        return window
-    if candidate is None:
+        lo, hi = map(float, window)
+    elif candidate is None:
         raise ValueError("provide either window=(lo, hi) or candidate")
-    return (
-        candidate - DEFAULT_WINDOW_HALF_WIDTH,
-        candidate + DEFAULT_WINDOW_HALF_WIDTH,
-    )
+    else:
+        lo = candidate - DEFAULT_WINDOW_HALF_WIDTH
+        hi = candidate + DEFAULT_WINDOW_HALF_WIDTH
+    if not (lo < hi):
+        raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
+    if lo < params[0] - 1e-12 or hi > params[-1] + 1e-12:
+        raise ValueError(
+            f"window ({lo}, {hi}) leaves the grid [{params[0]}, {params[-1]}]"
+        )
+    return lo, hi
 
 
 def estimate_qcp(
@@ -345,25 +373,31 @@ def estimate_qcp(
 ) -> QcpEstimate:
     """Locate a critical point as the in-window extremum of |derivative|.
 
-    The search window is ``search_window(window, candidate)``; it must lie
-    inside the grid interior.  Ties break toward the smaller control value.
-    Raises ValueError when the window contains no defined derivative value.
+    The search window is ``search_window(window, candidate, result.params)``.
+    Ties break toward the smaller control value.  Raises ValueError when the
+    window contains no defined derivative value, or when the detector is
+    constant there to rounding: its finite in-window values span at most
+    1e-12 max(1, their largest magnitude), so any extremum of its
+    derivative would be one of rounding noise.
     """
-    lo, hi = map(float, search_window(window, candidate))
-    if not (lo < hi):
-        raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
     params = result.params
-    if lo < params[0] - 1e-12 or hi > params[-1] + 1e-12:
-        raise ValueError(
-            f"window ({lo}, {hi}) leaves the grid [{params[0]}, {params[-1]}]"
-        )
-    deriv = derivative(result.column(detector), result.eta, method, order)
+    lo, hi = search_window(window, candidate, params)
+    values = result.column(detector)
+    deriv = derivative(values, result.eta, method, order)
     in_window = (params >= lo - 1e-12) & (params <= hi + 1e-12)
     usable = in_window & np.isfinite(deriv)
     if not usable.any():
         raise ValueError(
             f"no defined {method} order-{order} derivative of {detector!r} "
             f"inside window ({lo}, {hi})"
+        )
+    finite = values[in_window & np.isfinite(values)]
+    least, most = finite.min(initial=math.inf), finite.max(initial=-math.inf)
+    if not most - least > 1e-12 * max(1.0, -least, most):
+        raise ValueError(
+            f"{detector!r} is constant to rounding inside window ({lo}, {hi}) "
+            f"(values span {max(most - least, 0.0):.3g}); it locates no "
+            "critical point"
         )
     magnitude = np.where(usable, np.abs(deriv), -math.inf)
     best = int(np.argmax(magnitude))  # first occurrence = smaller param on ties

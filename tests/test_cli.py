@@ -379,6 +379,90 @@ def test_estimate_command_window_must_fit_range(tmp_path, capsys):
     assert main(["estimate", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        (
+            {"family = xxz": "family = xy"},
+            "axis 'delta' does not apply to family 'xy'",
+        ),
+        (
+            {
+                "start = -1.2": "start = 0",
+                "stop = -0.8": "stop = 1",
+                "eta = 0.1": "eta = 0.3",
+            },
+            "is not an integer number of eta = 0.3 steps",
+        ),
+    ],
+    ids=["axis-family", "grid-steps"],
+)
+def test_sweep_rules_are_config_errors_before_solving(
+    tmp_path, capsys, monkeypatch, replace, message
+):
+    # The library's sweep checks run before anything is solved, and their
+    # ValueError is a config error (exit 1), not a computation error.
+    import qcpdetect.scan as scan_mod
+
+    def refuse(*args):
+        raise AssertionError("solved a point")
+
+    monkeypatch.setattr(scan_mod, "thermal_solution", refuse)
+    text = SWEEP_CONFIG
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    text += "detectors = qd\ncandidate = 0.5\n"
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
+    for command in ("sweep", "estimate"):
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "wrote" not in captured.out
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def test_estimate_window_may_round_past_the_grid_end(tmp_path, capsys):
+    # candidate 0.7 - 0.5 rounds to 0.19999999999999996, below start = 0.2;
+    # estimate_qcp allows that 1e-12 overhang, and so does the command.
+    text = """\
+family = xxz
+L = 4
+kT = 0.5
+axis = delta
+start = 0.2
+stop = 1.4
+eta = 0.05
+detectors = qd
+candidate = 0.7
+"""
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
+    assert main(["estimate", "--config", cfg]) == 0
+    rows = (tmp_path / "estimates.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert 0.2 <= float(rows[1].split(",")[4]) <= 1.2
+
+
+def test_estimate_refuses_a_detector_constant_to_rounding(tmp_path, capsys):
+    # dmin_int is identically 0 where z = 0, as on the whole zero-field xxz
+    # chain: its column is rounding noise and locates nothing.
+    text = """\
+family = xxz
+L = 4
+kT_list = 0.1, 0.2, 0.3
+axis = delta
+start = -1.5
+stop = 1.5
+eta = 0.05
+detectors = dmin_int
+candidate = 1.0
+"""
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
+    assert main(["estimate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "'dmin_int' is constant to rounding" in captured.err
+    assert not (tmp_path / "estimates.csv").exists()
+
+
 def test_estimate_command_compute_failure_exits_2(tmp_path, capsys):
     # a 3-point grid cannot support a second-order central stencil anywhere
     text = """\

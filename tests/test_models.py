@@ -107,6 +107,40 @@ def test_heisenberg_ground_state_energy():
     assert sol.e0 == pytest.approx(-8.0, abs=1e-12)
 
 
+def _assert_matches_kron_oracle(spec: ModelSpec) -> None:
+    # The oracle of the sector ED: the kron Hamiltonian diagonalized as one
+    # dense block by np.linalg.eigh, sharing no code with diagonalize.
+    # Energies must agree, and diagonalize's bond averages must equal the
+    # single pairs (1, 2) and (5, 6) measured on the oracle's eigenvectors.
+    L = spec.L
+    solution = diagonalize(spec)
+    energies, vectors = np.linalg.eigh(_dense_reference(spec))
+    np.testing.assert_allclose(
+        np.sort(solution.energies), energies, rtol=0.0, atol=1e-12
+    )
+    gap = energies - energies[0]
+    for kT in (0.0, 0.2, 0.7, 1.0, 5.0):
+        if kT == 0.0:
+            w = gap <= models.GROUND_STATE_WINDOW * max(1.0, abs(energies[0]))
+        else:
+            w = np.exp(-gap / kT)
+        rho = (vectors * (w / w.sum())) @ vectors.conj().T
+        got = solution.correlators(kT)
+        for site in (1, 5):
+            nxt = site % L + 1
+            ops = {
+                "z": _site_op(SZ, site, L),
+                "xx": _site_op(SX, site, L) @ _site_op(SX, nxt, L),
+                "yy": _site_op(SY, site, L) @ _site_op(SY, nxt, L),
+                "zz": _site_op(SZ, site, L) @ _site_op(SZ, nxt, L),
+            }
+            for name, op in ops.items():
+                want = np.trace(rho @ op).real
+                assert getattr(got, name) == pytest.approx(want, abs=1e-12), (
+                    spec, kT, site, name
+                )
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -116,50 +150,18 @@ def test_heisenberg_ground_state_energy():
     ],
 )
 def test_sector_and_dense_solvers_agree(spec):
-    a = diagonalize(spec, method="dense")
-    b = diagonalize(spec, method="sector")
-    assert np.allclose(np.sort(a.energies), np.sort(b.energies), atol=1e-10)
-    for kT in (0.2, 1.0, 5.0):
-        ca = a.correlators(kT)
-        cb = b.correlators(kT)
-        for name in ("z", "xx", "yy", "zz"):
-            assert getattr(ca, name) == pytest.approx(getattr(cb, name), abs=1e-10)
+    # sector ED against the dense kron oracle, one spec per family
+    _assert_matches_kron_oracle(spec)
 
 
 def test_translation_invariance_of_pair_choice():
-    # diagonalize averages the bonds; the oracle measures the single pairs
-    # (1, 2) and (5, 6) on the eigenvectors of the kron Hamiltonian.  The
-    # gamma = 0 ring has a two-fold ground space, whose kT = 0 average is
+    # The gamma = 0 ring has a two-fold ground space, whose kT = 0 average is
     # translation invariant although its eigenvectors need not be.
-    L = 8
     for spec in (
-        ModelSpec("xy", L, 0.7, lam=1.2, gamma=0.6),
-        ModelSpec("xy", L, 0.7, lam=1.0, gamma=0.0),
-        ModelSpec("xxz_field", L, 0.7, delta=1.5, h=3.0),
+        ModelSpec("xy", 8, 0.7, lam=1.2, gamma=0.6),
+        ModelSpec("xy", 8, 0.7, lam=1.0, gamma=0.0),
     ):
-        solution = diagonalize(spec)
-        energies, vectors = np.linalg.eigh(_dense_reference(spec))
-        gap = energies - energies[0]
-        for kT in (0.0, 0.7):
-            if kT == 0.0:
-                w = gap <= models.GROUND_STATE_WINDOW * max(1.0, abs(energies[0]))
-            else:
-                w = np.exp(-gap / kT)
-            rho = (vectors * (w / w.sum())) @ vectors.conj().T
-            got = solution.correlators(kT)
-            for site in (1, 5):
-                nxt = site % L + 1
-                ops = {
-                    "z": _site_op(SZ, site, L),
-                    "xx": _site_op(SX, site, L) @ _site_op(SX, nxt, L),
-                    "yy": _site_op(SY, site, L) @ _site_op(SY, nxt, L),
-                    "zz": _site_op(SZ, site, L) @ _site_op(SZ, nxt, L),
-                }
-                for name, op in ops.items():
-                    want = np.trace(rho @ op).real
-                    assert getattr(got, name) == pytest.approx(want, abs=1e-12), (
-                        spec.family, kT, site, name
-                    )
+        _assert_matches_kron_oracle(spec)
 
 
 def test_su2_symmetry_at_isotropic_point():
@@ -341,7 +343,7 @@ def _gauss_legendre_xy(lam: float, gamma: float, kT: float, nodes: int = 2048):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="known defect, ROADMAP item 2: the production quad misses z by "
+    reason="known defect, ROADMAP item 4: the production quad misses z by "
     "2.7e-10 at lam = 0.961, kT = 0.05, and the lam = 0.961 row of "
     "bench/reference/ising_thermo/sweep_kT0.05.csv stores that error",
 )
@@ -378,23 +380,23 @@ FREE_FERMION_GRID = [(lam, g) for lam in FREE_FERMION_LAMBDAS for g in (0.0, 0.3
 
 
 @pytest.mark.parametrize(
-    "L, method, points",
+    "L, points",
     [
-        (4, "dense", FREE_FERMION_GRID),
-        (6, "dense", FREE_FERMION_GRID),
-        (8, "dense", FREE_FERMION_GRID),
-        (10, "sector", FREE_FERMION_GRID),
-        (12, "sector", [(1.0, 1.0), (0.92 + 2 * 0.04, 0.3), (-1.3, 0.0)]),
+        (4, FREE_FERMION_GRID),
+        (6, FREE_FERMION_GRID),
+        (8, FREE_FERMION_GRID),
+        (10, FREE_FERMION_GRID),
+        (12, [(1.0, 1.0), (0.92 + 2 * 0.04, 0.3), (-1.3, 0.0)]),
     ],
-    ids=["4-dense", "6-dense", "8-dense", "10-sector", "12-sector"],
+    ids=["4", "6", "8", "10", "12"],
 )
-def test_free_fermions_match_exact_diagonalization(L, method, points):
+def test_free_fermions_match_exact_diagonalization(L, points):
     # The grid holds the Ramond k = 0 zero mode (lam = 1), gamma = 0 (every
     # mode unpaired, degenerate ground spaces) and 0.92 + 2 * 0.04, the
     # ising_L12 benchmark point next to lam = 1.
     for lam, gamma in points:
         spec = ModelSpec("xy", L, 1.0, lam=lam, gamma=gamma)
-        exact = diagonalize(spec, method=method)
+        exact = diagonalize(spec)
         free = FreeFermionSolution(spec)
         for kT in (0.0, 0.02, 0.1, 1.0, math.inf):
             c, f = exact.correlators(kT), free.correlators(kT)
@@ -450,5 +452,5 @@ def test_thermal_correlators_dispatch():
     assert c == r
     spec_fin = ModelSpec("xxz", 6, 1.0, delta=0.5)
     c_fin = thermal_correlators(spec_fin)
-    c_dense = diagonalize(spec_fin, method="dense").correlators(1.0)
-    assert c_fin.xx == pytest.approx(c_dense.xx, abs=1e-12)
+    c_ed = diagonalize(spec_fin).correlators(1.0)
+    assert c_fin.xx == pytest.approx(c_ed.xx, abs=1e-12)

@@ -15,7 +15,9 @@ from qcpdetect.scan import (
     estimate_qcp,
     evaluate_detectors,
     extrapolate_to_zero,
+    search_window,
     sweep,
+    sweep_inputs,
 )
 from qcpdetect.xstate import Correlators
 
@@ -181,6 +183,39 @@ def test_estimate_requires_defined_derivative():
         estimate_qcp(res, "qd", order=1, method="central", window=(0.5, 0.5999))
 
 
+def test_estimate_refuses_a_detector_constant_to_rounding():
+    eta = 0.1
+    x = np.linspace(0.0, 2.0, 21)
+    noise = np.random.default_rng(5).uniform(-1.0, 1.0, x.size)
+    for base in (0.0, 3.0):
+        res = synthetic_result(x, base + 2e-16 * max(1.0, base) * noise, eta)
+        with pytest.raises(ValueError, match="'qd' is constant to rounding"):
+            estimate_qcp(res, "qd", window=(0.5, 1.5))
+    # only the in-window values count: a detector that varies outside the
+    # window alone is still constant inside it
+    res = synthetic_result(x, np.where(x > 1.55, x, 0.0), eta)
+    with pytest.raises(ValueError, match="constant to rounding"):
+        estimate_qcp(res, "qd", window=(0.5, 1.5))
+    # a small but real variation is located
+    res = synthetic_result(x, 1e-9 * np.abs(x - 1.0), eta)
+    est = estimate_qcp(res, "qd", order=2, method="central", window=(0.5, 1.5))
+    assert est.estimate == pytest.approx(1.0, abs=1e-12)
+
+
+def test_search_window_checks_the_grid():
+    grid = 0.2 + np.arange(25) * 0.05
+    # 0.7 - 0.5 rounds to 0.19999999999999996: inside the 1e-12 slack
+    lo, hi = search_window(None, 0.7, grid)
+    assert lo < 0.2 and hi == pytest.approx(1.2)
+    assert search_window((0.3, 0.9), None, grid) == (0.3, 0.9)
+    with pytest.raises(ValueError, match="leaves the grid"):
+        search_window(None, 0.6, grid)
+    with pytest.raises(ValueError, match="lo < hi"):
+        search_window((0.9, 0.3), None, grid)
+    with pytest.raises(ValueError, match="either window"):
+        search_window(None, None, grid)
+
+
 def test_estimate_tie_breaks_to_smaller_param():
     eta = 0.01
     x = np.linspace(0.5, 1.5, 101)
@@ -271,6 +306,18 @@ def test_sweep_deterministic():
     b = sweep(template, "lambda", 0.6, 1.4, eta=0.2, kT_list=(0.7,))[0]
     for col in NUMERIC_COLUMNS:
         np.testing.assert_array_equal(a.column(col), b.column(col))
+
+
+def test_sweep_inputs_are_what_sweep_runs_on():
+    template = ModelSpec("xxz_field", 4, 0.5, h=2.0)
+    axis_field, params, kts = sweep_inputs(template, "h", 1.0, 2.0, 0.25)
+    assert axis_field == "h"
+    np.testing.assert_array_equal(params, [1.0, 1.25, 1.5, 1.75, 2.0])
+    assert kts == (0.5,)
+    results = sweep(template, "h", 1.0, 2.0, 0.25, kT_list=(1, 0.5))
+    assert [r.kT for r in results] == [1.0, 0.5]
+    for result in results:
+        np.testing.assert_array_equal(result.params, params)
 
 
 def test_sweep_validates_inputs():
