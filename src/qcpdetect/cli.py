@@ -91,8 +91,6 @@ EXTRAPOLATION_HEADER = ",".join(f.name for f in fields(ZeroTemperatureExtrapolat
 # the 0/1 divergence flags excluded).
 ESTIMATABLE = tuple(c for c in NUMERIC_COLUMNS if c not in FLAG_COLUMNS)
 
-VERIFY_SUBSETS = ("lines", "bell", "oracles", "symmetry")
-
 # Seed for the randomized oracle checks of `verify oracles`; fixed so the
 # command is deterministic.  The pytest suite runs the same comparisons at
 # larger N; this subset keeps N small enough for an interactive command.
@@ -111,38 +109,49 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-KNOWN_KEYS = frozenset(
-    {
-        "family",
-        "L",
-        "kT",
-        "kT_list",
-        "delta",
-        "h",
-        "lam",
-        "gamma",
-        "axis",
-        "start",
-        "stop",
-        "eta",
-        "method",
-        "order",
-        "detectors",
-        "window_lo",
-        "window_hi",
-        "candidate",
-        "out",
-        "seed",
-        "input_theta",
-        "input_chi",
-        "bell",
-        "runs",
-        "z",
-        "xx",
-        "yy",
-        "zz",
-    }
-)
+def _length(value: str) -> int | None:
+    """A chain length, or None (L = inf) for 'none', 'inf' or 'infinite'."""
+    return None if value.lower() in ("none", "inf", "infinite") else int(value)
+
+
+def _comma_list(item):
+    """A parser of comma-separated items, each read by ``item``; blanks skipped."""
+    return lambda value: tuple(item(p) for p in value.split(",") if p.strip())
+
+
+# The config schema: every key and the parser of its value.  RunConfig holds
+# the defaults; from_mapping combines kT, the window and the correlators.
+_KEY_PARSERS = {
+    "family": str,
+    "L": _length,
+    "kT": float,
+    "kT_list": _comma_list(float),
+    "delta": float,
+    "h": float,
+    "lam": float,
+    "gamma": float,
+    "axis": str,
+    "start": float,
+    "stop": float,
+    "eta": float,
+    "method": str,
+    "order": int,
+    "detectors": _comma_list(str.strip),
+    "window_lo": float,
+    "window_hi": float,
+    "candidate": float,
+    "out": Path,
+    "seed": int,
+    "input_theta": float,
+    "input_chi": float,
+    "bell": str,
+    "runs": int,
+    "z": float,
+    "xx": float,
+    "yy": float,
+    "zz": float,
+}
+KNOWN_KEYS = frozenset(_KEY_PARSERS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -162,33 +171,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def _as_float(raw: dict[str, str], key: str, default=None) -> float | None:
-    if key not in raw:
-        return default
-    try:
-        return float(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
-
-
-def _as_int(raw: dict[str, str], key: str, default=None) -> int | None:
-    if key not in raw:
-        return default
-    try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
-
-
-def _as_length(value: str) -> int | None:
-    if value.lower() in ("none", "inf", "infinite"):
-        return None
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"key 'L': {exc}") from None
 
 
 @dataclass
@@ -221,21 +203,37 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "RunConfig":
-        cfg = cls()
-        cfg.family = raw.get("family", cfg.family)
+        """Parse every given key, combine the keys that fill one field, then
+        check the values."""
+        values = {}
+        for key, value in raw.items():
+            if key not in KNOWN_KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            try:
+                values[key] = _KEY_PARSERS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
+
+        if "kT" in values:
+            if "kT_list" in values:
+                raise ConfigError("give kT or kT_list, not both")
+            values["kT_list"] = (values.pop("kT"),)
+        lo, hi = values.pop("window_lo", None), values.pop("window_hi", None)
+        if (lo is None) != (hi is None):
+            raise ConfigError("window_lo and window_hi must be given together")
+        if lo is not None:
+            if not (lo < hi):
+                raise ConfigError(f"need window_lo < window_hi, got ({lo}, {hi})")
+            values["window"] = (lo, hi)
+        corr = {k: values.pop(k) for k in ("z", "xx", "yy", "zz") if k in values}
+        if corr:
+            if len(corr) != 4:
+                raise ConfigError("give all four of z, xx, yy, zz or none")
+            values["correlators"] = Correlators(**corr)
+        cfg = cls(**values)
+
         if cfg.family is not None and cfg.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {cfg.family!r}")
-        if "L" in raw:
-            cfg.L = _as_length(raw["L"])
-        if "kT_list" in raw:
-            try:
-                cfg.kT_list = tuple(
-                    float(p) for p in raw["kT_list"].split(",") if p.strip()
-                )
-            except ValueError as exc:
-                raise ConfigError(f"key 'kT_list': {exc}") from None
-        elif "kT" in raw:
-            cfg.kT_list = (_as_float(raw, "kT"),)
         kts = cfg.kT_list
         if any(not (k >= 0.0) for k in kts):
             raise ConfigError(f"all kT must be >= 0, got {kts}")
@@ -248,68 +246,29 @@ class RunConfig:
                         f"kT = {other} and kT = {k} would both write "
                         f"{_sweep_csv_name(k)}"
                     )
-        cfg.delta = _as_float(raw, "delta", cfg.delta)
-        cfg.h = _as_float(raw, "h", cfg.h)
-        cfg.lam = _as_float(raw, "lam", cfg.lam)
-        cfg.gamma = _as_float(raw, "gamma", cfg.gamma)
-        cfg.axis = raw.get("axis", cfg.axis)
         if cfg.axis is not None and cfg.axis not in AXIS_FIELDS:
             raise ConfigError(
                 f"axis must be one of {sorted(AXIS_FIELDS)}, got {cfg.axis!r}"
             )
-        cfg.start = _as_float(raw, "start", cfg.start)
-        cfg.stop = _as_float(raw, "stop", cfg.stop)
-        cfg.eta = _as_float(raw, "eta", cfg.eta)
         if not (0.0 < cfg.eta < math.inf):
             raise ConfigError(f"eta must be finite and > 0, got {cfg.eta}")
-        cfg.method = raw.get("method", cfg.method)
         if cfg.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
-        cfg.order = _as_int(raw, "order", cfg.order)
         if cfg.order not in (1, 2):
             raise ConfigError(f"order must be 1 or 2, got {cfg.order}")
-        if "detectors" in raw:
-            names = tuple(p.strip() for p in raw["detectors"].split(",") if p.strip())
-            for name in names:
-                if name not in ESTIMATABLE:
-                    raise ConfigError(
-                        f"unknown detector {name!r}; choose from {ESTIMATABLE}"
-                    )
-            cfg.detectors = names
-        lo = _as_float(raw, "window_lo")
-        hi = _as_float(raw, "window_hi")
-        if (lo is None) != (hi is None):
-            raise ConfigError("window_lo and window_hi must be given together")
-        if lo is not None:
-            if not (lo < hi):
-                raise ConfigError(f"need window_lo < window_hi, got ({lo}, {hi})")
-            cfg.window = (lo, hi)
-        cfg.candidate = _as_float(raw, "candidate", cfg.candidate)
+        for name in cfg.detectors:
+            if name not in ESTIMATABLE:
+                raise ConfigError(
+                    f"unknown detector {name!r}; choose from {ESTIMATABLE}"
+                )
         if cfg.candidate is not None and not math.isfinite(cfg.candidate):
             raise ConfigError(f"candidate must be finite, got {cfg.candidate}")
-        if "out" in raw:
-            cfg.out = Path(raw["out"])
-        cfg.seed = _as_int(raw, "seed", cfg.seed)
         if cfg.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-        cfg.input_theta = _as_float(raw, "input_theta", cfg.input_theta)
-        cfg.input_chi = _as_float(raw, "input_chi", cfg.input_chi)
-        cfg.bell = raw.get("bell", cfg.bell)
         if cfg.bell not in BELL_LABELS:
             raise ConfigError(f"bell must be one of {BELL_LABELS}, got {cfg.bell!r}")
-        cfg.runs = _as_int(raw, "runs", cfg.runs)
         if cfg.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
-        corr_keys = [k for k in ("z", "xx", "yy", "zz") if k in raw]
-        if corr_keys:
-            if len(corr_keys) != 4:
-                raise ConfigError("give all four of z, xx, yy, zz or none")
-            cfg.correlators = Correlators(
-                z=_as_float(raw, "z"),
-                xx=_as_float(raw, "xx"),
-                yy=_as_float(raw, "yy"),
-                zz=_as_float(raw, "zz"),
-            )
         return cfg
 
     def model_template(self) -> ModelSpec:
@@ -645,16 +604,19 @@ def _verify_symmetry() -> list[Check]:
     return checks
 
 
+_VERIFY_RUNNERS = {
+    "lines": _verify_critical_lines,
+    "bell": _verify_bell,
+    "oracles": _verify_oracles,
+    "symmetry": _verify_symmetry,
+}
+VERIFY_SUBSETS = tuple(_VERIFY_RUNNERS)
+
+
 def cmd_verify(subset: str) -> int:
     if subset not in VERIFY_SUBSETS:
         raise ConfigError(f"subset must be one of {VERIFY_SUBSETS}, got {subset!r}")
-    runner = {
-        "lines": _verify_critical_lines,
-        "bell": _verify_bell,
-        "oracles": _verify_oracles,
-        "symmetry": _verify_symmetry,
-    }[subset]
-    checks = runner()
+    checks = _VERIFY_RUNNERS[subset]()
     width = max(len(c.name) for c in checks)
     failures = 0
     for c in checks:

@@ -23,11 +23,12 @@ Both closed forms ship with brute-force protocol implementations used as
 oracles in the test suite.  One protocol step gives Bob's states for all four
 Bell outcomes at once; impossible outcomes are masked, never divided by.  The
 Bell kets, corrections and X state are real, so the arithmetic is real unless
-the input is.  For u = psi (x) conj(psi) the mean fidelity is linear in the 10
-real features |u_p|^2 and Re u_p conj(u_q), p < q, with coefficients from
-per-set real forms W that the literal protocol gives.  On the Bloch sphere
-that is six real coefficients per set, so the fidelity oracle evaluates its
-whole grid under all four sets as one small batched matrix product.
+the input is.  Each correction set is a linear qubit map Phi, so its mean
+fidelity on a pure input rho = (1 + n.sigma)/2 is F = n^T T n / 4, where
+T_mn = Tr[sigma_m Phi(sigma_n)] is the Pauli transfer matrix and n_0 = 1.
+The literal protocol run on the four Pauli matrices gives T; on the Bloch
+sphere F is six real coefficients per set, so the fidelity oracle evaluates
+its whole grid under all four sets as one small batched matrix product.
 """
 
 from __future__ import annotations
@@ -167,14 +168,18 @@ def _as_density(state) -> np.ndarray:
     raise ValueError(f"expected InputQubit, ket (2,), or density (2, 2); got {arr.shape}")
 
 
+def _bell_index(label: str) -> int:
+    """Position of a Bell label on the outcome and correction-set axes."""
+    if label not in BELL_LABELS:
+        raise ValueError(f"Bell label must be one of {BELL_LABELS}, got {label!r}")
+    return BELL_LABELS.index(label)
+
+
 def bell_projector(label: str) -> np.ndarray:
     """Rank-1 projector |B_label><B_label| on qubits (1, 2)."""
-    ket = BELL_KETS[label]
+    ket = BELL_KETS[BELL_LABELS[_bell_index(label)]]
     return np.outer(ket, ket)
 
-
-# Position of each Bell label on the outcome and correction-set axes.
-_BELL_INDEX = {label: j for j, label in enumerate(BELL_LABELS)}
 # P (x) 1 on qubits (1, 2, 3), stacked over the Bell outcomes P.
 _ALICE_PROJECTORS = np.array(
     [np.kron(bell_projector(label), IDENTITY_2) for label in BELL_LABELS]
@@ -199,8 +204,9 @@ def _projected_bob(rho1: np.ndarray, x: XState) -> tuple[np.ndarray, np.ndarray]
 
 
 def _corrected_bob(reduced: np.ndarray, corrections: np.ndarray) -> np.ndarray:
-    """U_j reduced_j U_j^dag for a (4, 2, 2) correction set, or for the
-    (set, 4, 2, 2) stack of all four; still unnormalized (Q_j is inside)."""
+    """U_j reduced_j U_j^dag, still unnormalized (Q_j is inside), for a
+    (4, 2, 2) correction set or a stack; leading axes broadcast, so a
+    (set, 1, 4, 2, 2) stack on (input, 4, 2, 2) gives (set, input, 4, 2, 2)."""
     return corrections @ reduced @ corrections.conj().swapaxes(-1, -2)
 
 
@@ -218,14 +224,14 @@ def _conditional_states(
 
 def outcome_probability(input_state, x: XState, label: str) -> float:
     """Probability Q_j of Alice's Bell outcome ``label``."""
-    j = _BELL_INDEX[label]
+    j = _bell_index(label)
     return _projected_bob(_as_density(input_state), x)[1][j]
 
 
 def bob_output(input_state, x: XState, label: str, set_label: str) -> np.ndarray:
     """Bob's corrected conditional state U_j Tr_12[P rho P] U_j^dag / Q_j."""
-    j = _BELL_INDEX[label]
-    corrections = _CORRECTIONS[_BELL_INDEX[set_label]]
+    j = _bell_index(label)
+    corrections = _CORRECTIONS[_bell_index(set_label)]
     states, q, possible = _conditional_states(_as_density(input_state), x, corrections)
     if not possible[j]:
         raise OutcomeImpossibleError(
@@ -238,7 +244,7 @@ def mean_fidelity(input_state, x: XState, set_label: str) -> float:
     """Mean fidelity sum_j Q_j <psi| rho_Bj |psi> for a pure input."""
     rho_in = _as_density(input_state)
     reduced, q = _projected_bob(rho_in, x)
-    corrected = _corrected_bob(reduced, _CORRECTIONS[_BELL_INDEX[set_label]])
+    corrected = _corrected_bob(reduced, _CORRECTIONS[_bell_index(set_label)])
     overlaps = np.einsum("ij,kji->k", rho_in, corrected).real
     return float(np.sum(overlaps, where=q >= _Q_FLOOR))
 
@@ -260,54 +266,42 @@ def max_mean_fidelity(x: XState) -> MaxMeanFidelity:
     return MaxMeanFidelity(value=np.max(candidates, axis=0), branch=branch)
 
 
-# The six index pairs p < q of u = psi (x) conj(psi).
-_PAIRS = np.triu_indices(4, 1)
+# The real Pauli basis 1, X, iY = ZX, Z; sigma_y = -i iY.
+_PAULI_BASIS = np.array([IDENTITY_2, PAULI_X, _ZX, PAULI_Z])
 
 
-# One-qubit matrix units: _MATRIX_UNITS[a, b] is |a><b|.
-_MATRIX_UNITS = np.eye(4).reshape(2, 2, 2, 2)
+def _pauli_transfer(x: XState) -> np.ndarray:
+    """Pauli transfer matrices T_mn = Tr[sigma_m Phi_s(sigma_n)], basis
+    (1, X, Y, Z), of the four correction sets, shape (set, 4, 4) in
+    BELL_LABELS order.
 
-
-def _fidelity_quadratic_forms(x: XState) -> np.ndarray:
-    """Per-set 4x4 forms W, shape (set, 4, 4) in BELL_LABELS order, with
-    F(psi) = u^T W conj(u), u = psi (x) conj(psi).
-
-    Built by running the literal protocol on the four one-qubit matrix units,
-    so this encodes nothing but protocol algebra (linearity in rho1).  The
-    Bell kets, the corrections, the X state and the units are all real, so
-    W is real.
+    Built by running the literal protocol on the real basis (1, X, iY, Z), so
+    this is protocol algebra only (linearity in rho1) and stays real.  A real
+    Phi_s keeps matrices symmetric or antisymmetric, so the other entries of
+    the iY row and column vanish and sigma_y = -i iY turns the sign of (Y, Y).
     """
-    projected, _ = _projected_bob(_MATRIX_UNITS, x)  # [a, b, outcome, :, :]
-    forms = np.einsum("sjce,abjef,sjdf->sabcd", _CORRECTIONS, projected, _CORRECTIONS)
-    return forms.reshape(4, 4, 4)
+    reduced, _ = _projected_bob(_PAULI_BASIS, x)  # (basis, outcome, 2, 2)
+    images = _corrected_bob(reduced, _CORRECTIONS[:, None]).sum(axis=2)
+    transfer = np.einsum("mab,snba->smn", _PAULI_BASIS, images)
+    transfer[:, 2, 2] *= -1.0
+    return transfer
 
 
-def _feature_coefficients(forms: np.ndarray) -> np.ndarray:
-    """Coefficients of the 10 Bloch features per set, shape (set, 10).
-
-    F = sum_pq W_pq u_p conj(u_q) = sum_p (V_pp / 2) |u_p|^2
-    + sum_{p<q} V_pq Re(u_p conj(u_q)), with V = W + W^T for a real W.
-    """
-    v = forms + forms.transpose(0, 2, 1)
-    diagonal = np.diagonal(v, axis1=1, axis2=2)
-    return np.concatenate([0.5 * diagonal, v[:, _PAIRS[0], _PAIRS[1]]], axis=1)
-
-
-def _trig_coefficients(features: np.ndarray) -> np.ndarray:
+def _trig_coefficients(transfer: np.ndarray) -> np.ndarray:
     """The six real coefficients a0, a1, a2, b0, b1, d per set, shape (6, set),
     of F = a0 + a1 ct + a2 ct^2 + st (b0 + b1 ct) cos chi + d st^2 cos 2 chi,
-    ct = cos theta and st = sin theta, from the (set, 10) feature coefficients.
+    ct = cos theta and st = sin theta, from the (set, 4, 4) transfer matrices.
 
-    With c = cos(theta/2) and s = sin(theta/2), u = (c^2, c s e^{-i chi},
-    c s e^{i chi}, s^2): the features are c^4, s^4, c^2 s^2 (three, and one
-    more times cos 2 chi), and c^3 s cos chi and c s^3 cos chi (two each).
-    a1, b0 and b1 vanish for X states but are kept: the form uses only the protocol.
+    F = n^T T n / 4 with n = (1, st cos chi, st sin chi, ct).  Every entry
+    odd in n_y vanishes for a real map, and cos^2 chi, sin^2 chi =
+    (1 +/- cos 2 chi) / 2 leave the side term st^2 (T_xx + T_yy) / 2.  a1, b0
+    and b1 vanish for X states but are kept: the form uses only the protocol.
     """
-    k = features.T
-    mixed = k[1] + k[2] + k[6]  # the c^2 s^2 features
-    b_up, b_down = k[4] + k[5], k[8] + k[9]  # c^3 s and c s^3 times cos chi
-    a = (k[0] + mixed + k[3], 2.0 * (k[0] - k[3]), k[0] - mixed + k[3])
-    return 0.25 * np.array([*a, b_up + b_down, b_up - b_down, k[7]])
+    t = transfer.transpose(1, 2, 0)
+    side = 0.5 * (t[1, 1] + t[2, 2])
+    a = (t[0, 0] + side, t[0, 3] + t[3, 0], t[3, 3] - side)
+    b = (t[0, 1] + t[1, 0], t[1, 3] + t[3, 1])
+    return 0.25 * np.array([*a, *b, 0.5 * (t[1, 1] - t[2, 2])])
 
 
 def _mean_fidelities(trig: np.ndarray, theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -352,7 +346,7 @@ def max_mean_fidelity_bruteforce(
     n_chi = _grid_size("n_chi", n_chi, 1)
     thetas = np.linspace(0.0, math.pi, n_theta)
     chis = np.linspace(0.0, 2.0 * math.pi, n_chi, endpoint=False)
-    trig = _trig_coefficients(_feature_coefficients(_fidelity_quadratic_forms(x)))
+    trig = _trig_coefficients(_pauli_transfer(x))
 
     sets = np.arange(len(BELL_LABELS))
     grid_values = _mean_fidelities(trig, thetas, chis).reshape(len(sets), -1)
@@ -448,7 +442,7 @@ def simulate_protocol(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     rho_in = _as_density(input_state)
-    corrections = _CORRECTIONS[_BELL_INDEX[set_label]]
+    corrections = _CORRECTIONS[_bell_index(set_label)]
     states, q, possible = _conditional_states(rho_in, x, corrections)
     fids = np.where(possible, _qubit_fidelity(rho_in, states), 0.0)
     dists = np.where(possible, trace_distance(rho_in, states), 0.0)

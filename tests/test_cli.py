@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from qcpdetect.cli import (
     EXTRAPOLATION_HEADER,
     KNOWN_KEYS,
     SWEEP_HEADER,
+    VERIFY_SUBSETS,
     ConfigError,
     RunConfig,
     main,
@@ -127,6 +129,20 @@ def test_run_config_validation():
             RunConfig.from_mapping({"eta": eta})
     with pytest.raises(ConfigError, match="kT = 0.1 appears more than once"):
         RunConfig.from_mapping({"kT_list": "0.1, 0.1, 0.2"})
+
+
+def test_run_config_rejects_kt_with_kt_list():
+    # each temperature key is read, so giving both is an error, not a choice
+    with pytest.raises(ConfigError, match="give kT or kT_list, not both"):
+        RunConfig.from_mapping({"kT_list": "0.1, 0.2", "kT": "0.1"})
+    with pytest.raises(ConfigError, match="key 'kT'"):
+        RunConfig.from_mapping({"kT_list": "0.1", "kT": "abc"})
+
+
+def test_run_config_rejects_unknown_keys():
+    for key in ("workers", "solver", "Kt"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            RunConfig.from_mapping({key: "2"})
 
 
 def test_run_config_model_template_requirements():
@@ -584,13 +600,12 @@ seed = 3
 # ---------------------------------------------------------------------------
 
 
-def test_verify_fast_subsets_pass(capsys):
-    assert main(["verify", "lines"]) == 0
+@pytest.mark.parametrize("subset", VERIFY_SUBSETS)
+def test_verify_subset_passes(capsys, subset):
+    assert main(["verify", subset]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert main(["verify", "bell"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    assert re.search(rf"^{subset}: (\d+)/\1 checks passed$", out, re.MULTILINE)
 
 
 def test_bad_arguments_are_config_errors(tmp_path, capsys):

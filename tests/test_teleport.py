@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +221,7 @@ def test_bruteforce_point_attains_its_value():
 
 
 def _trig(x):
-    forms = teleport._fidelity_quadratic_forms(x)
-    return teleport._trig_coefficients(teleport._feature_coefficients(forms))
+    return teleport._trig_coefficients(teleport._pauli_transfer(x))
 
 
 def test_fidelity_features_match_literal_protocol():
@@ -244,27 +244,29 @@ def test_fidelity_features_match_literal_protocol():
                 assert shared[s, i, j] == pytest.approx(want, abs=1e-14)
 
 
-def test_six_coefficients_are_the_features_on_the_bloch_sphere():
-    # An identity in the 10 feature coefficients, so random ones check it.
-    # For X states a1, b0 and b1 vanish, so only such inputs reach their signs.
+def test_six_coefficients_are_the_transfer_matrix_on_the_bloch_sphere():
+    # An identity in the transfer matrix T, so a random one checks it: F is
+    # n^T T n / 4 with n = (1, Bloch vector).  A real map has no entry odd in
+    # n_y, so those are zeroed.  For X states a1, b0 and b1 vanish, so only
+    # such inputs reach their signs.
     rng = np.random.default_rng(SEED + 9)
-    k = rng.uniform(-1.0, 1.0, (4, 10))
+    t = rng.uniform(-1.0, 1.0, (4, 4, 4))
+    t[:, 2, [0, 1, 3]] = t[:, [0, 1, 3], 2] = 0.0
     theta = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 5)])
     chi = rng.uniform(0.0, 2.0 * math.pi, 5)
-    values = teleport._mean_fidelities(teleport._trig_coefficients(k), theta, chi)
+    values = teleport._mean_fidelities(teleport._trig_coefficients(t), theta, chi)
     for i, j in np.ndindex(7, 5):
-        psi = InputQubit(theta[i], chi[j]).ket()
-        u = np.kron(psi, psi.conj())
-        pairs = [u[p] * u[q].conj() for p, q in zip(*np.triu_indices(4, 1))]
-        features = np.concatenate([np.abs(u) ** 2, np.real(pairs)])
-        np.testing.assert_allclose(values[:, i, j], k @ features, rtol=0, atol=1e-14)
+        st, ct = math.sin(theta[i]), math.cos(theta[i])
+        n = np.array([1.0, st * math.cos(chi[j]), st * math.sin(chi[j]), ct])
+        np.testing.assert_allclose(values[:, i, j], 0.25 * n @ t @ n, rtol=0, atol=1e-14)
 
 
-def test_fidelity_forms_and_features_are_real():
+def test_pauli_transfer_and_coefficients_are_real():
     rng = np.random.default_rng(SEED + 7)
     for _ in range(20):
         x = sample_random_xstate(rng)
-        assert teleport._fidelity_quadratic_forms(x).dtype == np.float64
+        transfer = teleport._pauli_transfer(x)
+        assert transfer.shape == (4, 4, 4) and transfer.dtype == np.float64
         trig = _trig(x)
         assert trig.shape == (6, 4) and trig.dtype == np.float64
     values = teleport._mean_fidelities(
@@ -338,6 +340,30 @@ def test_trace_distance_against_eigen_oracle():
     stacked = trace_distance(np.array(rhos), np.array(sigmas))
     assert stacked.shape == (200,)
     np.testing.assert_allclose(stacked, wants, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_projector("phi"),
+        lambda: outcome_probability(InputQubit(1.0, 0.5), BELL, "phi"),
+        lambda: bob_output(InputQubit(1.0, 0.5), BELL, "phi", "phi+"),
+        lambda: bob_output(InputQubit(1.0, 0.5), BELL, "phi+", "phi"),
+        lambda: mean_fidelity(InputQubit(1.0, 0.5), BELL, "phi"),
+        lambda: simulate_protocol(BELL, InputQubit(1.0, 0.5), "phi", runs=10, seed=0),
+    ],
+    ids=[
+        "bell_projector",
+        "outcome_probability",
+        "bob_output-outcome",
+        "bob_output-set",
+        "mean_fidelity",
+        "simulate_protocol",
+    ],
+)
+def test_unknown_bell_label_is_a_value_error_naming_the_labels(call):
+    with pytest.raises(ValueError, match=re.escape(f"must be one of {BELL_LABELS}")):
+        call()
 
 
 def test_impossible_outcome_raises():
