@@ -34,8 +34,10 @@ from .coherence import (
 )
 from .discord import quantum_discord, s_tilde, entropy_single, entropy_pair
 from .models import (
+    COUPLINGS,
     DEFAULT_L_MAX,
     FAMILIES,
+    FAMILY_COUPLINGS,
     FreeFermionSolution,
     ModelSpec,
     diagonalize,
@@ -180,10 +182,11 @@ class RunConfig:
     family: str | None = None
     L: int | None = DEFAULT_L_MAX
     kT_list: tuple[float, ...] = ()
-    delta: float = 0.0
-    h: float = 0.0
-    lam: float = 0.0
-    gamma: float = 1.0
+    # The couplings; None where not given, so that ModelSpec's default holds.
+    delta: float | None = None
+    h: float | None = None
+    lam: float | None = None
+    gamma: float | None = None
     axis: str | None = None
     start: float | None = None
     stop: float | None = None
@@ -272,23 +275,26 @@ class RunConfig:
         return cfg
 
     def model_template(self) -> ModelSpec:
-        """The ModelSpec shared by every sweep point (kT is per result)."""
+        """The ModelSpec shared by every sweep point (kT is per result).
+
+        A coupling key the family does not read is an error, even at its
+        default value.
+        """
         if self.family is None:
             raise ConfigError("missing key 'family'")
         if not self.kT_list:
             raise ConfigError("missing key 'kT_list' (or 'kT')")
+        couplings = {
+            k: getattr(self, k) for k in COUPLINGS if getattr(self, k) is not None
+        }
         try:
-            return ModelSpec(
-                family=self.family,
-                L=self.L,
-                kT=self.kT_list[0],
-                delta=self.delta,
-                h=self.h,
-                lam=self.lam,
-                gamma=self.gamma,
-            )
+            spec = ModelSpec(self.family, self.L, self.kT_list[0], **couplings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        unread = [k for k in couplings if k not in FAMILY_COUPLINGS[self.family]]
+        if unread:
+            raise ConfigError(f"family {self.family!r} does not read {', '.join(unread)}")
+        return spec
 
     def require_sweep_axis(self) -> np.ndarray:
         """The sweep's grid, once ``scan.sweep_inputs`` accepts the sweep

@@ -15,7 +15,7 @@ spec, and ``thermal_correlators`` and every sweep use it:
   * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
     sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
     Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
-    O(L^3) per temperature;
+    O(L^3) per point and temperature, for one coupling point or a column;
   * finite xxz chains: exact diagonalization (``diagonalize``) per symmetry
     sector, since H conserves the total magnetization.  The Hamiltonian and
     the measured correlators both come from four translation-summed
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.integrate
@@ -49,7 +49,15 @@ import scipy.sparse
 
 from .xstate import Correlators
 
-FAMILIES = ("xxz", "xxz_field", "xy")
+# The couplings each family's Hamiltonian reads.  A ModelSpec keeps every
+# other coupling at its default.
+FAMILY_COUPLINGS = {
+    "xxz": ("delta",),
+    "xxz_field": ("delta", "h"),
+    "xy": ("lam", "gamma"),
+}
+FAMILIES = tuple(FAMILY_COUPLINGS)
+COUPLINGS = tuple(dict.fromkeys(c for read in FAMILY_COUPLINGS.values() for c in read))
 
 # Largest finite L a ModelSpec accepts (2^L-dimensional ED stays affordable).
 DEFAULT_L_MAX = 12
@@ -67,7 +75,8 @@ class ModelSpec:
     family (free-fermion solution).  Finite ``L`` must be even, between 4 and
     ``DEFAULT_L_MAX``: odd rings frustrate the antiferromagnet and a 2-site
     ring double-counts its single bond.  The couplings must be finite; kT may
-    be inf.
+    be inf.  A coupling the family does not read (``FAMILY_COUPLINGS``) must
+    keep its default.
     """
 
     family: str
@@ -81,10 +90,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        for name in ("delta", "h", "lam", "gamma"):
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in COUPLINGS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if name not in FAMILY_COUPLINGS[self.family] and value != defaults[name]:
+                raise ValueError(
+                    f"family {self.family!r} does not read {name} "
+                    f"(got {name} = {value}, its default is {defaults[name]})"
+                )
         if not (self.kT >= 0.0):
             raise ValueError(f"kT must be >= 0, got {self.kT}")
         if self.L is None:
@@ -238,15 +253,14 @@ def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
     """Sparse 2^L x 2^L Hamiltonian in the sz product basis of ``_bond_sums``.
 
     H = c_hop hop + c_pair pair + c_zz zz + c_z z, with one row of
-    coefficients per family; an ``xxz`` spec ignores its ``h``.
+    coefficients per family; an ``xxz`` spec has h = 0.
     """
     if spec.L is None:
         raise ValueError("build_hamiltonian needs a finite L")
     if spec.family == "xy":
         c_hop, c_pair, c_zz, c_z = -spec.lam / 4, -spec.lam * spec.gamma / 4, 0.0, -0.5
     else:
-        field = spec.h if spec.family == "xxz_field" else 0.0
-        c_hop, c_pair, c_zz, c_z = 1.0, 0.0, spec.delta, -field / 2
+        c_hop, c_pair, c_zz, c_z = 1.0, 0.0, spec.delta, -spec.h / 2
     z, zz, hop, pair = _bond_sums(spec.L)
     diag = scipy.sparse.diags(c_zz * zz + c_z * z, format="csr")
     return c_hop * hop + c_pair * pair + diag
@@ -386,6 +400,10 @@ class _FermionSector:
     in each tau).  ``coefficients`` holds these as a (4, 1 + L + L^2)
     matrix acting on the sums [1, tau_k, tau_k tau_k'] over the sector's
     states.
+
+    ``build`` takes lam and gamma as floats or as arrays that broadcast
+    together, a column of couplings; ``eps`` is then (..., L) and
+    ``coefficients`` (..., 4, 1 + L + L^2), one sector per point.
     """
 
     parity: int  # fermion parity of the sector's states: 0 NS, 1 R
@@ -393,32 +411,32 @@ class _FermionSector:
     coefficients: np.ndarray
 
     @classmethod
-    def build(cls, parity: int, L: int, lam: float, gamma: float) -> _FermionSector:
+    def build(cls, parity: int, L: int, lam, gamma) -> _FermionSector:
+        lam, gamma = np.broadcast_arrays(np.asarray(lam, float), np.asarray(gamma, float))
         m = np.arange(L)
         k = (2 * m + 1 - parity) * math.pi / L
-        xi = 1.0 - lam * np.cos(k)
-        delta = lam * gamma * np.sin(k)
-        unpaired = np.full(L, gamma == 0.0)
+        xi = 1.0 - lam[..., None] * np.cos(k)
+        delta = np.multiply(lam, gamma)[..., None] * np.sin(k)
+        unpaired = np.repeat((gamma == 0.0)[..., None], L, axis=-1)
         if parity == 1:
-            unpaired[[0, L // 2]] = True  # k = 0 and k = pi
+            unpaired[..., [0, L // 2]] = True  # k = 0 and k = pi
         delta[unpaired] = 0.0
         eps = np.where(unpaired, xi, np.hypot(xi, delta))
-        u = np.ones(L, dtype=complex)
+        u = np.ones(xi.shape, dtype=complex)
         paired = ~unpaired
         u[paired] = (xi[paired] - 1j * delta[paired]) / eps[paired]
         phase = np.exp(1j * k)
-        coef = np.zeros((4, 1 + L + L * L), dtype=complex)
-        coef[0, 1 : L + 1] = u / L
-        coef[1, 1 : L + 1] = -u / phase / L
-        coef[2, 1 : L + 1] = -u * phase / L
-        coef[3, L + 1 :] = (
-            np.outer(u, u) * (1.0 - np.outer(phase, 1.0 / phase)) / L**2
-        ).ravel()
+        coef = np.zeros((*lam.shape, 4, 1 + L + L * L), dtype=complex)
+        coef[..., 0, 1 : L + 1] = u / L
+        coef[..., 1, 1 : L + 1] = -u / phase / L
+        coef[..., 2, 1 : L + 1] = -u * phase / L
+        pairs = u[..., :, None] * u[..., None, :] * (1.0 - np.outer(phase, 1.0 / phase))
+        coef[..., 3, L + 1 :] = (pairs / L**2).reshape(*lam.shape, L * L)
         return cls(parity, eps, coef)
 
     @property
-    def vacuum_energy(self) -> float:
-        return float(-0.5 * np.abs(self.eps).sum())
+    def vacuum_energy(self) -> np.ndarray:
+        return -0.5 * np.abs(self.eps).sum(axis=-1)
 
 
 def _tau_insertions(L: int) -> np.ndarray:
@@ -431,7 +449,14 @@ def _tau_insertions(L: int) -> np.ndarray:
 
 
 class FreeFermionSolution:
-    """Exact thermal correlators of a finite xy ring from its free fermions.
+    """Exact thermal correlators of a finite xy ring from its free fermions,
+    at one coupling point or over a column of them.
+
+    ``FreeFermionSolution(spec)`` solves the ring of ``spec``;
+    ``FreeFermionSolution(spec, lam=values)`` (or ``gamma=values``) solves
+    the rings of a column, every point the spec with that coupling
+    replaced.  A spec alone is a column of one point: both run the same
+    array code, which handles every point at every temperature in one pass.
 
     The thermal trace runs over each sector's Fock states of its own
     parity.  Per mode, the empty and filled states carry Boltzmann weights
@@ -454,13 +479,25 @@ class FreeFermionSolution:
     never lies below the NS vacuum (tests/test_models.py checks this on a
     grid).  A wrong-parity sector without zero modes that counts then adds
     exactly zero, so the sectors' vacua are all a kT = 0 average needs.
+
+    Memory grows as (points) x L^2 for the sectors and as (temperatures x
+    points) x L^2 for the recurrence, so a caller with a long column hands
+    it over in blocks (``scan`` does).
     """
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, **column):
         if spec.family != "xy" or spec.L is None:
             raise ValueError("FreeFermionSolution needs a finite xy ring")
+        couplings = {"lam": spec.lam, "gamma": spec.gamma}
+        for name, values in column.items():
+            if name not in couplings:
+                raise TypeError(f"a column replaces lam or gamma, not {name!r}")
+            values = np.asarray(values, dtype=float)
+            if values.ndim != 1 or not np.isfinite(values).all():
+                raise ValueError(f"{name} must be a 1-d array of finite values")
+            couplings[name] = values
         self.sectors = tuple(
-            _FermionSector.build(parity, spec.L, spec.lam, spec.gamma)
+            _FermionSector.build(parity, spec.L, couplings["lam"], couplings["gamma"])
             for parity in (0, 1)
         )
         self._insertions = _tau_insertions(spec.L)
@@ -468,45 +505,66 @@ class FreeFermionSolution:
     def _parity_sums(
         self, sector: _FermionSector, empty_weight: np.ndarray, filled_weight: np.ndarray
     ) -> np.ndarray:
-        """Sums over the sector's states of [1, tau_k, tau_k tau_k'] x weight."""
-        filled = self._insertions * filled_weight
-        even = np.ones(filled.shape[0])
-        odd = np.zeros(filled.shape[0])
-        for q, empty in enumerate(empty_weight):
-            even, odd = (
-                even * empty + odd * filled[:, q],
-                even * filled[:, q] + odd * empty,
-            )
+        """Sums over the sector's states of [1, tau_k, tau_k tau_k'] x weight,
+        (..., 1 + L + L^2) for the mode weights (..., L) of each row."""
+        even = np.ones((*empty_weight.shape[:-1], self._insertions.shape[0]))
+        odd = np.zeros(even.shape)
+        for q, signs in enumerate(self._insertions.T):
+            empty = empty_weight[..., q, None]
+            filled = signs * filled_weight[..., q, None]
+            even, odd = even * empty + odd * filled, even * filled + odd * empty
         return odd if sector.parity else even
 
-    def correlators(self, kT: float) -> Correlators:
-        if not (kT >= 0.0):
-            raise ValueError(f"kT must be >= 0, got {kT}")
+    def table(self, kts) -> np.ndarray:
+        """The correlators z, xx, yy, zz at every kT in ``kts``: an array
+        (len(kts), 4) for a spec alone, (len(kts), 4, points) for a column."""
+        kts = tuple(kts)
+        for kT in kts:
+            if not (kT >= 0.0):
+                raise ValueError(f"kT must be >= 0, got {kT}")
         vacuum = [s.vacuum_energy for s in self.sectors]
-        e_min = min(vacuum)
-        window = GROUND_STATE_WINDOW * max(1.0, abs(e_min))
-        norm = 0.0
-        total = np.zeros(4)
+        e_min = np.minimum(*vacuum)
+        window = GROUND_STATE_WINDOW * np.maximum(1.0, np.abs(e_min))
+        rows = (len(kts), *e_min.shape)
+        norm = np.zeros(rows)
+        total = np.zeros((*rows, 4))
         for sector, e_vac in zip(self.sectors, vacuum):
+            gap = e_vac - e_min
+            gaps = np.ravel(gap).tolist()
+            # math.exp per row: np.exp differs from it in the last bit at
+            # some points.
+            scale = np.array(
+                [
+                    [math.exp(-g / kT) for g in gaps] if kT > 0.0 else np.ravel(gap <= window)
+                    for kT in kts
+                ],
+                dtype=float,
+            ).reshape(rows)
             cost = np.abs(sector.eps)
-            if kT > 0.0:
-                scale = math.exp(-(e_vac - e_min) / kT)
-                excited = np.exp(-cost / kT)
-            else:
-                scale = float(e_vac - e_min <= window)
-                excited = (cost <= window).astype(float)
-            if scale == 0.0:
-                continue
+            excited = np.stack(
+                [
+                    np.exp(-cost / kT) if kT > 0.0 else cost <= window[..., None]
+                    for kT in kts
+                ]
+            ).astype(float, copy=False)
             in_vacuum = sector.eps < 0.0
             sums = self._parity_sums(
                 sector,
                 np.where(in_vacuum, excited, 1.0),
                 np.where(in_vacuum, 1.0, excited),
             )
-            norm += scale * sums[0]
-            total += scale * (sector.coefficients @ sums).real
-        z, xx, yy, zz = total / norm
-        return Correlators(z=float(z), xx=float(xx), yy=float(yy), zz=float(zz))
+            # A sector of weight 0 adds exact zeros: its sums are finite.
+            norm += scale * sums[..., 0]
+            # matmul, not einsum: each row then sums as coefficients @ sums
+            # of one point does, to the last bit.
+            moments = np.matmul(sector.coefficients, sums[..., None])[..., 0]
+            total += scale[..., None] * moments.real
+        return np.moveaxis(total / norm[..., None], -1, 1)
+
+    def correlators(self, kT: float) -> Correlators:
+        """The correlators at one kT; over a column, each field lists the
+        points' values."""
+        return Correlators(*self.table((kT,))[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -525,27 +583,29 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
       Is = (1/pi) int_0^pi sin(k) (D /E) t dk
     """
 
-    def thermal(e: float) -> float:
-        if kT == 0.0:
-            return 1.0
-        if kT == math.inf:
-            return 0.0
-        return math.tanh(0.5 * e / kT)
-
-    def ratio_xi(k: float) -> float:
+    def z_integrand(k: float) -> float:
         xi = 1.0 - lam * math.cos(k)
         en = math.hypot(xi, lam * gamma * math.sin(k))
         if en < 1e-300:
             return 0.0
-        return (xi / en) * thermal(en)
+        return xi / en * (math.tanh(0.5 * en / kT) if kT else 1.0)
 
-    def ratio_delta(k: float) -> float:
+    def ic_integrand(k: float) -> float:
+        cos_k = math.cos(k)
+        xi = 1.0 - lam * cos_k
+        en = math.hypot(xi, lam * gamma * math.sin(k))
+        if en < 1e-300:
+            return 0.0
+        return cos_k * (xi / en * (math.tanh(0.5 * en / kT) if kT else 1.0))
+
+    def is_integrand(k: float) -> float:
+        sin_k = math.sin(k)
         xi = 1.0 - lam * math.cos(k)
-        dd = lam * gamma * math.sin(k)
+        dd = lam * gamma * sin_k
         en = math.hypot(xi, dd)
         if en < 1e-300:
             return 0.0
-        return (dd / en) * thermal(en)
+        return sin_k * (dd / en * (math.tanh(0.5 * en / kT) if kT else 1.0))
 
     # Interior zero of xi (a gap closing when gamma = 0, a near-kink
     # otherwise): hand it to the quadrature as a breakpoint.
@@ -556,18 +616,10 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
             points = [k0]
 
     opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
-    z = scipy.integrate.quad(ratio_xi, 0.0, math.pi, **opts)[0] / math.pi
-    ic = (
-        scipy.integrate.quad(lambda k: math.cos(k) * ratio_xi(k), 0.0, math.pi, **opts)[0]
-        / math.pi
+    return tuple(
+        scipy.integrate.quad(f, 0.0, math.pi, **opts)[0] / math.pi
+        for f in (z_integrand, ic_integrand, is_integrand)
     )
-    is_ = (
-        scipy.integrate.quad(
-            lambda k: math.sin(k) * ratio_delta(k), 0.0, math.pi, **opts
-        )[0]
-        / math.pi
-    )
-    return z, ic, is_
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Parameter sweeps, finite differences, and critical-point estimation.
 
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
-uniform grid, solves the model once per point with the exact solver
-``thermal_solution`` picks (reused at every requested temperature) into one
-(temperature, 4, point) array of z, xx, yy, zz, and evaluates all five
-detectors one temperature column at a time: each point's X state is built
-and validated on its own, and every detector then runs once on the column
-of states that were built.
+uniform grid and solves the model into one (temperature, 4, point) array
+of z, xx, yy, zz.  A finite xy ring is solved a column at a time: its free
+fermions (``FreeFermionSolution``) take the whole grid, in memory-bounded
+blocks, at every temperature in one array pass.  Every other model is
+solved once per point with the exact solver ``thermal_solution`` picks,
+reused at every requested temperature.  The sweep then evaluates all five
+detectors once, on the rows of all temperatures: each row's X state is
+built and validated on its own, and every detector then runs once on the
+column of states that were built.
 Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``,
@@ -33,7 +36,7 @@ import numpy as np
 
 from .coherence import AXES, coherence_entropy, log_spectrum
 from .discord import quantum_discord
-from .models import ModelSpec, thermal_solution
+from .models import FAMILY_COUPLINGS, FreeFermionSolution, ModelSpec, thermal_solution
 from .teleport import max_mean_fidelity, min_mean_trace_distance
 from .xstate import Correlators, XState, build_xstate
 
@@ -43,13 +46,16 @@ DEFAULT_WINDOW_HALF_WIDTH = 0.5
 
 METHODS = ("forward", "central", "backward")
 
-# Control-axis name -> (ModelSpec field, families it drives)
+# Control-axis name -> (ModelSpec field, families that read it)
+_AXIS_COUPLINGS = {"delta": "delta", "h": "h", "lambda": "lam", "gamma": "gamma"}
 AXIS_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "delta": ("delta", ("xxz", "xxz_field")),
-    "h": ("h", ("xxz_field",)),
-    "lambda": ("lam", ("xy",)),
-    "gamma": ("gamma", ("xy",)),
+    axis: (field, tuple(f for f, read in FAMILY_COUPLINGS.items() if field in read))
+    for axis, field in _AXIS_COUPLINGS.items()
 }
+
+# Most (kT, point) rows a finite xy ring solves in one pass; bounds the
+# memory of the free-fermion recurrence and coefficients to a few MB.
+_COLUMN_ROWS = 256
 
 # The column schema, in CSV emission order: the correlators, then the
 # detectors.  The branch labels are strings and the divergence flags are
@@ -163,7 +169,21 @@ def _solve(
     kts: tuple[float, ...],
 ) -> tuple[np.ndarray, list[str | None]]:
     """The (len(kts), 4, points) z, xx, yy, zz of the grid and each point's
-    error message or None; a point that fails at any kT is NaN at all."""
+    error message or None; a point that fails at any kT is NaN at all.
+
+    A finite xy ring is solved a column at a time by its free fermions, in
+    blocks of at most ``_COLUMN_ROWS`` (kT, point) rows so that memory stays
+    bounded on long grids; a block that fails records its error at each of
+    its points.  Every other model is solved point by point.
+    """
+    if template.family == "xy" and template.L is not None:
+        step = max(1, _COLUMN_ROWS // len(kts))
+        blocks = [
+            _solve_column(template, axis_field, params[i : i + step], kts)
+            for i in range(0, params.size, step)
+        ]
+        corrs = np.concatenate([corr for corr, _ in blocks], axis=-1)
+        return corrs, [err for _, errs in blocks for err in errs]
     rows, errors = [], []
     for param in params.tolist():
         try:
@@ -177,34 +197,50 @@ def _solve(
     return np.array(rows).transpose(1, 2, 0), errors
 
 
+def _solve_column(
+    template: ModelSpec,
+    axis_field: str,
+    params: np.ndarray,
+    kts: tuple[float, ...],
+) -> tuple[np.ndarray, list[str | None]]:
+    """``_solve`` of a finite xy ring over one block of the grid."""
+    try:
+        solution = FreeFermionSolution(template, **{axis_field: params})
+        return solution.table(kts), [None] * params.size
+    except Exception as exc:
+        return np.full((len(kts), 4, params.size), math.nan), [_error(exc)] * params.size
+
+
 def _temperature_columns(
     corr: np.ndarray, model_errors: list[str | None]
 ) -> tuple[dict[str, np.ndarray], tuple[str | None, ...]]:
-    """(columns, errors) of one temperature over the grid.
+    """(columns, errors) over a column of rows.
 
-    ``corr`` is the temperature's (4, points) slice of ``_solve`` and
-    ``model_errors`` each point's model failure message, or None.  Each
-    point's X state is built and validated on its own, so a build failure
-    fails only its own point; the detectors then run once on the column of
-    states that were built, and their values fill those points.
+    ``corr`` holds the rows' (4, rows) z, xx, yy, zz and ``model_errors``
+    each row's model failure message, or None; a sweep passes all its
+    temperatures' rows at once.  Each row's X state is built and validated
+    on its own, so a build failure fails only its own row; the detectors
+    then run once on the column of states that were built, and their
+    values fill those rows.
     """
     errors = list(model_errors)
-    built = {}
-    for i, values in enumerate(corr.T.tolist()):
+    states = np.empty((len(errors), 5))
+    for i, values in enumerate(zip(*corr.tolist())):
         if errors[i] is None:
             try:
-                built[i] = build_xstate(Correlators(*values))
+                x = build_xstate(Correlators(*values))
             except Exception as exc:
                 errors[i] = _error(exc)
+            else:
+                states[i] = x.a, x.b, x.c, x.d, x.e
     out = {
         name: np.full(len(errors), FAILED_ROW[name], dtype)
         for name, dtype in COLUMN_DTYPES.items()
     }
-    if built:
-        points = list(built)
-        states = np.array([(x.a, x.b, x.c, x.d, x.e) for x in built.values()])
+    points = [i for i, err in enumerate(errors) if err is None]
+    if points:
         try:
-            values = _columns(Correlators(*corr[:, points]), XState(*states.T))
+            values = _columns(Correlators(*corr[:, points]), XState(*states[points].T))
         except Exception as exc:
             for i in points:
                 errors[i] = _error(exc)
@@ -266,14 +302,27 @@ def sweep(
 ) -> list[SweepResult]:
     """Sweep one control axis, returning one SweepResult per temperature.
 
-    The model is solved once per point, in grid order; the detectors then run
-    once per temperature column.
+    The model is solved once per point (a finite xy ring once per column
+    block, see ``_solve``) and serves every temperature; the detectors then
+    run once, on the rows of all temperatures, and the rows are split per
+    temperature.
     """
     axis_field, params, kts = sweep_inputs(template, axis, start, stop, eta, kT_list)
     corrs, errors = _solve(template, axis_field, params, kts)
+    points = params.size
+    columns, all_errors = _temperature_columns(
+        corrs.transpose(1, 0, 2).reshape(4, -1), errors * len(kts)
+    )
     return [
-        SweepResult(axis, eta, kT, params, *_temperature_columns(corr, errors))
-        for kT, corr in zip(kts, corrs)
+        SweepResult(
+            axis,
+            eta,
+            kT,
+            params,
+            {name: col[i * points : (i + 1) * points] for name, col in columns.items()},
+            all_errors[i * points : (i + 1) * points],
+        )
+        for i, kT in enumerate(kts)
     ]
 
 

@@ -190,6 +190,30 @@ def test_sweep_command_rejects_non_finite_settings(tmp_path, capsys, line, messa
         assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "family, line, message",
+    [
+        ("xxz", "h = 3.0", "family 'xxz' does not read h"),
+        # given at its default value, the key is still not read
+        ("xxz", "gamma = 1.0", "family 'xxz' does not read gamma"),
+        ("xxz_field", "lam = 0.5", "family 'xxz_field' does not read lam"),
+    ],
+)
+def test_commands_reject_a_coupling_the_family_does_not_read(
+    tmp_path, capsys, family, line, message
+):
+    text = SWEEP_CONFIG.replace("family = xxz", f"family = {family}")
+    text += "detectors = qd\nwindow_lo = -1.1\nwindow_hi = -0.9\n"
+    text += f"{line}\nout = {tmp_path}\n"
+    cfg = _write(tmp_path, text)
+    for command in ("sweep", "estimate"):
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "wrote" not in captured.out
+        assert not list(tmp_path.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------

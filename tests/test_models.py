@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -254,6 +255,20 @@ def test_model_spec_validation():
     ModelSpec("xxz_field", 6, math.inf, delta=0.9, h=1.0)
 
 
+def test_model_spec_rejects_a_coupling_its_family_does_not_read():
+    # xxz has no field and xy no anisotropy Delta: a value there would be
+    # silently ignored by every solver
+    with pytest.raises(ValueError, match="family 'xxz' does not read h"):
+        ModelSpec("xxz", 8, 0.1, h=3.0)
+    with pytest.raises(ValueError, match="family 'xy' does not read delta"):
+        ModelSpec("xy", 8, 0.1, delta=0.7)
+    with pytest.raises(ValueError, match="family 'xxz_field' does not read gamma"):
+        ModelSpec("xxz_field", 8, 0.1, gamma=0.5)
+    # an unread coupling at its default is the spec without it
+    assert ModelSpec("xxz", 8, 0.1, h=0.0, lam=0.0, gamma=1.0) == ModelSpec("xxz", 8, 0.1)
+    assert models.FAMILIES == tuple(models.FAMILY_COUPLINGS)
+
+
 def test_critical_line_delta1():
     assert xxz_delta1(12.0, 1.0) == 2.0
     assert xxz_delta1(0.0, 1.0) == -1.0
@@ -404,6 +419,44 @@ def test_free_fermions_match_exact_diagonalization(L, points):
                 assert getattr(f, name) == pytest.approx(
                     getattr(c, name), abs=1e-10
                 ), (lam, gamma, kT, name)
+
+
+@pytest.mark.parametrize(
+    "template, field, values",
+    [
+        # the lam axis crosses the Ramond k = 0 zero mode at lam = 1 and
+        # |lam| > 1 (an odd R vacuum), at gamma = 0 with every mode unpaired
+        (ModelSpec("xy", 8, 0.0, gamma=0.0), "lam", (-1.5, -1, 0, 0.5, 1, 1.25, 2)),
+        (ModelSpec("xy", 12, 0.0, gamma=1.0), "lam", (-1.3, 0.92, 1.0, 1.08, 3.0)),
+        (ModelSpec("xy", 10, 0.0, lam=1.0), "gamma", (-1.0, -0.3, 0.0, 0.3, 1.0)),
+        (ModelSpec("xy", 6, 0.0, lam=1.5), "gamma", (0.0, 0.5, 2.0)),
+    ],
+)
+def test_free_fermion_column_matches_one_point_solves(template, field, values):
+    # A column is one array pass; each of its points must carry the bits of
+    # the point solved alone (a spec is a column of one).
+    kts = (0.0, 0.02, 1.0, math.inf)
+    table = FreeFermionSolution(template, **{field: np.array(values)}).table(kts)
+    assert table.shape == (len(kts), 4, len(values))
+    for j, value in enumerate(values):
+        one = FreeFermionSolution(replace(template, **{field: value}))
+        for i, kT in enumerate(kts):
+            got = [float(v).hex() for v in table[i, :, j]]
+            want = [v.hex() for v in astuple(one.correlators(kT))]
+            assert got == want, (value, kT)
+    one = FreeFermionSolution(template)
+    assert one.table(kts).shape == (len(kts), 4)
+    assert all(isinstance(v, float) for v in astuple(one.correlators(0.5)))
+
+
+def test_free_fermion_column_is_checked():
+    spec = ModelSpec("xy", 8, 0.1)
+    with pytest.raises(ValueError, match="lam must be a 1-d array of finite values"):
+        FreeFermionSolution(spec, lam=np.array([0.5, math.nan]))
+    with pytest.raises(TypeError, match="not 'delta'"):
+        FreeFermionSolution(spec, delta=np.array([0.5]))
+    with pytest.raises(ValueError, match="kT must be >= 0"):
+        FreeFermionSolution(spec, gamma=np.array([0.5])).table((0.1, -1.0))
 
 
 def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():

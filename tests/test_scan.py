@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+import qcpdetect.scan as scan_mod
 from qcpdetect.coherence import AXES
-from qcpdetect.models import ModelSpec
+from qcpdetect.models import FreeFermionSolution, ModelSpec, thermal_correlators
 from qcpdetect.scan import (
     COLUMN_DTYPES,
     COLUMNS,
@@ -394,6 +396,8 @@ def test_evaluate_detectors_record_contents():
     [
         (ModelSpec("xy", None, 0.5), "lambda", 0.9, 1.1, 0.01, (0.0, 0.02, 0.5)),
         (ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, 0.1, (0.1, 1.0)),
+        (ModelSpec("xy", 12, 0.5, gamma=1.0), "lambda", 0.9, 1.1, 0.01, (0.0, 0.02, 0.5)),
+        (ModelSpec("xy", 8, 0.5, lam=1.2), "gamma", -1.0, 1.0, 0.1, (0.05, math.inf)),
     ],
 )
 def test_sweep_rows_match_evaluate_detectors(template, axis, start, stop, eta, kts):
@@ -409,7 +413,7 @@ def test_sweep_rows_match_evaluate_detectors(template, axis, start, stop, eta, k
                 np.testing.assert_equal(res.columns[name][i], row[name])
 
 
-def test_sweep_calls_each_detector_once_per_column(monkeypatch):
+def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
     import qcpdetect.scan as scan_mod
 
     calls = []
@@ -436,15 +440,46 @@ def test_sweep_calls_each_detector_once_per_column(monkeypatch):
     results = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, eta=0.1, kT_list=kts)
     points = results[0].params.size
     assert points > 16 and all(r.failed_count == 0 for r in results)
-    # one model solve per point, reused at every temperature
+    # one model solve per point, reused at every temperature; one X state
+    # per row; each detector once, on the rows of all temperatures
     assert calls.count(("thermal_solution",)) == points
     assert calls.count(("build_xstate",)) == points * len(kts)
     for name in ("quantum_discord", "max_mean_fidelity", "min_mean_trace_distance"):
-        assert calls.count((name,)) == len(kts)
+        assert calls.count((name,)) == 1
     for name in ("coherence_entropy", "log_spectrum"):
         for axis in AXES:
-            assert calls.count((name, axis)) == len(kts)
-    assert len(calls) == points + points * len(kts) + 9 * len(kts)
+            assert calls.count((name, axis)) == 1
+    assert len(calls) == points + points * len(kts) + 9
+    # a finite xy ring is solved a column at a time, never point by point
+    calls.clear()
+    sweep(ModelSpec("xy", 6, 0.5), "lambda", 0.0, 2.0, eta=0.1, kT_list=kts)
+    assert calls.count(("thermal_solution",)) == 0
+    assert calls.count(("quantum_discord",)) == 1
+
+
+def test_xy_sweep_columns_match_one_point_solves():
+    # 101 points at 3 temperatures span two column blocks of the solver
+    template = ModelSpec("xy", 6, 0.5, gamma=0.0)
+    kts = (0.0, 0.05, math.inf)
+    results = sweep(template, "lambda", -0.5, 1.5, eta=0.02, kT_list=kts)
+    assert results[0].params.size * len(kts) > scan_mod._COLUMN_ROWS
+    for res in results:
+        assert res.failed_count == 0
+        for i, param in enumerate(res.params.tolist()):
+            want = thermal_correlators(replace(template, lam=param, kT=res.kT))
+            assert tuple(res.columns[c][i] for c in COLUMNS[:4]) == astuple(want)
+
+
+def test_xy_sweep_records_a_failed_column_block(monkeypatch):
+    def boom(self, kts):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(FreeFermionSolution, "table", boom)
+    template = ModelSpec("xy", 6, 0.5)
+    results = sweep(template, "lambda", 0.0, 1.0, eta=0.25, kT_list=(0.1, 1.0))
+    for res in results:
+        assert res.errors == ("RuntimeError: boom",) * 5
+        assert np.isnan(res.column("qd")).all()
 
 
 def test_record_rejects_unknown_column():
