@@ -17,10 +17,10 @@ spec, and ``thermal_correlators`` and every sweep use it:
     Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
     O(L^3) per point and temperature, for one coupling point or a column;
   * finite xxz chains: exact diagonalization (``diagonalize``) per symmetry
-    sector, since H conserves the total magnetization.  The Hamiltonian and
-    the measured correlators both come from four translation-summed
-    operators of the ring (``_bond_sums``): sum_j sz_j, sum_j sz_j sz_j+1,
-    and the bond flips sum_j (sx sx +- sy sy);
+    sector, since H conserves the total magnetization.  ``build_hamiltonian``
+    builds each sector as a dense numpy block on its basis states, from the
+    sz diagonals and the bond flips sum_j (sx sx +- sy sy) (``_bond_flips``);
+    the measured correlators are the same translation sums per eigenstate;
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
     free fermions, also an oracle for the finite-L pipeline.
 
@@ -43,9 +43,6 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
-import scipy.sparse
 
 from .xstate import Correlators
 
@@ -85,7 +82,7 @@ class ModelSpec:
     delta: float = 0.0  # xxz anisotropy
     h: float = 0.0  # xxz_field longitudinal field
     lam: float = 0.0  # xy coupling strength
-    gamma: float = 1.0  # xy anisotropy in [0, 1]
+    gamma: float = 1.0  # xy anisotropy, any finite value; -gamma swaps xx and yy
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -206,54 +203,55 @@ def xxz_delta2(h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bond_flips(
-    states: np.ndarray, p: int, q: int, differ_amp: float, equal_amp: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets (rows, cols, vals) of the two-bit flip on the bond (p, q).
+def _bond_flips(basis: np.ndarray, L: int, differ_amp: float, equal_amp: float):
+    """COO triplets (rows, cols, vals) of the two-bit flip on each bond
+    (j, j+1) of the ring, one bond at a time, within one sector: rows and
+    cols are positions in its sorted ``basis`` of states.
 
-    The flip has amplitude ``differ_amp`` from states whose two bond bits
-    differ and ``equal_amp`` from states whose bond bits agree; zero
-    amplitudes give no entries.  sx sx flips with (1, 1), sy sy with (1, -1),
-    so sx sx + sy sy is (2, 0) and sx sx - sy sy is (0, 2).
+    The flip has amplitude ``differ_amp`` between states whose two bond bits
+    differ and ``equal_amp`` between states whose bond bits agree; zero
+    amplitudes give no entries, and every other flip must stay in the
+    sector.  sx sx flips with (1, 1), sy sy with (1, -1), so
+    sx sx + sy sy is (2, 0) and sx sx - sy sy is (0, 2).  The flip is
+    symmetric, so only the states with bit j = 0 are sources: each pair of
+    states appears once, and (cols, rows, vals) is the other half.
     """
-    differ = ((states >> p) & 1) != ((states >> q) & 1)
-    amp = np.where(differ, differ_amp, equal_amp)
-    keep = amp != 0.0
-    src = states[keep]
-    return src ^ np.int64((1 << p) | (1 << q)), src, amp[keep]
+    for j in range(L):
+        k = (j + 1) % L
+        bit_j, bit_k = (basis >> j) & 1, (basis >> k) & 1
+        amp = np.where(bit_j != bit_k, differ_amp, equal_amp)
+        cols = np.flatnonzero((amp != 0.0) & (bit_j == 0))
+        rows = np.searchsorted(basis, basis[cols] ^ ((1 << j) | (1 << k)))
+        yield rows, cols, amp[cols]
 
 
-def _bond_sums(
-    L: int,
-) -> tuple[np.ndarray, np.ndarray, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    """The ring's translation sums (z, zz, hop, pair) in the sz product basis.
+def _diagonals(states: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j sz_j and sum_j sz_j sz_j+1 of each basis state.
 
-    Bit j of a basis index is site j+1, and bit value 0 encodes sz = +1.
-    z = sum_j sz_j and zz = sum_j sz_j sz_j+1 are diagonals; hop =
-    sum_j (sx sx + sy sy) and pair = sum_j (sx sx - sy sy) on the bonds
-    (j, j+1) are sparse.  Every operator of the chains is a combination of
-    these four, and each commutes with translation.
+    Bit j of a basis state is site j+1, and bit value 0 encodes sz = +1.
     """
-    dim = 1 << L
-    states = np.arange(dim, dtype=np.int64)
     sz = 1.0 - 2.0 * ((states[:, None] >> np.arange(L)) & 1)
-
-    def flip_sum(differ_amp: float, equal_amp: float) -> scipy.sparse.csr_matrix:
-        triplets = [
-            _bond_flips(states, j, (j + 1) % L, differ_amp, equal_amp) for j in range(L)
-        ]
-        rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-    zz = (sz * np.roll(sz, -1, axis=1)).sum(axis=1)
-    return sz.sum(axis=1), zz, flip_sum(2.0, 0.0), flip_sum(0.0, 2.0)
+    return sz.sum(axis=1), (sz * np.roll(sz, -1, axis=1)).sum(axis=1)
 
 
-def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
-    """Sparse 2^L x 2^L Hamiltonian in the sz product basis of ``_bond_sums``.
+def _sector_bases(spec: ModelSpec) -> list[np.ndarray]:
+    """The sorted basis states of each block of H: total magnetization for
+    the xxz families, global spin-flip parity for xy."""
+    z, _ = _diagonals(np.arange(1 << spec.L, dtype=np.int64), spec.L)
+    down = (spec.L - z.astype(np.int64)) // 2  # number of sz = -1 sites
+    if spec.family in ("xxz", "xxz_field"):
+        return [np.flatnonzero(down == m) for m in range(spec.L + 1)]
+    return [np.flatnonzero(down % 2 == r) for r in (0, 1)]
 
-    H = c_hop hop + c_pair pair + c_zz zz + c_z z, with one row of
-    coefficients per family; an ``xxz`` spec has h = 0.
+
+def build_hamiltonian(spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """H as its symmetry-sector blocks: (basis states, dense block) pairs.
+
+    H = c_hop hop + c_pair pair + c_zz zz + c_z z over the ring's bond sums
+    hop = sum_j (sx sx + sy sy), pair = sum_j (sx sx - sy sy) and the
+    diagonals of ``_diagonals``, with one row of coefficients per family;
+    an ``xxz`` spec has h = 0.  pair changes the magnetization by 2, so an
+    xxz sector has none.
     """
     if spec.L is None:
         raise ValueError("build_hamiltonian needs a finite L")
@@ -261,19 +259,14 @@ def build_hamiltonian(spec: ModelSpec) -> scipy.sparse.csr_matrix:
         c_hop, c_pair, c_zz, c_z = -spec.lam / 4, -spec.lam * spec.gamma / 4, 0.0, -0.5
     else:
         c_hop, c_pair, c_zz, c_z = 1.0, 0.0, spec.delta, -spec.h / 2
-    z, zz, hop, pair = _bond_sums(spec.L)
-    diag = scipy.sparse.diags(c_zz * zz + c_z * z, format="csr")
-    return c_hop * hop + c_pair * pair + diag
-
-
-def _sector_indices(spec: ModelSpec, z: np.ndarray) -> list[np.ndarray]:
-    """Basis-index groups diagonalizing H in blocks, read from the z sum:
-    total magnetization for the xxz families, global spin-flip parity for xy.
-    """
-    down = (spec.L - z.astype(np.int64)) // 2  # number of sz = -1 sites
-    if spec.family in ("xxz", "xxz_field"):
-        return [np.flatnonzero(down == m) for m in range(spec.L + 1)]
-    return [np.flatnonzero(down % 2 == r) for r in (0, 1)]
+    blocks = []
+    for basis in _sector_bases(spec):
+        z, zz = _diagonals(basis, spec.L)
+        block = np.diag(c_zz * zz + c_z * z)
+        for rows, cols, vals in _bond_flips(basis, spec.L, 2 * c_hop, 2 * c_pair):
+            block[rows, cols] = block[cols, rows] = vals
+        blocks.append((basis, block))
+    return blocks
 
 
 @dataclass
@@ -309,36 +302,39 @@ class ThermalSolution:
 
 
 def diagonalize(spec: ModelSpec) -> ThermalSolution:
-    """Exactly diagonalize the chain per symmetry sector (``_sector_indices``)
-    and cache per-eigenstate observables.
+    """Exactly diagonalize the blocks of ``build_hamiltonian`` and cache
+    per-eigenstate observables.
 
-    Each eigenstate stores the bond sums of ``_bond_sums`` divided by L, not
-    the operators of one pair: z, zz, xx = (hop + pair) / 2L and
-    yy = (hop - pair) / 2L.  Every thermal average, the kT = 0 average over
-    the ground window included, is a trace of f(H) O, and H commutes with
-    translation, so each bond contributes the same trace and the bond
-    average equals the pair (1, 2) exactly.
+    Each eigenstate stores the ring's bond sums divided by L, not the
+    operators of one pair: z, zz, xx = (hop + pair) / 2L and
+    yy = (hop - pair) / 2L, with pair = 0 in an xxz sector.  Every thermal
+    average, the kT = 0 average over the ground window included, is a trace
+    of f(H) O, and H commutes with translation, so each bond contributes the
+    same trace and the bond average equals the pair (1, 2) exactly.
     """
     if spec.L is None:
         raise ValueError("diagonalize needs a finite L; use xy_thermo_correlators")
     L = spec.L
-    z, zz, hop, pair = _bond_sums(L)
-    ham = build_hamiltonian(spec)
+
+    def flip_sum(evecs, basis, differ_amp, equal_amp):
+        # <n| sum_j flip_j |n>, gathered along each bond's flips; a bond
+        # lists each pair of states once, so the pair counts twice
+        return sum(
+            2.0 * vals @ (evecs[rows] * evecs[cols])
+            for rows, cols, vals in _bond_flips(basis, L, differ_amp, equal_amp)
+        )
 
     energies = []
     expect = {name: [] for name in ("z", "xx", "yy", "zz")}
-    for idx in _sector_indices(spec, z):
-        block, hop_block, pair_block = (op[idx][:, idx] for op in (ham, hop, pair))
-        evals, evecs = scipy.linalg.eigh(
-            block.toarray(), driver="evd", check_finite=False
-        )
+    for basis, block in build_hamiltonian(spec):
+        evals, evecs = np.linalg.eigh(block)
         energies.append(evals)
         density = (evecs * evecs).T
-        hop_n, pair_n = (
-            np.einsum("in,in->n", evecs, op @ evecs) for op in (hop_block, pair_block)
-        )
-        expect["z"].append(density @ z[idx] / L)
-        expect["zz"].append(density @ zz[idx] / L)
+        z, zz = _diagonals(basis, L)
+        hop_n = flip_sum(evecs, basis, 2.0, 0.0)
+        pair_n = flip_sum(evecs, basis, 0.0, 2.0) if spec.family == "xy" else 0.0
+        expect["z"].append(density @ z / L)
+        expect["zz"].append(density @ zz / L)
         expect["xx"].append((hop_n + pair_n) / (2 * L))
         expect["yy"].append((hop_n - pair_n) / (2 * L))
 
@@ -614,6 +610,8 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
         k0 = math.acos(1.0 / lam) if lam > 0 else math.acos(-1.0 / abs(lam))
         if 1e-12 < k0 < math.pi - 1e-12:
             points = [k0]
+
+    import scipy.integrate  # the package's only scipy use; loaded on demand
 
     opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
     return tuple(

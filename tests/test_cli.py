@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qcpdetect
 from qcpdetect.cli import (
     ESTIMATE_HEADER,
     EXTRAPOLATION_HEADER,
@@ -441,13 +446,20 @@ def test_sweep_rules_are_config_errors_before_solving(
     tmp_path, capsys, monkeypatch, replace, message
 ):
     # The library's sweep checks run before anything is solved, and their
-    # ValueError is a config error (exit 1), not a computation error.
+    # ValueError is a config error (exit 1), not a computation error.  A
+    # finite xy grid is solved by FreeFermionSolution, every other point by
+    # thermal_solution; both refuse and are counted, since a sweep records
+    # a solver's exception as a failed point.
     import qcpdetect.scan as scan_mod
 
-    def refuse(*args):
+    solved = []
+
+    def refuse(*args, **kwargs):
+        solved.append(args)
         raise AssertionError("solved a point")
 
     monkeypatch.setattr(scan_mod, "thermal_solution", refuse)
+    monkeypatch.setattr(scan_mod, "FreeFermionSolution", refuse)
     text = SWEEP_CONFIG
     for old, new in replace.items():
         text = text.replace(old, new)
@@ -459,6 +471,7 @@ def test_sweep_rules_are_config_errors_before_solving(
         assert message in captured.err
         assert "wrote" not in captured.out
         assert not list(tmp_path.glob("*.csv"))
+    assert not solved
 
 
 def test_estimate_window_may_round_past_the_grid_end(tmp_path, capsys):
@@ -639,3 +652,46 @@ def test_bad_arguments_are_config_errors(tmp_path, capsys):
     cfg = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path}\n")
     assert main(["sweep", "--config", cfg, "--workers", "3"]) == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+NO_SCIPY_SCRIPT = """\
+import sys
+
+import qcpdetect
+import qcpdetect.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+assert not scipy_modules(), ("import", scipy_modules()[:3])
+for cfg in sys.argv[1:]:
+    assert qcpdetect.cli.main(["sweep", "--config", cfg]) == 0
+    assert not scipy_modules(), (cfg, scipy_modules()[:3])
+"""
+
+
+def test_package_and_finite_sweeps_load_no_scipy(tmp_path):
+    # Only the L = inf quadrature loads scipy: importing the package and
+    # finite sweeps (ED for xxz, free fermions for xy) must not, checked in
+    # a fresh interpreter.
+    configs = []
+    for family, axis in (("xxz", "delta"), ("xy", "lambda")):
+        text = (
+            f"family = {family}\nL = 4\nkT_list = 0, 0.5\naxis = {axis}\n"
+            "start = 0.5\nstop = 1\neta = 0.25\n"
+        )
+        cfg = _write(tmp_path, text + f"out = {tmp_path / family}\n", f"{family}.cfg")
+        configs.append(cfg)
+    src = Path(qcpdetect.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, *configs],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    for family in ("xxz", "xy"):
+        assert len(list((tmp_path / family).glob("sweep_kT*.csv"))) == 2

@@ -4,14 +4,12 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-import scipy.sparse
 import scipy.special
 
 from qcpdetect import models
 from qcpdetect.models import (
     FreeFermionSolution,
     ModelSpec,
-    _bond_sums,
     _FermionSector,
     build_hamiltonian,
     diagonalize,
@@ -72,33 +70,19 @@ def _dense_reference(spec: ModelSpec) -> np.ndarray:
     ],
 )
 def test_hamiltonian_matches_kron_reference(spec):
-    built = build_hamiltonian(spec).toarray()
+    # The sector blocks, placed at their basis states, are the Kronecker
+    # Hamiltonian; every block is symmetric, and the sectors partition the
+    # basis.
     ref = _dense_reference(spec)
     assert np.max(np.abs(ref.imag)) < 1e-14
-    assert np.allclose(built, ref.real, atol=1e-12)
-
-
-def _bond_sum(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
-    return sum(_site_op(a, j, L) @ _site_op(b, j % L + 1, L) for j in range(1, L + 1))
-
-
-@pytest.mark.parametrize("L", [4, 6])
-def test_bond_sums_match_kron_reference(L):
-    z, zz, hop, pair = _bond_sums(L)
-    xx, yy = _bond_sum(SX, SX, L), _bond_sum(SY, SY, L)
-    z_ref = sum(_site_op(SZ, j, L) for j in range(1, L + 1))
-    np.testing.assert_array_equal(np.diag(z), z_ref)
-    np.testing.assert_array_equal(np.diag(zz), _bond_sum(SZ, SZ, L))
-    np.testing.assert_array_equal(hop.toarray(), xx + yy)
-    np.testing.assert_array_equal(pair.toarray(), xx - yy)
-
-
-def test_hamiltonian_is_hermitian_sparse():
-    spec = ModelSpec("xy", 8, 1.0, lam=1.1, gamma=0.5)
-    ham = build_hamiltonian(spec)
-    assert scipy.sparse.issparse(ham)
-    delta = (ham - ham.T).tocoo()
-    assert len(delta.data) == 0 or np.max(np.abs(delta.data)) < 1e-14
+    built = np.zeros(ref.shape)
+    bases = []
+    for basis, block in build_hamiltonian(spec):
+        np.testing.assert_array_equal(block, block.T)
+        built[np.ix_(basis, basis)] = block
+        bases.append(basis)
+    np.testing.assert_array_equal(np.sort(np.concatenate(bases)), np.arange(2**spec.L))
+    np.testing.assert_allclose(built, ref.real, rtol=0.0, atol=1e-12)
 
 
 def test_heisenberg_ground_state_energy():
