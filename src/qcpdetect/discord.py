@@ -45,7 +45,10 @@ _BISECTIONS = math.ceil(math.log2(0.5 * math.pi / THETA_REFINE_TOL))
 class DiscordResult:
     """Discord value in nats together with the minimizing angle.
 
-    Numpy scalars for one state, arrays for a column.
+    Numpy scalars for one state, arrays for a column.  Where S~ is flat in
+    theta, every angle minimizes it and ``theta_star`` is arbitrary: the last
+    bit of the state decides it.  One example is ``xxz`` at delta = 1, h = 0,
+    where xx = yy = zz.
     """
 
     value: float

@@ -65,10 +65,16 @@ CORRECTION_SETS = {
 
 # Outcomes with probability below this are treated as impossible.
 _Q_FLOOR = 1e-15
-# Zoom rounds of the brute-force fidelity search after its grid, and the
-# offsets of each round's 9 x 9 window in units of the current cell size.
-_REFINE_ROUNDS = 12
-_ZOOM = np.linspace(-1.0, 1.0, 9)
+# The brute-force fidelity search zooms _REFINE_ROUNDS times after its grid,
+# each round into a 33 x 33 window spanning +/- one spacing of the round
+# before, so the spacing shrinks by 16 per round and ends at the grid's
+# 16^-6 = 4^-12.  _ZOOM_OFFSETS (round, 33) are every round's window offsets
+# in units of the grid spacing; powers of two, so the scaling is exact.  The
+# scales are Python floats: a numpy power here measured 0.1 to 0.2 MB more
+# peak RSS in every process that imports the package.
+_REFINE_ROUNDS = 6
+_ZOOM = np.linspace(-1.0, 1.0, 33)
+_ZOOM_OFFSETS = np.outer([16.0**-k for k in range(_REFINE_ROUNDS)], _ZOOM)
 # Orders of the chi harmonics 1, cos chi, cos 2 chi of the fidelity, a column.
 _HARMONICS = np.arange(3.0)[:, None]
 
@@ -339,8 +345,10 @@ def max_mean_fidelity_bruteforce(
     grid theta in [0, pi] by chi in [0, 2 pi), theta-major.  ``grid_value``
     is the raw grid maximum (accuracy limited by spacing); ``value``
     additionally zooms into the best cell of each set, the four sets in
-    lockstep, for _REFINE_ROUNDS rounds of a 9 x 9 window that shrinks by 4
-    per round.  Serves as the oracle for max_mean_fidelity.
+    lockstep, for _REFINE_ROUNDS rounds of a 33 x 33 window spanning +/- one
+    spacing of the round before, so the spacing shrinks by 16 per round and
+    the last round's is the grid's times 4^-12.  A set's point moves only
+    where a round improves on it.  Serves as the oracle for max_mean_fidelity.
     """
     n_theta = _grid_size("n_theta", n_theta, 2)
     n_chi = _grid_size("n_chi", n_chi, 1)
@@ -353,22 +361,24 @@ def max_mean_fidelity_bruteforce(
     cells = np.argmax(grid_values, axis=1)  # first of any tie
     val, th, ch = grid_values[sets, cells], thetas[cells // n_chi], chis[cells % n_chi]
     grid_value = float(np.max(val))
+    del grid_values  # so the rounds' temporaries do not stack on the grid
 
-    d_theta = math.pi / (n_theta - 1)
-    d_chi = 2.0 * math.pi / n_chi
-    for _ in range(_REFINE_ROUNDS):
-        # Each set's 9 x 9 window, theta-major: shape (set, 81).
-        th_window = np.clip(th[:, None] + d_theta * _ZOOM, 0.0, math.pi)
-        ch_window = ch[:, None] + d_chi * _ZOOM
+    width = len(_ZOOM)
+    spacings = (math.pi / (n_theta - 1), 2.0 * math.pi / n_chi)
+    th_offsets, ch_offsets = np.multiply.outer(spacings, _ZOOM_OFFSETS)
+    for th_offset, ch_offset in zip(th_offsets, ch_offsets):
+        th_window = th[:, None] + th_offset
+        np.maximum(th_window, 0.0, out=th_window)
+        np.minimum(th_window, math.pi, out=th_window)
+        ch_window = ch[:, None] + ch_offset
+        # Each set's width x width window, theta-major: shape (set, width^2).
         lv = _mean_fidelities(trig, th_window, ch_window).reshape(len(sets), -1)
-        m = np.argmax(lv, axis=1)
+        m = lv.argmax(axis=1)
         top = lv[sets, m]
         better = top > val
         val = np.where(better, top, val)
-        th = np.where(better, th_window[sets, m // 9], th)
-        ch = np.where(better, ch_window[sets, m % 9], ch)
-        d_theta *= 0.25
-        d_chi *= 0.25
+        th = np.where(better, th_window[sets, m // width], th)
+        ch = np.where(better, ch_window[sets, m % width], ch)
 
     best = int(np.argmax(val))
     return BruteForceFidelity(

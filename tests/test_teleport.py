@@ -294,6 +294,43 @@ def test_bruteforce_grid_value_is_literal_grid_maximum(n_theta, n_chi):
         assert brute.value >= brute.grid_value
 
 
+@pytest.mark.parametrize("n_theta, n_chi", [(128, 256), (48, 96)])
+def test_bruteforce_refines_to_a_4_to_the_minus_12_cell(monkeypatch, n_theta, n_chi):
+    # The refinement rounds are the calls after the grid's.  Each round's
+    # window spans +/- one spacing of the round before, and the last round's
+    # spacing is the grid's times 4^-12 on both axes.  theta windows are
+    # clipped to [0, pi], so their span is not checked and their spacing is
+    # the largest step between neighbours.
+    windows = []
+    evaluate = teleport._mean_fidelities
+
+    def recording(trig, theta, chi):
+        windows.append((theta, chi))
+        return evaluate(trig, theta, chi)
+
+    monkeypatch.setattr(teleport, "_mean_fidelities", recording)
+    max_mean_fidelity_bruteforce(
+        sample_random_xstate(np.random.default_rng(SEED + 10)), n_theta, n_chi
+    )
+    d_theta, d_chi = math.pi / (n_theta - 1), 2.0 * math.pi / n_chi
+    for theta, chi in windows[1:]:
+        assert np.ptp(chi, axis=-1) == pytest.approx(2.0 * d_chi, rel=1e-6)
+        d_theta = np.diff(theta, axis=-1).max()
+        d_chi = np.diff(chi, axis=-1).max()
+    assert len(windows) > 1
+    assert d_theta == pytest.approx(math.pi / (n_theta - 1) * 4.0**-12, rel=1e-5)
+    assert d_chi == pytest.approx(2.0 * math.pi / n_chi * 4.0**-12, rel=1e-5)
+
+
+def test_bruteforce_value_is_the_closed_form_to_rounding():
+    # Tighter than criterion 3's 1e-6: the refined value is the closed form's.
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(2000):
+        x = sample_random_xstate(rng)
+        brute = max_mean_fidelity_bruteforce(x)
+        assert abs(brute.value - max_mean_fidelity(x).value) <= 1e-12
+
+
 def test_bruteforce_is_order_free():
     # Nothing is kept between calls: a call at one grid size leaves the
     # result at another unchanged.
