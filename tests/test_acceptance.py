@@ -23,7 +23,7 @@ from qcpdetect.coherence import (
 )
 from qcpdetect.discord import quantum_discord
 from qcpdetect.models import ModelSpec, diagonalize, xxz_delta1, xxz_delta2
-from qcpdetect.scan import derivative, estimate_qcp, extrapolate_to_zero
+from qcpdetect.scan import derivative, estimate_qcp, extrapolate_to_zero, sweep
 from qcpdetect.teleport import (
     BELL_LABELS,
     InputQubit,
@@ -242,3 +242,31 @@ def test_criterion_8c_thermo_limit_pipeline(xy_thermo_sweep, sweep_timings):
     assert abs(est_s.estimate - 1.0) <= 0.02
     # overall sweep budget for the desk-scale estimation layer
     assert sum(sweep_timings.values()) < 1800.0
+
+
+def test_criterion_8d_xy_anisotropy_line_thermo_limit():
+    """The anisotropy QCP gamma = 0 of the L = inf xy chain at lam = 1.5.
+
+    gamma -> -gamma swaps xx and yy and keeps z and zz, so qd, fmax_ext,
+    dmin_int and sqc_z are even in gamma, and on this grid, symmetric about
+    gamma = 0, so are their order-2 central derivatives; their readings
+    must land on gamma = 0 within eta.  No symmetry holds sqc_x and lqc_x
+    there, since the swap exchanges the x and y axes: their readings drift
+    to -0.02 ... -0.13 as kT rises from 0.01 to 0.1, and are not gated.
+    """
+    eta = 0.01
+    results = sweep(
+        ModelSpec("xy", None, 0.01, lam=1.5, gamma=0.0),
+        "gamma",
+        -0.3,
+        0.3,
+        eta=eta,
+        kT_list=(0.01, 0.05, 0.1),
+    )
+    for res in results:
+        assert res.failed_count == 0
+        for detector in ("qd", "fmax_ext", "dmin_int", "sqc_z"):
+            est = estimate_qcp(
+                res, detector, order=2, method="central", window=(-0.3, 0.3)
+            )
+            assert abs(est.estimate) <= eta, (res.kT, detector, est.estimate)

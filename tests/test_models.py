@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from qcpdetect import models
@@ -352,6 +353,139 @@ def test_xy_thermo_matches_gauss_legendre_at_missed_tolerance_point():
     # xx and yy pass, so the reference holds there; z is the missed one.
     for name, want in _gauss_legendre_xy(lam, gamma, kT).items():
         assert getattr(c, name) == pytest.approx(want, abs=1e-10), name
+
+
+def _three_closure_xy_integrals(lam: float, gamma: float, kT: float):
+    """z, Ic, Is by one integrand function per integral, each evaluating its
+    own nodes: the oracle of the shared node table of ``_xy_integrals``."""
+
+    def z_integrand(k):
+        xi = 1.0 - lam * math.cos(k)
+        en = math.hypot(xi, lam * gamma * math.sin(k))
+        if en < 1e-300:
+            return 0.0
+        return xi / en * (math.tanh(0.5 * en / kT) if kT else 1.0)
+
+    def ic_integrand(k):
+        cos_k = math.cos(k)
+        xi = 1.0 - lam * cos_k
+        en = math.hypot(xi, lam * gamma * math.sin(k))
+        if en < 1e-300:
+            return 0.0
+        return cos_k * (xi / en * (math.tanh(0.5 * en / kT) if kT else 1.0))
+
+    def is_integrand(k):
+        sin_k = math.sin(k)
+        xi = 1.0 - lam * math.cos(k)
+        dd = lam * gamma * sin_k
+        en = math.hypot(xi, dd)
+        if en < 1e-300:
+            return 0.0
+        return sin_k * (dd / en * (math.tanh(0.5 * en / kT) if kT else 1.0))
+
+    points = None
+    if abs(lam) > 1.0:
+        k0 = math.acos(1.0 / lam) if lam > 0 else math.acos(-1.0 / abs(lam))
+        if 1e-12 < k0 < math.pi - 1e-12:
+            points = [k0]
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
+    return tuple(
+        scipy.integrate.quad(f, 0.0, math.pi, **opts)[0] / math.pi
+        for f in (z_integrand, ic_integrand, is_integrand)
+    )
+
+
+def test_xy_thermo_correlators_match_one_integrand_per_integral_to_the_bit():
+    # lam covers +-1 and |lam| > 1 of both signs (the breakpoint branches)
+    # and the ising_thermo benchmark grid; kT covers both exact limits.
+    lams = sorted(
+        set(np.linspace(-2.5, 2.5, 101).tolist())
+        | set((0.9 + np.arange(201) * 0.001).tolist())
+    )
+    for lam in lams:
+        for gamma in (0.0, 0.5, 1.0, -0.7, 2.0):
+            for kT in (0.0, 0.01, 0.05, 0.3, 2.0, math.inf):
+                z, ic, is_ = _three_closure_xy_integrals(lam, gamma, kT)
+                xx, yy = is_ - ic, -is_ - ic
+                want = [v.hex() for v in (z, xx, yy, z * z - xx * yy)]
+                got = [v.hex() for v in astuple(xy_thermo_correlators(lam, gamma, kT))]
+                assert got == want, (lam, gamma, kT)
+
+
+@pytest.mark.parametrize(
+    "lam, gamma, kT",
+    [(0.961, 1.0, 0.05), (1.5, 0.3, 0.01), (-2.5, 1.0, 0.0), (1.08, 0.0, 1.0)],
+)
+def test_xy_integrals_evaluate_each_node_once(monkeypatch, lam, gamma, kT):
+    # The dispersion body runs math.hypot once per evaluated node; the three
+    # quadratures ask for fewer distinct nodes than they make callbacks.
+    asked, callbacks, bodies = set(), [], []
+    real_quad = scipy.integrate.quad
+
+    def recording_quad(f, *args, **kwargs):
+        def integrand(k):
+            asked.add(k)
+            callbacks.append(k)
+            return f(k)
+
+        return real_quad(integrand, *args, **kwargs)
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def hypot(self, *args):
+            bodies.append(args)
+            return math.hypot(*args)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+    monkeypatch.setattr(models, "math", CountingMath())
+    models._xy_integrals(lam, gamma, kT)
+    assert len(bodies) == len(asked) < len(callbacks)
+
+
+SIGN_LAMBDAS = (0.5, 1.0, 1.08, 1.5, 2.5)
+SIGN_GAMMAS = (0.0, 0.3, 1.0, -0.7)
+SIGN_KTS = (0.0, 0.05, 1.0)
+
+
+def _assert_sign_identities(corr):
+    """corr(lam, gamma, kT) -> (z, xx, yy, zz).  lam -> -lam turns the sign
+    of xx and yy and keeps z and zz; gamma -> -gamma swaps xx and yy.  Both
+    identities are exact, so the bound is rounding only."""
+    for lam in SIGN_LAMBDAS:
+        for gamma in SIGN_GAMMAS:
+            for kT in SIGN_KTS:
+                z, xx, yy, zz = corr(lam, gamma, kT)
+                mz, mxx, myy, mzz = corr(-lam, gamma, kT)
+                assert np.allclose(
+                    (mz, mxx, myy, mzz), (z, -xx, -yy, zz), rtol=0.0, atol=1e-12
+                ), (lam, gamma, kT)
+                for signed in (lam, -lam):
+                    z, xx, yy, zz = corr(signed, gamma, kT)
+                    gz, gxx, gyy, gzz = corr(signed, -gamma, kT)
+                    assert np.allclose(
+                        (gz, gxx, gyy, gzz), (z, yy, xx, zz), rtol=0.0, atol=1e-12
+                    ), (signed, gamma, kT)
+
+
+def test_xy_thermo_sign_identities():
+    _assert_sign_identities(lambda *p: astuple(xy_thermo_correlators(*p)))
+
+
+def test_free_fermion_sign_identities():
+    lams = np.array([s * lam for lam in SIGN_LAMBDAS for s in (1.0, -1.0)])
+    tables = {
+        gamma: FreeFermionSolution(ModelSpec("xy", 12, 0.0, gamma=gamma), lam=lams).table(
+            SIGN_KTS
+        )
+        for gamma in {g * s for g in SIGN_GAMMAS for s in (1.0, -1.0)}
+    }
+
+    def corr(lam, gamma, kT):
+        return tuple(tables[gamma][SIGN_KTS.index(kT), :, lams.tolist().index(lam)])
+
+    _assert_sign_identities(corr)
 
 
 def test_finite_size_converges_to_thermo_limit():
