@@ -259,10 +259,14 @@ class RunConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
         if cfg.order not in (1, 2):
             raise ConfigError(f"order must be 1 or 2, got {cfg.order}")
-        for name in cfg.detectors:
+        for i, name in enumerate(cfg.detectors):
             if name not in ESTIMATABLE:
                 raise ConfigError(
                     f"unknown detector {name!r}; choose from {ESTIMATABLE}"
+                )
+            if name in cfg.detectors[:i]:
+                raise ConfigError(
+                    f"detector {name!r} appears more than once in {cfg.detectors}"
                 )
         if cfg.candidate is not None and not math.isfinite(cfg.candidate):
             raise ConfigError(f"candidate must be finite, got {cfg.candidate}")
@@ -429,6 +433,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.correlators is not None:
+        if cfg.family is not None:
+            raise ConfigError("give a model (family) or z, xx, yy, zz, not both")
         corr = cfg.correlators
         try:
             x = build_xstate(corr)

@@ -10,7 +10,9 @@ Three periodic chains (sigma are Pauli matrices, site L+1 = site 1):
 The canonical ensemble rho = exp(-H/kT)/Z yields the one-site magnetization
 z = <sz> and the nearest-neighbour correlators xx, yy, zz that parameterize
 the pair X state.  ``thermal_solution`` picks the one exact solver for a
-spec, and ``thermal_correlators`` and every sweep use it:
+spec, and ``thermal_correlators`` uses it.  ``solve_grid`` solves a
+sweep's whole grid of couplings with the same solvers, one point or one
+free-fermion column at a time, and records each point's failure:
 
   * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
     sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,6 +64,10 @@ DEFAULT_L_MAX = 12
 # Degeneracy window for the kT = 0 ground-space average, relative to
 # max(1, |E0|).
 GROUND_STATE_WINDOW = 1e-10
+
+# Most (kT, point) rows a finite xy ring solves in one pass of its free
+# fermions; bounds the memory of their recurrence and coefficients to a few MB.
+_COLUMN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -269,6 +275,19 @@ def build_hamiltonian(spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
+def _thermal_weights(gap, kts, window) -> np.ndarray:
+    """The weights (len(kts), *gap.shape) of levels ``gap`` >= 0 above the
+    ground level: exp(-gap/kT), and at kT = 0 the equal-weight indicator of
+    the ground window, gap <= ``window``.  Nothing above zero is
+    exponentiated, so low temperatures cannot overflow."""
+    rows = []
+    for kT in kts:
+        if not (kT >= 0.0):
+            raise ValueError(f"kT must be >= 0, got {kT}")
+        rows.append(np.exp(-gap / kT) if kT > 0.0 else (gap <= window).astype(float))
+    return np.array(rows)
+
+
 @dataclass
 class ThermalSolution:
     """Eigendecomposition of a finite chain plus per-eigenstate observables.
@@ -276,8 +295,7 @@ class ThermalSolution:
     ``energies`` concatenates all symmetry sectors; ``expectations`` maps each
     correlator name to <n|O|n> aligned with ``energies``, where O is the
     correlator's bond sum divided by L (see ``diagonalize``).  Thermal weights
-    never exponentiate anything above zero: weights are relative to the
-    ground energy, so low temperatures cannot overflow.
+    are relative to the ground energy (``_thermal_weights``).
     """
 
     energies: np.ndarray
@@ -287,12 +305,8 @@ class ThermalSolution:
     def weights(self, kT: float) -> np.ndarray:
         """Unnormalized Boltzmann weights exp(-(E - E0)/kT); kT = 0 gives an
         equal-weight indicator of the ground window."""
-        if not (kT >= 0.0):
-            raise ValueError(f"kT must be >= 0, got {kT}")
-        gap = self.energies - self.e0
-        if kT == 0.0:
-            return (gap <= GROUND_STATE_WINDOW * max(1.0, abs(self.e0))).astype(float)
-        return np.exp(-gap / kT)
+        window = GROUND_STATE_WINDOW * max(1.0, abs(self.e0))
+        return _thermal_weights(self.energies - self.e0, (kT,), window)[0]
 
     def correlators(self, kT: float) -> Correlators:
         w = self.weights(kT)
@@ -367,6 +381,48 @@ def thermal_correlators(spec: ModelSpec) -> Correlators:
     """Canonical-ensemble correlators (z, xx, yy, zz) of a nearest-neighbour
     pair; by translation invariance every pair gives the same ones."""
     return thermal_solution(spec).correlators(spec.kT)
+
+
+def solve_grid(
+    template: ModelSpec, field: str, values, kts
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """The (len(kts), 4, points) z, xx, yy, zz of ``template`` with its
+    coupling ``field`` set to each of ``values``, and each point's exception
+    or None; a point that fails at any kT is NaN at all.
+
+    The grid is solved a block at a time, and a block that fails records its
+    exception at each of its points.  A finite xy ring's block is a column
+    of its free fermions, at most ``_COLUMN_ROWS`` (kT, point) rows so that
+    memory stays bounded on long grids.  Any other block is one point,
+    solved by ``thermal_solution`` once for every kT.
+    """
+    kts = tuple(kts)
+    points = np.asarray(values, dtype=float).tolist()
+    if template.family == "xy" and template.L is not None:
+        step = max(1, _COLUMN_ROWS // len(kts))
+
+        def solve(block):
+            column = FreeFermionSolution(template, **{field: block})
+            return column.table(kts).transpose(2, 0, 1).tolist()
+    else:
+        step = 1
+
+        def solve(block):
+            solution = thermal_solution(replace(template, **{field: block[0]}))
+            corrs = [solution.correlators(kT) for kT in kts]
+            return [[(c.z, c.xx, c.yy, c.zz) for c in corrs]]
+
+    rows, errors = [], []
+    for i in range(0, len(points), step):
+        block = points[i : i + step]
+        try:
+            rows += solve(block)
+            error = None
+        except Exception as exc:
+            rows += [[(math.nan,) * 4] * len(kts)] * len(block)
+            error = exc
+        errors += [error] * len(block)
+    return np.array(rows).transpose(1, 2, 0), errors
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +534,8 @@ class FreeFermionSolution:
 
     Memory grows as (points) x L^2 for the sectors and as (temperatures x
     points) x L^2 for the recurrence, so a caller with a long column hands
-    it over in blocks (``scan`` does).
+    it over in blocks (``solve_grid`` does, of at most ``_COLUMN_ROWS``
+    rows).
     """
 
     def __init__(self, spec: ModelSpec, **column):
@@ -515,9 +572,6 @@ class FreeFermionSolution:
         """The correlators z, xx, yy, zz at every kT in ``kts``: an array
         (len(kts), 4) for a spec alone, (len(kts), 4, points) for a column."""
         kts = tuple(kts)
-        for kT in kts:
-            if not (kT >= 0.0):
-                raise ValueError(f"kT must be >= 0, got {kT}")
         vacuum = [s.vacuum_energy for s in self.sectors]
         e_min = np.minimum(*vacuum)
         window = GROUND_STATE_WINDOW * np.maximum(1.0, np.abs(e_min))
@@ -525,24 +579,8 @@ class FreeFermionSolution:
         norm = np.zeros(rows)
         total = np.zeros((*rows, 4))
         for sector, e_vac in zip(self.sectors, vacuum):
-            gap = e_vac - e_min
-            gaps = np.ravel(gap).tolist()
-            # math.exp per row: np.exp differs from it in the last bit at
-            # some points.
-            scale = np.array(
-                [
-                    [math.exp(-g / kT) for g in gaps] if kT > 0.0 else np.ravel(gap <= window)
-                    for kT in kts
-                ],
-                dtype=float,
-            ).reshape(rows)
-            cost = np.abs(sector.eps)
-            excited = np.stack(
-                [
-                    np.exp(-cost / kT) if kT > 0.0 else cost <= window[..., None]
-                    for kT in kts
-                ]
-            ).astype(float, copy=False)
+            scale = _thermal_weights(e_vac - e_min, kts, window)
+            excited = _thermal_weights(np.abs(sector.eps), kts, window[..., None])
             in_vacuum = sector.eps < 0.0
             sums = self._parity_sums(
                 sector,

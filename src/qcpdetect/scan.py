@@ -1,15 +1,11 @@
 """Parameter sweeps, finite differences, and critical-point estimation.
 
 A sweep walks one control axis (anisotropy, field, coupling, ...) over a
-uniform grid and solves the model into one (temperature, 4, point) array
-of z, xx, yy, zz.  A finite xy ring is solved a column at a time: its free
-fermions (``FreeFermionSolution``) take the whole grid, in memory-bounded
-blocks, at every temperature in one array pass.  Every other model is
-solved once per point with the exact solver ``thermal_solution`` picks,
-reused at every requested temperature.  The sweep then evaluates all five
-detectors once, on the rows of all temperatures: each row's X state is
-built and validated on its own, and every detector then runs once on the
-column of states that were built.
+uniform grid; ``models.solve_grid`` solves the model there into one
+(temperature, 4, point) array of z, xx, yy, zz and each point's failure.
+The sweep then evaluates all five detectors once, on the rows of all
+temperatures: each row's X state is built and validated on its own, and
+every detector then runs once on the column of states that were built.
 Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``,
@@ -29,14 +25,14 @@ extrapolate to kT = 0 by a linear least-squares fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from .coherence import AXES, coherence_entropy, log_spectrum
 from .discord import quantum_discord
-from .models import FAMILY_COUPLINGS, FreeFermionSolution, ModelSpec, thermal_solution
+from .models import FAMILY_COUPLINGS, ModelSpec, solve_grid
 from .teleport import max_mean_fidelity, min_mean_trace_distance
 from .xstate import Correlators, XState, build_xstate
 
@@ -52,10 +48,6 @@ AXIS_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
     axis: (field, tuple(f for f, read in FAMILY_COUPLINGS.items() if field in read))
     for axis, field in _AXIS_COUPLINGS.items()
 }
-
-# Most (kT, point) rows a finite xy ring solves in one pass; bounds the
-# memory of the free-fermion recurrence and coefficients to a few MB.
-_COLUMN_ROWS = 256
 
 # The column schema, in CSV emission order: the correlators, then the
 # detectors.  The branch labels are strings and the divergence flags are
@@ -162,55 +154,6 @@ def _error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _solve(
-    template: ModelSpec,
-    axis_field: str,
-    params: np.ndarray,
-    kts: tuple[float, ...],
-) -> tuple[np.ndarray, list[str | None]]:
-    """The (len(kts), 4, points) z, xx, yy, zz of the grid and each point's
-    error message or None; a point that fails at any kT is NaN at all.
-
-    A finite xy ring is solved a column at a time by its free fermions, in
-    blocks of at most ``_COLUMN_ROWS`` (kT, point) rows so that memory stays
-    bounded on long grids; a block that fails records its error at each of
-    its points.  Every other model is solved point by point.
-    """
-    if template.family == "xy" and template.L is not None:
-        step = max(1, _COLUMN_ROWS // len(kts))
-        blocks = [
-            _solve_column(template, axis_field, params[i : i + step], kts)
-            for i in range(0, params.size, step)
-        ]
-        corrs = np.concatenate([corr for corr, _ in blocks], axis=-1)
-        return corrs, [err for _, errs in blocks for err in errs]
-    rows, errors = [], []
-    for param in params.tolist():
-        try:
-            solution = thermal_solution(replace(template, **{axis_field: param}))
-            corrs = [solution.correlators(kT) for kT in kts]
-            rows.append([(c.z, c.xx, c.yy, c.zz) for c in corrs])
-            errors.append(None)
-        except Exception as exc:
-            rows.append([(math.nan,) * 4] * len(kts))
-            errors.append(_error(exc))
-    return np.array(rows).transpose(1, 2, 0), errors
-
-
-def _solve_column(
-    template: ModelSpec,
-    axis_field: str,
-    params: np.ndarray,
-    kts: tuple[float, ...],
-) -> tuple[np.ndarray, list[str | None]]:
-    """``_solve`` of a finite xy ring over one block of the grid."""
-    try:
-        solution = FreeFermionSolution(template, **{axis_field: params})
-        return solution.table(kts), [None] * params.size
-    except Exception as exc:
-        return np.full((len(kts), 4, params.size), math.nan), [_error(exc)] * params.size
-
-
 def _temperature_columns(
     corr: np.ndarray, model_errors: list[str | None]
 ) -> tuple[dict[str, np.ndarray], tuple[str | None, ...]]:
@@ -302,13 +245,13 @@ def sweep(
 ) -> list[SweepResult]:
     """Sweep one control axis, returning one SweepResult per temperature.
 
-    The model is solved once per point (a finite xy ring once per column
-    block, see ``_solve``) and serves every temperature; the detectors then
-    run once, on the rows of all temperatures, and the rows are split per
-    temperature.
+    ``models.solve_grid`` solves the grid once, for every temperature; the
+    detectors then run once, on the rows of all temperatures, and the rows
+    are split per temperature.
     """
     axis_field, params, kts = sweep_inputs(template, axis, start, stop, eta, kT_list)
-    corrs, errors = _solve(template, axis_field, params, kts)
+    corrs, failures = solve_grid(template, axis_field, params, kts)
+    errors = [None if exc is None else _error(exc) for exc in failures]
     points = params.size
     columns, all_errors = _temperature_columns(
         corrs.transpose(1, 0, 2).reshape(4, -1), errors * len(kts)

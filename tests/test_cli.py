@@ -255,6 +255,7 @@ def test_sweep_command_writes_expected_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("stage", ["detector", "model", "temperature"])
 def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
+    import qcpdetect.models as models_mod
     import qcpdetect.scan as scan_mod
 
     # fail the point delta = -1.1 in the detectors (its X-state build, found
@@ -277,7 +278,7 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
 
         monkeypatch.setattr(scan_mod, "build_xstate", flaky)
     else:
-        original = scan_mod.thermal_solution
+        original = models_mod.thermal_solution
 
         def flaky(spec):
             if abs(spec.delta + 1.1) > 1e-9:
@@ -293,7 +294,7 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
 
             return SimpleNamespace(correlators=correlators)
 
-        monkeypatch.setattr(scan_mod, "thermal_solution", flaky)
+        monkeypatch.setattr(models_mod, "thermal_solution", flaky)
     results = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
     for result in results:
         assert result.failed_count == 1
@@ -418,6 +419,39 @@ def test_estimate_command_requires_detectors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_estimate_command_rejects_a_repeated_detector(tmp_path, capsys, monkeypatch):
+    # a detector listed twice would enter its kT -> 0 fit twice, halving the
+    # stderr of the intercept; like a repeated kT, it is a config error
+    import qcpdetect.models as models_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a point")
+
+    monkeypatch.setattr(models_mod, "xy_thermo_correlators", refuse)
+    text = """\
+family = xy
+L = none
+gamma = 1.0
+kT_list = 0.02, 0.04, 0.06
+axis = lambda
+start = 0.9
+stop = 1.1
+eta = 0.01
+detectors = qd, qd
+order = 2
+method = central
+window_lo = 0.9
+window_hi = 1.1
+"""
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
+    assert main(["estimate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: detector 'qd' appears more than once in ('qd', 'qd')" in err
+    assert not list(tmp_path.glob("*.csv"))
+    with pytest.raises(ConfigError, match="detector 'qd' appears more than once"):
+        RunConfig.from_mapping({"detectors": "qd, fmax_ext, qd"})
+
+
 def test_estimate_command_window_must_fit_range(tmp_path, capsys):
     text = ESTIMATE_CONFIG.replace("window_lo = -1.3", "window_lo = -2.0")
     cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
@@ -446,20 +480,18 @@ def test_sweep_rules_are_config_errors_before_solving(
     tmp_path, capsys, monkeypatch, replace, message
 ):
     # The library's sweep checks run before anything is solved, and their
-    # ValueError is a config error (exit 1), not a computation error.  A
-    # finite xy grid is solved by FreeFermionSolution, every other point by
-    # thermal_solution; both refuse and are counted, since a sweep records
-    # a solver's exception as a failed point.
+    # ValueError is a config error (exit 1), not a computation error.  Every
+    # grid, finite xy and xxz alike, is solved through models.solve_grid,
+    # which refuses and counts.
     import qcpdetect.scan as scan_mod
 
     solved = []
 
     def refuse(*args, **kwargs):
         solved.append(args)
-        raise AssertionError("solved a point")
+        raise AssertionError("solved a grid")
 
-    monkeypatch.setattr(scan_mod, "thermal_solution", refuse)
-    monkeypatch.setattr(scan_mod, "FreeFermionSolution", refuse)
+    monkeypatch.setattr(scan_mod, "solve_grid", refuse)
     text = SWEEP_CONFIG
     for old, new in replace.items():
         text = text.replace(old, new)
@@ -611,6 +643,41 @@ def test_simulate_command_requires_input_angles(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, model + angles, "model.cfg")
     assert main(["simulate", "--config", cfg]) == 2
     assert "error: PhysicalityError: population d negative" in capsys.readouterr().err
+
+
+def test_simulate_command_rejects_a_model_with_correlators(tmp_path, capsys, monkeypatch):
+    # simulate takes a model or its correlators, not both; the error comes
+    # before the model is solved
+    import qcpdetect.cli as cli_mod
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the model was solved before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "thermal_correlators", solve)
+    text = """\
+family = xxz_field
+L = 4
+kT = 0.5
+delta = 2.0
+h = 12.0
+z = 0.0
+xx = 0.2
+yy = 0.2
+zz = 0.3
+input_theta = 1.0
+input_chi = 0.0
+"""
+    assert main(["simulate", "--config", _write(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: give a model (family) or z, xx, yy, zz, not both\n"
+    )
+    assert captured.out == ""
+    # a sweep reads the same config file and ignores the correlators
+    monkeypatch.undo()
+    correlators = "z = 0.0\nxx = 0.2\nyy = 0.2\nzz = 0.3\n"
+    cfg = _write(tmp_path, SWEEP_CONFIG + correlators + f"out = {tmp_path}\n", "sweep.cfg")
+    assert main(["sweep", "--config", cfg]) == 0
 
 
 def test_simulate_command_from_model(tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+import qcpdetect.models as models_mod
 import qcpdetect.scan as scan_mod
 from qcpdetect.coherence import AXES
 from qcpdetect.models import FreeFermionSolution, ModelSpec, thermal_correlators
@@ -434,8 +435,20 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
         "max_mean_fidelity",
         "min_mean_trace_distance",
     )
-    for name in (*detectors, "build_xstate", "thermal_solution"):
+    for name in (*detectors, "build_xstate"):
         counted(name)
+    # the solvers are counted where the grid is solved
+    def counted_solver(name):
+        original = getattr(models_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name,))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models_mod, name, wrapper)
+
+    counted_solver("thermal_solution")
+    counted_solver("FreeFermionSolution")
     kts = (0.1, 0.5, 1.0)
     results = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, eta=0.1, kT_list=kts)
     points = results[0].params.size
@@ -450,10 +463,13 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
         for axis in AXES:
             assert calls.count((name, axis)) == 1
     assert len(calls) == points + points * len(kts) + 9
-    # a finite xy ring is solved a column at a time, never point by point
+    # a finite xy ring is solved a column at a time, never point by point:
+    # these points at all temperatures fit in one block of the free fermions
     calls.clear()
-    sweep(ModelSpec("xy", 6, 0.5), "lambda", 0.0, 2.0, eta=0.1, kT_list=kts)
+    results = sweep(ModelSpec("xy", 6, 0.5), "lambda", 0.0, 2.0, eta=0.1, kT_list=kts)
+    assert results[0].params.size * len(kts) <= models_mod._COLUMN_ROWS
     assert calls.count(("thermal_solution",)) == 0
+    assert calls.count(("FreeFermionSolution",)) == 1
     assert calls.count(("quantum_discord",)) == 1
 
 
@@ -462,7 +478,7 @@ def test_xy_sweep_columns_match_one_point_solves():
     template = ModelSpec("xy", 6, 0.5, gamma=0.0)
     kts = (0.0, 0.05, math.inf)
     results = sweep(template, "lambda", -0.5, 1.5, eta=0.02, kT_list=kts)
-    assert results[0].params.size * len(kts) > scan_mod._COLUMN_ROWS
+    assert results[0].params.size * len(kts) > models_mod._COLUMN_ROWS
     for res in results:
         assert res.failed_count == 0
         for i, param in enumerate(res.params.tolist()):
@@ -480,6 +496,38 @@ def test_xy_sweep_records_a_failed_column_block(monkeypatch):
     for res in results:
         assert res.errors == ("RuntimeError: boom",) * 5
         assert np.isnan(res.column("qd")).all()
+
+
+def test_xy_sweep_failure_stays_inside_its_column_block(monkeypatch):
+    # 101 points at 3 temperatures: blocks of 85 and 16 points; only the
+    # block that holds the chosen lam fails
+    template = ModelSpec("xy", 6, 0.5)
+    kts = (0.0, 0.05, math.inf)
+    args = (template, "lambda", -0.5, 1.5)
+    clean = sweep(*args, eta=0.02, kT_list=kts)
+    step = models_mod._COLUMN_ROWS // len(kts)
+    params = clean[0].params.tolist()
+    assert len(params) == 101 and step == 85
+    chosen = params[90]
+
+    class Flaky(FreeFermionSolution):
+        def __init__(self, spec, **column):
+            if chosen in np.asarray(column["lam"]).tolist():
+                raise RuntimeError("boom")
+            super().__init__(spec, **column)
+
+    monkeypatch.setattr(models_mod, "FreeFermionSolution", Flaky)
+    results = sweep(*args, eta=0.02, kT_list=kts)
+    for res, ref in zip(results, clean):
+        assert res.errors == (None,) * step + ("RuntimeError: boom",) * (101 - step)
+        for name in COLUMNS:
+            got, want = res.columns[name][:step], ref.columns[name][:step]
+            if got.dtype == object:  # branch labels
+                assert got.tolist() == want.tolist()
+            else:  # bitwise
+                assert got.tobytes() == want.tobytes()
+        assert np.isnan(res.column("qd")[step:]).all()
+        assert np.isnan(res.column("z")[step:]).all()
 
 
 def test_record_rejects_unknown_column():
