@@ -317,8 +317,11 @@ class RunConfig:
         return params
 
 
+_NUMBER_FORMAT = ".12g"  # CSV cells, CSV file names and the T -> 0 summary
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return f"{value:{_NUMBER_FORMAT}}"
 
 
 def _sweep_csv_name(kT: float) -> str:
@@ -326,18 +329,19 @@ def _sweep_csv_name(kT: float) -> str:
     return f"sweep_kT{_fmt(kT)}.csv"
 
 
-def _cell(value) -> str:
-    """One CSV cell: None is empty, a label is written as is, a number (bools
-    included, as 0/1) through _fmt."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return _fmt(value)
+def _csv_line(values) -> str:
+    """One CSV line: None is an empty cell, a label is written as is, a
+    number (bools included, as 0/1) as _fmt writes it."""
+    return ",".join(
+        [
+            "" if v is None else v if isinstance(v, str) else f"{v:{_NUMBER_FORMAT}}"
+            for v in values
+        ]
+    )
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
+    lines = [header, *map(_csv_line, rows)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

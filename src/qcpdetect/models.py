@@ -562,10 +562,19 @@ class FreeFermionSolution:
         (..., 1 + L + L^2) for the mode weights (..., L) of each row."""
         even = np.ones((*empty_weight.shape[:-1], self._insertions.shape[0]))
         odd = np.zeros(even.shape)
+        filled = np.empty(even.shape)
+        odd_filled = np.empty(even.shape)
+        # even, odd <- even * empty + odd * filled, even * filled + odd * empty,
+        # updated in place: no array is allocated per mode.
         for q, signs in enumerate(self._insertions.T):
             empty = empty_weight[..., q, None]
-            filled = signs * filled_weight[..., q, None]
-            even, odd = even * empty + odd * filled, even * filled + odd * empty
+            np.multiply(signs, filled_weight[..., q, None], out=filled)
+            np.multiply(odd, filled, out=odd_filled)
+            np.multiply(even, filled, out=filled)
+            np.multiply(even, empty, out=even)
+            np.add(even, odd_filled, out=even)
+            np.multiply(odd, empty, out=odd)
+            np.add(filled, odd, out=odd)
         return odd if sector.parity else even
 
     def table(self, kts) -> np.ndarray:
@@ -606,6 +615,18 @@ class FreeFermionSolution:
 # ---------------------------------------------------------------------------
 
 
+class _NodeTable(dict):
+    """k -> one k-integrand's value at the node k.  ``evaluate(k)``
+    evaluates a node and stores its value; reading a node not in the table
+    evaluates it first."""
+
+    __slots__ = ("evaluate",)
+
+    def __missing__(self, k: float) -> float:
+        self.evaluate(k)
+        return self[k]
+
+
 def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, float]:
     """The three k-integrals behind the xy correlators.
 
@@ -617,39 +638,37 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
       Is = (1/pi) int_0^pi sin(k) (D /E) t dk
 
     The three adaptive quadratures ask for nearly the same nodes, so one
-    node body evaluates all three integrands at once into a table local to
-    this call, keyed on k: the z integral fills it and the Ic and Is
-    integrals read it, evaluating a node only on a miss (on the
-    ``ising_thermo`` benchmark grid, 170,205 evaluations for 483,609
-    callbacks).  Every value, and so every QUADPACK path and result, is the
-    same as with one integrand function per integral, so the miss of
-    ``xy_thermo_correlators`` at lam = 0.961 remains.
+    node body evaluates all three integrands at once: it is the z
+    integrand, and it stores the Ic and Is values in two tables local to
+    this call, keyed on k.  The Ic and Is quadratures integrate the tables'
+    bound ``__getitem__``, so a node the z integral asked for costs them a
+    C-level dict lookup and no Python frame; a node it never asked for is
+    evaluated on the read (on the ``ising_thermo`` benchmark grid, 170,205
+    evaluations for 483,609 callbacks).  Every value, and so every QUADPACK
+    path and result, is the same as with one integrand function per
+    integral, so the miss of ``xy_thermo_correlators`` at lam = 0.961
+    remains.
     """
-    nodes: dict[float, tuple[float, float, float]] = {}
+    cos, sin, hypot, tanh = math.cos, math.sin, math.hypot, math.tanh
+    lam_gamma = lam * gamma
+    ic_table, is_table = _NodeTable(), _NodeTable()
 
-    def node(k: float) -> tuple[float, float, float]:
-        cos_k = math.cos(k)
-        sin_k = math.sin(k)
+    def node(k: float) -> float:
+        cos_k = cos(k)
+        sin_k = sin(k)
         xi = 1.0 - lam * cos_k
-        dd = lam * gamma * sin_k
-        en = math.hypot(xi, dd)
+        dd = lam_gamma * sin_k
+        en = hypot(xi, dd)
         if en < 1e-300:
-            values = (0.0, 0.0, 0.0)
-        else:
-            t = math.tanh(0.5 * en / kT) if kT else 1.0
-            z = xi / en * t
-            values = (z, cos_k * z, sin_k * (dd / en * t))
-        nodes[k] = values
-        return values
+            ic_table[k] = is_table[k] = 0.0
+            return 0.0
+        t = tanh(0.5 * en / kT) if kT else 1.0
+        z = xi / en * t
+        ic_table[k] = cos_k * z
+        is_table[k] = sin_k * (dd / en * t)
+        return z
 
-    def z_integrand(k: float) -> float:
-        return node(k)[0]
-
-    def ic_integrand(k: float) -> float:
-        return (nodes.get(k) or node(k))[1]
-
-    def is_integrand(k: float) -> float:
-        return (nodes.get(k) or node(k))[2]
+    ic_table.evaluate = is_table.evaluate = node
 
     # Interior zero of xi (a gap closing when gamma = 0, a near-kink
     # otherwise): hand it to the quadrature as a breakpoint.
@@ -662,10 +681,15 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
     import scipy.integrate  # the package's only scipy use; loaded on demand
 
     opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
-    return tuple(
-        scipy.integrate.quad(f, 0.0, math.pi, **opts)[0] / math.pi
-        for f in (z_integrand, ic_integrand, is_integrand)
-    )
+    try:
+        return tuple(
+            scipy.integrate.quad(f, 0.0, math.pi, **opts)[0] / math.pi
+            for f in (node, ic_table.__getitem__, is_table.__getitem__)
+        )
+    finally:
+        # node and the tables refer to each other: free them without the
+        # cyclic garbage collector.
+        del ic_table.evaluate, is_table.evaluate
 
 
 @dataclass(frozen=True)
@@ -684,7 +708,8 @@ def xy_thermo_correlators(lam: float, gamma: float, kT: float) -> Correlators:
     xx = Is - Ic, yy = -Is - Ic, zz = z^2 - xx yy, with the integrals of
     ``_xy_integrals``, each by adaptive quadrature (QUADPACK ``quad``) asked
     for epsabs = epsrel = 1e-10 for all kT >= 0; the three share their
-    integrand evaluations node by node.  The tolerance is a request, not a
+    integrand evaluations node by node, the Ic and Is integrals reading the
+    values the z integrand stored.  The tolerance is a request, not a
     bound: at lam = 0.961, gamma = 1, kT = 0.05, z is off by 2.7e-10.
     """
     if not (kT >= 0.0):

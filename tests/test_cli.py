@@ -318,6 +318,40 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
         assert lines[2] == f"-1.1,{kT}," + "nan," * 12 + "0,0,0,nan,,nan,"
 
 
+def test_sweep_csv_is_the_per_cell_rule_byte_for_byte(tmp_path, monkeypatch):
+    import qcpdetect.models as models_mod
+
+    original = models_mod.thermal_solution
+
+    def flaky(spec):
+        if abs(spec.delta + 1.1) < 1e-9:
+            raise RuntimeError("boom")
+        return original(spec)
+
+    monkeypatch.setattr(models_mod, "thermal_solution", flaky)
+    template = ModelSpec("xxz", 4, 0.5)
+    for result in sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0)):
+        assert result.failed_count == 1
+        path = tmp_path / f"sweep_{result.kT}.csv"
+        write_sweep_csv(result, path)
+
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, str):
+                return value
+            return format(value, ".12g")
+
+        columns = [result.column(n).tolist() for n in SWEEP_HEADER.split(",")[2:]]
+        lines = [SWEEP_HEADER]
+        for i, param in enumerate(result.params.tolist()):
+            row = [param, result.kT] + [column[i] for column in columns]
+            lines.append(",".join(cell(v) for v in row))
+        # the failed point: numbers nan, flags 0, branch labels empty
+        assert ",nan,,nan," in lines[2] and ",0,0,0," in lines[2]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_sweep_command_is_reproducible(tmp_path):
     cfg_a = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path / 'a'}\n", "a.cfg")
     cfg_b = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path / 'b'}\n", "b.cfg")

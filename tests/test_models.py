@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 from dataclasses import astuple, replace
@@ -442,6 +443,20 @@ def test_xy_integrals_evaluate_each_node_once(monkeypatch, lam, gamma, kT):
     monkeypatch.setattr(models, "math", CountingMath())
     models._xy_integrals(lam, gamma, kT)
     assert len(bodies) == len(asked) < len(callbacks)
+
+
+def test_xy_integrals_leave_no_reference_cycle():
+    # The node body and its tables refer to each other while the quadratures
+    # run; a call must free them by reference counting alone.
+    models._xy_integrals(0.5, 1.0, 0.1)  # imports scipy.integrate
+    gc.collect()
+    gc.disable()
+    try:
+        for lam in (0.961, 1.05, -2.5):
+            models._xy_integrals(lam, 1.0, 0.05)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 SIGN_LAMBDAS = (0.5, 1.0, 1.08, 1.5, 2.5)
