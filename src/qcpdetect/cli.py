@@ -154,6 +154,8 @@ _KEY_PARSERS = {
     "zz": float,
 }
 KNOWN_KEYS = frozenset(_KEY_PARSERS)
+# The keys that describe a model; simulate takes them or z, xx, yy, zz.
+_MODEL_KEYS = ("family", "L", "kT", "kT_list", *COUPLINGS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -203,6 +205,7 @@ class RunConfig:
     bell: str = "phi+"
     runs: int = 10000
     correlators: Correlators | None = None
+    model_keys: tuple[str, ...] = ()  # the _MODEL_KEYS given
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "RunConfig":
@@ -233,6 +236,7 @@ class RunConfig:
             if len(corr) != 4:
                 raise ConfigError("give all four of z, xx, yy, zz or none")
             values["correlators"] = Correlators(**corr)
+        values["model_keys"] = tuple(k for k in raw if k in _MODEL_KEYS)
         cfg = cls(**values)
 
         if cfg.family is not None and cfg.family not in FAMILIES:
@@ -341,9 +345,10 @@ def _csv_line(values) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header, *map(_csv_line, rows)]
+    """Write each line as it is made: the file is never held whole."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(_csv_line(row) + "\n" for row in rows)
 
 
 def _sweep_rows(result):
@@ -439,6 +444,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.correlators is not None:
         if cfg.family is not None:
             raise ConfigError("give a model (family) or z, xx, yy, zz, not both")
+        if cfg.model_keys:
+            raise ConfigError(
+                f"z, xx, yy, zz replace the model; drop {', '.join(cfg.model_keys)}"
+            )
         corr = cfg.correlators
         try:
             x = build_xstate(corr)

@@ -24,7 +24,8 @@ free-fermion column at a time, and records each point's failure:
     sz diagonals and the bond flips sum_j (sx sx +- sy sy) (``_bond_flips``);
     the measured correlators are the same translation sums per eigenstate;
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
-    free fermions, also an oracle for the finite-L pipeline.
+    free fermions (``ThermoLimitSolution``), for one coupling point or a
+    column, also an oracle for the finite-L pipeline.
 
 ``diagonalize`` also solves a finite xy ring, in its two spin-flip parity
 sectors; the tests and ``qcpdetect verify symmetry`` check it and the free
@@ -68,6 +69,9 @@ GROUND_STATE_WINDOW = 1e-10
 # Most (kT, point) rows a finite xy ring solves in one pass of its free
 # fermions; bounds the memory of their recurrence and coefficients to a few MB.
 _COLUMN_ROWS = 256
+# Most points the L = None xy chain solves in one pass of its k-integrals;
+# its node arrays are (points, 968), a fraction of a megabyte.
+_LIMIT_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -391,18 +395,22 @@ def solve_grid(
     or None; a point that fails at any kT is NaN at all.
 
     The grid is solved a block at a time, and a block that fails records its
-    exception at each of its points.  A finite xy ring's block is a column
-    of its free fermions, at most ``_COLUMN_ROWS`` (kT, point) rows so that
-    memory stays bounded on long grids.  Any other block is one point,
-    solved by ``thermal_solution`` once for every kT.
+    exception at each of its points.  An xy block is a column of its free
+    fermions, so that memory stays bounded on long grids: at most
+    ``_COLUMN_ROWS`` (kT, point) rows of a finite ring, ``_LIMIT_POINTS``
+    points of the L = None chain.  An ED block is one point, solved by
+    ``thermal_solution`` once for every kT.
     """
     kts = tuple(kts)
     points = np.asarray(values, dtype=float).tolist()
-    if template.family == "xy" and template.L is not None:
-        step = max(1, _COLUMN_ROWS // len(kts))
+    if template.family == "xy":
+        if template.L is None:
+            solver, step = ThermoLimitSolution, _LIMIT_POINTS
+        else:
+            solver, step = FreeFermionSolution, max(1, _COLUMN_ROWS // len(kts))
 
         def solve(block):
-            column = FreeFermionSolution(template, **{field: block})
+            column = solver(template, **{field: block})
             return column.table(kts).transpose(2, 0, 1).tolist()
     else:
         step = 1
@@ -500,6 +508,20 @@ def _tau_insertions(L: int) -> np.ndarray:
     return np.where(flips, -1.0, 1.0)
 
 
+def _column_couplings(spec: ModelSpec, column: dict) -> tuple[np.ndarray, np.ndarray]:
+    """lam and gamma of ``spec``, one of them replaced by a column of
+    values: floats for a spec alone, 1-d arrays otherwise."""
+    couplings = {"lam": float(spec.lam), "gamma": float(spec.gamma)}
+    for name, values in column.items():
+        if name not in couplings:
+            raise TypeError(f"a column replaces lam or gamma, not {name!r}")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or not np.isfinite(values).all():
+            raise ValueError(f"{name} must be a 1-d array of finite values")
+        couplings[name] = values
+    return couplings["lam"], couplings["gamma"]
+
+
 class FreeFermionSolution:
     """Exact thermal correlators of a finite xy ring from its free fermions,
     at one coupling point or over a column of them.
@@ -541,17 +563,9 @@ class FreeFermionSolution:
     def __init__(self, spec: ModelSpec, **column):
         if spec.family != "xy" or spec.L is None:
             raise ValueError("FreeFermionSolution needs a finite xy ring")
-        couplings = {"lam": spec.lam, "gamma": spec.gamma}
-        for name, values in column.items():
-            if name not in couplings:
-                raise TypeError(f"a column replaces lam or gamma, not {name!r}")
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 1 or not np.isfinite(values).all():
-                raise ValueError(f"{name} must be a 1-d array of finite values")
-            couplings[name] = values
+        lam, gamma = _column_couplings(spec, column)
         self.sectors = tuple(
-            _FermionSector.build(parity, spec.L, couplings["lam"], couplings["gamma"])
-            for parity in (0, 1)
+            _FermionSector.build(parity, spec.L, lam, gamma) for parity in (0, 1)
         )
         self._insertions = _tau_insertions(spec.L)
 
@@ -615,43 +629,21 @@ class FreeFermionSolution:
 # ---------------------------------------------------------------------------
 
 
-class _NodeTable(dict):
-    """k -> one k-integrand's value at the node k.  ``evaluate(k)``
-    evaluates a node and stores its value; reading a node not in the table
-    evaluates it first."""
-
-    __slots__ = ("evaluate",)
-
-    def __missing__(self, k: float) -> float:
-        self.evaluate(k)
-        return self[k]
+def _fermi_point(lam: float) -> float | None:
+    """k0 = acos(1/lam), where xi(k) = 1 - lam cos k changes sign, for
+    |lam| > 1; None for |lam| <= 1, where xi keeps its sign on [0, pi]."""
+    return math.acos(1.0 / lam) if abs(lam) > 1.0 else None
 
 
-def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, float]:
-    """The three k-integrals behind the xy correlators.
-
-    With xi(k) = 1 - lam cos k, D(k) = lam gamma sin k, E = sqrt(xi^2 + D^2)
-    and t(k) = tanh(E / (2 kT)) (t = 1 at kT = 0):
-
-      z  = (1/pi) int_0^pi (xi/E) t dk
-      Ic = (1/pi) int_0^pi cos(k) (xi/E) t dk
-      Is = (1/pi) int_0^pi sin(k) (D /E) t dk
-
-    The three adaptive quadratures ask for nearly the same nodes, so one
-    node body evaluates all three integrands at once: it is the z
-    integrand, and it stores the Ic and Is values in two tables local to
-    this call, keyed on k.  The Ic and Is quadratures integrate the tables'
-    bound ``__getitem__``, so a node the z integral asked for costs them a
-    C-level dict lookup and no Python frame; a node it never asked for is
-    evaluated on the read (on the ``ising_thermo`` benchmark grid, 170,205
-    evaluations for 483,609 callbacks).  Every value, and so every QUADPACK
-    path and result, is the same as with one integrand function per
-    integral, so the miss of ``xy_thermo_correlators`` at lam = 0.961
-    remains.
+def _z_integral(lam: float, gamma: float, k0: float | None, kT: float) -> float:
+    """z = (1/pi) int_0^pi (xi/E) t dk by adaptive quadrature (QUADPACK
+    ``quad``), asked for epsabs = epsrel = 1e-10 with the breakpoint
+    ``k0 = _fermi_point(lam)``; see ``ThermoLimitSolution`` for xi, E and t.
+    The tolerance is a request, not a bound: at lam = 0.961, gamma = 1,
+    kT = 0.05, z is off by 2.7e-10.
     """
     cos, sin, hypot, tanh = math.cos, math.sin, math.hypot, math.tanh
     lam_gamma = lam * gamma
-    ic_table, is_table = _NodeTable(), _NodeTable()
 
     def node(k: float) -> float:
         cos_k = cos(k)
@@ -660,61 +652,168 @@ def _xy_integrals(lam: float, gamma: float, kT: float) -> tuple[float, float, fl
         dd = lam_gamma * sin_k
         en = hypot(xi, dd)
         if en < 1e-300:
-            ic_table[k] = is_table[k] = 0.0
             return 0.0
         t = tanh(0.5 * en / kT) if kT else 1.0
-        z = xi / en * t
-        ic_table[k] = cos_k * z
-        is_table[k] = sin_k * (dd / en * t)
-        return z
-
-    ic_table.evaluate = is_table.evaluate = node
+        return xi / en * t
 
     # Interior zero of xi (a gap closing when gamma = 0, a near-kink
     # otherwise): hand it to the quadrature as a breakpoint.
-    points = None
-    if abs(lam) > 1.0:
-        k0 = math.acos(1.0 / lam) if lam > 0 else math.acos(-1.0 / abs(lam))
-        if 1e-12 < k0 < math.pi - 1e-12:
-            points = [k0]
+    points = [k0] if k0 is not None and 1e-12 < k0 < math.pi - 1e-12 else None
 
     import scipy.integrate  # the package's only scipy use; loaded on demand
 
     opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
-    try:
-        return tuple(
-            scipy.integrate.quad(f, 0.0, math.pi, **opts)[0] / math.pi
-            for f in (node, ic_table.__getitem__, is_table.__getitem__)
-        )
-    finally:
-        # node and the tables refer to each other: free them without the
-        # cyclic garbage collector.
-        del ic_table.evaluate, is_table.evaluate
+    return scipy.integrate.quad(node, 0.0, math.pi, **opts)[0] / math.pi
 
 
-@dataclass(frozen=True)
+def _gauss_legendre(order: int) -> list[tuple[float, float]]:
+    """Gauss-Legendre (node, weight) pairs on [0, 1].
+
+    Newton's method on the Legendre polynomial P_n from the nodes
+    cos(pi (i - 1/4) / (n + 1/2)) (Press et al., Numerical Recipes, 3rd ed.,
+    2007, section 4.6) for the nodes x > 0 of [-1, 1], each standing for the
+    pair +-x; four steps reach rounding for n <= 16.  Plain floats, since the
+    rule is built on import: numpy's leggauss or eigh would load LAPACK,
+    about 1 MB of resident memory, into every process that imports the
+    package.
+    """
+
+    def legendre(x: float) -> tuple[float, float]:
+        # P_n(x) and P_n'(x) by the three-term recurrence
+        prev, p = 1.0, x
+        for k in range(2, order + 1):
+            prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+        return p, order * (x * p - prev) / (x * x - 1.0)
+
+    pairs = [(0.5, 1.0 / legendre(0.0)[1] ** 2)] if order % 2 else []
+    for i in range(1, order // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
+        for _ in range(4):
+            p, slope = legendre(x)
+            x -= p / slope
+        weight = 1.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)
+        pairs += [(0.5 * (1.0 - x), weight), (0.5 * (1.0 + x), weight)]
+    return pairs
+
+
+def _graded_rule(ratio: float, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule on [0, 1] whose
+    panels shrink geometrically toward both ends (Davis and Rabinowitz,
+    Methods of Numerical Integration, 2nd ed., 1984, ch. 2).
+
+    Each half is cut at ratio^j / 2 from its end, j = 1 .. len(orders) - 1,
+    and the j-th panel from the middle gets ``orders[j]`` nodes.  A panel is
+    then ratio / (1 - ratio) times as far from the end as it is wide, so a
+    singularity off the real axis near an end costs the same few panels at
+    every scale down to the innermost width, ratio^(len(orders) - 1) / 2.
+    """
+    rules = {order: _gauss_legendre(order) for order in set(orders)}
+    edges = [0.5 * ratio**j for j in range(len(orders))] + [0.0]  # middle to end
+    near, weights = [], []
+    for a, b, order in zip(edges[1:], edges, orders):
+        for x, w in rules[order]:
+            near.append(a + (b - a) * x)
+            weights.append((b - a) * w)
+    return np.array(near + [1.0 - x for x in near]), np.array(weights + weights)
+
+
+# The rule of ThermoLimitSolution's Ic and Is, on each half of [0, pi]:
+# ratio 0.3 over 27 panels per end, the innermost 1.3e-14 of the half.
+# A panel 0.3^j as wide as the middle one needs about 0.6 j fewer nodes for
+# the same absolute error, so the orders fall from 16 to 4: 484 nodes per
+# half, 968 per point.
+_LIMIT_RULE = _graded_rule(0.3, [max(4, 16 - 3 * j // 5) for j in range(27)])
+
+
 class ThermoLimitSolution:
-    """The L = None xy ring, shaped like the finite-L solutions."""
+    """Thermal correlators of the L = None xy ring, at one coupling point or
+    over a column of them, shaped like ``FreeFermionSolution``.
 
-    spec: ModelSpec
+    With xi(k) = 1 - lam cos k, D(k) = lam gamma sin k, E = sqrt(xi^2 + D^2)
+    and t(k) = tanh(E / (2 kT)) (t = 1 at kT = 0, t = 0 at kT = inf; a node
+    with E = 0 adds 0), the free fermions give (Pfeuty, Ann. Phys. 57, 79
+    (1970))
+
+      z  = (1/pi) int_0^pi (xi/E) t dk
+      Ic = (1/pi) int_0^pi cos(k) (xi/E) t dk
+      Is = (1/pi) int_0^pi sin(k) (D /E) t dk
+
+    and xx = Is - Ic, yy = -Is - Ic, zz = z^2 - xx yy.
+
+    z is one adaptive quadrature per point and kT (``_z_integral``).  Ic
+    and Is are one fixed rule over the whole column: [0, pi] is cut at
+    k0 = ``_fermi_point(lam)`` (at pi/2 for |lam| <= 1), and each half gets
+    the ``_graded_rule``, graded toward both its ends, where every sharp
+    feature sits: the gap closings at k = 0 and pi and the sign change of
+    xi at k0.  A node reads u, the nearer of k and pi - k, and
+    q = sin^2(u/2), which is sin^2(k/2) below pi/2 and cos^2(k/2) above;
+    cos k, sin k and
+
+      xi = (1 - lam) + 2 lam sin^2(k/2) = (1 + lam) - 2 lam cos^2(k/2)
+
+    follow from q with no cancellation near k = 0 or near k = pi.  The
+    nodes, xi, D and E of a column are computed once; each kT then costs
+    one tanh and two weighted sums over the column's nodes.  Memory grows
+    as (points) x 968 nodes, so a caller with a long column hands it over
+    in blocks (``solve_grid`` does, of ``_LIMIT_POINTS`` points).
+    """
+
+    def __init__(self, spec: ModelSpec, **column):
+        if spec.family != "xy" or spec.L is not None:
+            raise ValueError("ThermoLimitSolution needs the L = None xy chain")
+        lam, gamma = np.broadcast_arrays(*_column_couplings(spec, column))
+        self._shape = lam.shape
+        pairs = zip(lam.ravel().tolist(), gamma.ravel().tolist())
+        # (lam, gamma, k0) of each point, for its z quadrature
+        self._points = [(x, g, _fermi_point(x)) for x, g in pairs]
+        lam, gamma = lam.reshape(-1, 1, 1), gamma.reshape(-1, 1, 1)
+        split = np.array([math.pi / 2 if k0 is None else k0 for _, _, k0 in self._points])
+        split = split.reshape(-1, 1, 1)
+        start = np.concatenate([np.zeros_like(split), split], axis=1)  # (points, 2, 1)
+        width = np.concatenate([split, math.pi - split], axis=1)
+        nodes, weights = _LIMIT_RULE
+        k = start + width * nodes
+        sign = np.where(k > 0.5 * math.pi, -1.0, 1.0)
+        # u is k or pi - k, whichever is nearer 0, and q = sin^2(u/2)
+        sin_half = np.sin(0.5 * np.minimum(k, math.pi - k))
+        q = sin_half * sin_half
+        sin_k = 2.0 * sin_half * np.sqrt(1.0 - q)
+        xi = (1.0 - sign * lam) + 2.0 * sign * lam * q
+        dd = (lam * gamma) * sin_k
+        en = np.hypot(xi, dd)
+        # a node with E = 0 adds 0
+        scale = width * weights / (math.pi * np.where(en == 0.0, math.inf, en))
+        moments = np.stack([sign * (1.0 - 2.0 * q) * xi, sin_k * dd])
+        points = len(self._points)
+        self._energy = en.reshape(points, -1)
+        self._moments = (moments * scale).reshape(2, points, -1)
+
+    def table(self, kts) -> np.ndarray:
+        """The correlators z, xx, yy, zz at every kT in ``kts``: an array
+        (len(kts), 4) for a spec alone, (len(kts), 4, points) for a column."""
+        rows = []
+        for kT in kts:
+            if not (kT >= 0.0):
+                raise ValueError(f"kT must be >= 0, got {kT}")
+            z = np.array([_z_integral(*point, kT) for point in self._points])
+            # E / 2kT overflows to inf at a subnormal kT, and tanh(inf) = 1
+            with np.errstate(over="ignore"):
+                t = np.tanh(self._energy / (2.0 * kT)) if kT > 0.0 else 1.0
+            ic, is_ = (self._moments * t).sum(axis=-1)
+            xx = is_ - ic
+            yy = -is_ - ic
+            rows.append([z, xx, yy, z * z - xx * yy])
+        return np.array(rows).reshape(len(rows), 4, *self._shape)
 
     def correlators(self, kT: float) -> Correlators:
-        return xy_thermo_correlators(self.spec.lam, self.spec.gamma, kT)
+        """The correlators at one kT; over a column, each field lists the
+        points' values."""
+        return Correlators(*self.table((kT,))[0].tolist())
 
 
 def xy_thermo_correlators(lam: float, gamma: float, kT: float) -> Correlators:
-    """Thermodynamic-limit xy correlators from the free-fermion solution.
-
-    xx = Is - Ic, yy = -Is - Ic, zz = z^2 - xx yy, with the integrals of
-    ``_xy_integrals``, each by adaptive quadrature (QUADPACK ``quad``) asked
-    for epsabs = epsrel = 1e-10 for all kT >= 0; the three share their
-    integrand evaluations node by node, the Ic and Is integrals reading the
-    values the z integrand stored.  The tolerance is a request, not a
-    bound: at lam = 0.961, gamma = 1, kT = 0.05, z is off by 2.7e-10.
-    """
-    if not (kT >= 0.0):
-        raise ValueError(f"kT must be >= 0, got {kT}")
-    z, ic, is_ = _xy_integrals(lam, gamma, kT)
-    xx = is_ - ic
-    yy = -is_ - ic
-    return Correlators(z=z, xx=xx, yy=yy, zz=z * z - xx * yy)
+    """Thermodynamic-limit xy correlators of one coupling point from the
+    free-fermion integrals of ``ThermoLimitSolution``: z by adaptive
+    quadrature, Ic and Is by its graded Gauss-Legendre rule.  A column of
+    points gives each point these bits."""
+    return ThermoLimitSolution(ModelSpec("xy", None, kT, lam=lam, gamma=gamma)).correlators(kT)

@@ -455,13 +455,17 @@ def test_estimate_command_requires_detectors(tmp_path, capsys):
 
 def test_estimate_command_rejects_a_repeated_detector(tmp_path, capsys, monkeypatch):
     # a detector listed twice would enter its kT -> 0 fit twice, halving the
-    # stderr of the intercept; like a repeated kT, it is a config error
+    # stderr of the intercept; like a repeated kT, it is a config error,
+    # raised before the L = None column solver is built for any point
     import qcpdetect.models as models_mod
 
+    solved = []
+
     def refuse(*args, **kwargs):
+        solved.append(kwargs)
         raise AssertionError("solved a point")
 
-    monkeypatch.setattr(models_mod, "xy_thermo_correlators", refuse)
+    monkeypatch.setattr(models_mod, "ThermoLimitSolution", refuse)
     text = """\
 family = xy
 L = none
@@ -482,6 +486,7 @@ window_hi = 1.1
     err = capsys.readouterr().err
     assert "config error: detector 'qd' appears more than once in ('qd', 'qd')" in err
     assert not list(tmp_path.glob("*.csv"))
+    assert not solved
     with pytest.raises(ConfigError, match="detector 'qd' appears more than once"):
         RunConfig.from_mapping({"detectors": "qd, fmax_ext, qd"})
 
@@ -712,6 +717,27 @@ input_chi = 0.0
     correlators = "z = 0.0\nxx = 0.2\nyy = 0.2\nzz = 0.3\n"
     cfg = _write(tmp_path, SWEEP_CONFIG + correlators + f"out = {tmp_path}\n", "sweep.cfg")
     assert main(["sweep", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value", [("L", "8"), ("kT", "0.5"), ("kT_list", "0.1, 0.2"), ("lam", "0.5"), ("h", "1")]
+)
+def test_simulate_command_rejects_model_keys_without_a_family(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    # correlators with a chain length, a temperature or a coupling but no
+    # family would simulate the correlators and drop the model keys unread
+    import qcpdetect.cli as cli_mod
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(cli_mod, "simulate_protocol", simulate)
+    cfg = _write(tmp_path, SIMULATE_CONFIG + f"{key} = {value}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: z, xx, yy, zz replace the model; drop {key}\n"
+    assert captured.out == ""
 
 
 def test_simulate_command_from_model(tmp_path, capsys):

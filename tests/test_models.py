@@ -12,6 +12,7 @@ from qcpdetect import models
 from qcpdetect.models import (
     FreeFermionSolution,
     ModelSpec,
+    ThermoLimitSolution,
     _FermionSector,
     build_hamiltonian,
     diagonalize,
@@ -344,8 +345,8 @@ def _gauss_legendre_xy(lam: float, gamma: float, kT: float, nodes: int = 2048):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="known defect, ROADMAP item 4: the production quad misses z by "
-    "2.7e-10 at lam = 0.961, kT = 0.05, and the lam = 0.961 row of "
+    reason="known defect, ROADMAP item 4: z alone misses; its adaptive quad is "
+    "2.7e-10 off at lam = 0.961, kT = 0.05, and the lam = 0.961 row of "
     "bench/reference/ising_thermo/sweep_kT0.05.csv stores that error",
 )
 def test_xy_thermo_matches_gauss_legendre_at_missed_tolerance_point():
@@ -358,7 +359,7 @@ def test_xy_thermo_matches_gauss_legendre_at_missed_tolerance_point():
 
 def _three_closure_xy_integrals(lam: float, gamma: float, kT: float):
     """z, Ic, Is by one integrand function per integral, each evaluating its
-    own nodes: the oracle of the shared node table of ``_xy_integrals``."""
+    own nodes; z is the oracle of ``models._z_integral`` to the bit."""
 
     def z_integrand(k):
         xi = 1.0 - lam * math.cos(k)
@@ -396,7 +397,7 @@ def _three_closure_xy_integrals(lam: float, gamma: float, kT: float):
     )
 
 
-def test_xy_thermo_correlators_match_one_integrand_per_integral_to_the_bit():
+def test_xy_thermo_z_matches_one_quad_per_point_to_the_bit():
     # lam covers +-1 and |lam| > 1 of both signs (the breakpoint branches)
     # and the ising_thermo benchmark grid; kT covers both exact limits.
     lams = sorted(
@@ -406,54 +407,80 @@ def test_xy_thermo_correlators_match_one_integrand_per_integral_to_the_bit():
     for lam in lams:
         for gamma in (0.0, 0.5, 1.0, -0.7, 2.0):
             for kT in (0.0, 0.01, 0.05, 0.3, 2.0, math.inf):
-                z, ic, is_ = _three_closure_xy_integrals(lam, gamma, kT)
-                xx, yy = is_ - ic, -is_ - ic
-                want = [v.hex() for v in (z, xx, yy, z * z - xx * yy)]
-                got = [v.hex() for v in astuple(xy_thermo_correlators(lam, gamma, kT))]
-                assert got == want, (lam, gamma, kT)
+                z = _three_closure_xy_integrals(lam, gamma, kT)[0]
+                got = xy_thermo_correlators(lam, gamma, kT).z
+                assert got.hex() == z.hex(), (lam, gamma, kT)
 
 
-@pytest.mark.parametrize(
-    "lam, gamma, kT",
-    [(0.961, 1.0, 0.05), (1.5, 0.3, 0.01), (-2.5, 1.0, 0.0), (1.08, 0.0, 1.0)],
-)
-def test_xy_integrals_evaluate_each_node_once(monkeypatch, lam, gamma, kT):
-    # The dispersion body runs math.hypot once per evaluated node; the three
-    # quadratures ask for fewer distinct nodes than they make callbacks.
-    asked, callbacks, bodies = set(), [], []
-    real_quad = scipy.integrate.quad
+def _adaptive_xy_ic_is(lam: float, gamma: float, kT: float):
+    """Ic, Is by adaptive quadrature asked for 1e-13, with breakpoints near
+    k = 0 and pi (gap closings) and at k0 and k0 +- 4^j kT (the sign change
+    of xi, smoothed over a few kT).  xi is written without cancellation at
+    either end, as (1 - lam) + 2 lam sin^2(k/2) or (1 + lam) - 2 lam
+    cos^2(k/2)."""
 
-    def recording_quad(f, *args, **kwargs):
-        def integrand(k):
-            asked.add(k)
-            callbacks.append(k)
-            return f(k)
+    def cos_sin_terms(k):
+        if k < 0.5 * math.pi:
+            xi = (1.0 - lam) + 2.0 * lam * math.sin(0.5 * k) ** 2
+        else:
+            xi = (1.0 + lam) - 2.0 * lam * math.cos(0.5 * k) ** 2
+        dd = lam * gamma * math.sin(k)
+        en = math.hypot(xi, dd)
+        if en == 0.0:
+            return 0.0, 0.0
+        t = 1.0 if kT == 0.0 else math.tanh(en / (2.0 * kT))
+        return math.cos(k) * xi / en * t, math.sin(k) * dd / en * t
 
-        return real_quad(integrand, *args, **kwargs)
+    points = [e + s * 10.0**-j for e, s in ((0.0, 1.0), (math.pi, -1.0)) for j in (2, 4, 6, 8)]
+    if abs(lam) > 1.0:
+        k0 = math.acos(1.0 / lam)
+        points += [k0] + [k0 + s * 4.0**j * kT for j in range(5) for s in (-1.0, 1.0)]
+    opts = dict(
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=2000,
+        points=sorted(p for p in points if 0.0 < p < math.pi),
+    )
+    return tuple(
+        scipy.integrate.quad(lambda k: cos_sin_terms(k)[i], 0.0, math.pi, **opts)[0] / math.pi
+        for i in (0, 1)
+    )
 
-    class CountingMath:
-        def __getattr__(self, name):
-            return getattr(math, name)
 
-        def hypot(self, *args):
-            bodies.append(args)
-            return math.hypot(*args)
+def test_xy_thermo_ic_is_match_adaptive_quadrature():
+    # The graded Gauss-Legendre rule of Ic and Is against an adaptive
+    # quadrature that shares none of its code: the ising_thermo lam grid,
+    # lam at and 1e-6 around +-1 (gap closings), small and large |gamma|,
+    # and kT from 0 to inf.
+    lams = sorted(
+        set(np.linspace(-2.5, 2.5, 101).tolist())
+        | {s * (1.0 + d) for s in (1.0, -1.0) for d in (0.0, 1e-6, -1e-6)}
+    )
+    kts = (0.0, 1e-3, 0.01, 0.05, 0.3, 2.0, math.inf)
+    for gamma in (0.0, 0.05, 0.5, 1.0, -0.7, 2.0):
+        spec = ModelSpec("xy", None, 0.0, gamma=gamma)
+        table = ThermoLimitSolution(spec, lam=np.array(lams)).table(kts)
+        for j, lam in enumerate(lams):
+            for i, kT in enumerate(kts):
+                ic, is_ = _adaptive_xy_ic_is(lam, gamma, kT)
+                got = table[i, 1:3, j]
+                assert np.abs(got - (is_ - ic, -is_ - ic)).max() <= 1e-12, (lam, gamma, kT)
 
-    monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
-    monkeypatch.setattr(models, "math", CountingMath())
-    models._xy_integrals(lam, gamma, kT)
-    assert len(bodies) == len(asked) < len(callbacks)
+
+def test_xy_thermo_at_a_subnormal_kT_is_the_ground_state():
+    # tanh(E / 2kT) is 1 at every node once E / 2kT overflows, silently
+    for lam, gamma in ((0.5, 1.0), (1.0, 0.0), (-1.5, 0.3)):
+        assert xy_thermo_correlators(lam, gamma, 1e-310) == xy_thermo_correlators(lam, gamma, 0.0)
 
 
 def test_xy_integrals_leave_no_reference_cycle():
-    # The node body and its tables refer to each other while the quadratures
-    # run; a call must free them by reference counting alone.
-    models._xy_integrals(0.5, 1.0, 0.1)  # imports scipy.integrate
+    # A column and its quadratures must be freed by reference counting alone.
+    spec = ModelSpec("xy", None, 0.0, gamma=1.0)
+    ThermoLimitSolution(spec).table((0.1,))  # imports scipy.integrate
     gc.collect()
     gc.disable()
     try:
-        for lam in (0.961, 1.05, -2.5):
-            models._xy_integrals(lam, 1.0, 0.05)
+        ThermoLimitSolution(spec, lam=np.array([0.961, 1.05, -2.5])).table((0.0, 0.05))
         assert gc.collect() == 0
     finally:
         gc.enable()
