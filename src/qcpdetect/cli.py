@@ -454,6 +454,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         except PhysicalityError as exc:
             raise ConfigError(str(exc)) from None
     else:
+        if len(cfg.kT_list) > 1:
+            raise ConfigError(f"simulate takes one kT, got kT_list {cfg.kT_list}")
         corr = thermal_correlators(cfg.model_template())
         x = build_xstate(corr)
     result = simulate_protocol(x, qubit, cfg.bell, runs=cfg.runs, seed=cfg.seed)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -402,7 +402,7 @@ def solve_grid(
     ``thermal_solution`` once for every kT.
     """
     kts = tuple(kts)
-    points = np.asarray(values, dtype=float).tolist()
+    points = np.asarray(values, dtype=float)
     if template.family == "xy":
         if template.L is None:
             solver, step = ThermoLimitSolution, _LIMIT_POINTS
@@ -410,27 +410,23 @@ def solve_grid(
             solver, step = FreeFermionSolution, max(1, _COLUMN_ROWS // len(kts))
 
         def solve(block):
-            column = solver(template, **{field: block})
-            return column.table(kts).transpose(2, 0, 1).tolist()
+            return solver(template, **{field: block}).table(kts)
     else:
         step = 1
 
         def solve(block):
-            solution = thermal_solution(replace(template, **{field: block[0]}))
-            corrs = [solution.correlators(kT) for kT in kts]
-            return [[(c.z, c.xx, c.yy, c.zz) for c in corrs]]
+            solution = thermal_solution(replace(template, **{field: float(block[0])}))
+            return np.array([astuple(solution.correlators(kT)) for kT in kts])[..., None]
 
-    rows, errors = [], []
-    for i in range(0, len(points), step):
+    out = np.full((len(kts), 4, points.size), math.nan)
+    errors = [None] * points.size
+    for i in range(0, points.size, step):
         block = points[i : i + step]
         try:
-            rows += solve(block)
-            error = None
+            out[..., i : i + step] = solve(block)
         except Exception as exc:
-            rows += [[(math.nan,) * 4] * len(kts)] * len(block)
-            error = exc
-        errors += [error] * len(block)
-    return np.array(rows).transpose(1, 2, 0), errors
+            errors[i : i + step] = [exc] * block.size
+    return out, errors
 
 
 # ---------------------------------------------------------------------------

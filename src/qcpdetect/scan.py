@@ -4,8 +4,9 @@ A sweep walks one control axis (anisotropy, field, coupling, ...) over a
 uniform grid; ``models.solve_grid`` solves the model there into one
 (temperature, 4, point) array of z, xx, yy, zz and each point's failure.
 The sweep then evaluates all five detectors once, on the rows of all
-temperatures: each row's X state is built and validated on its own, and
-every detector then runs once on the column of states that were built.
+temperatures: ``xstate.build_xstates`` builds and checks the X states of
+all rows at once, a row that fails its checks failing alone, and every
+detector then runs once on the column of states that were built.
 Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``,
@@ -34,7 +35,7 @@ from .coherence import AXES, coherence_entropy, log_spectrum
 from .discord import quantum_discord
 from .models import FAMILY_COUPLINGS, ModelSpec, solve_grid
 from .teleport import max_mean_fidelity, min_mean_trace_distance
-from .xstate import Correlators, XState, build_xstate
+from .xstate import Correlators, XState, build_xstate, build_xstates
 
 DEFAULT_ETA = 0.01
 DEFAULT_METHOD = "forward"
@@ -112,31 +113,18 @@ def _columns(corr: Correlators, x: XState) -> dict:
     run once on ``x``.  The fields of both are floats for one row, or arrays
     over a column for a column of rows."""
     qd = quantum_discord(x)
-    sqc = {ax: coherence_entropy(x, ax) for ax in AXES}
-    lqc = {ax: log_spectrum(x, ax) for ax in AXES}
+    sqc = [coherence_entropy(x, ax) for ax in AXES]
+    lqc = [log_spectrum(x, ax) for ax in AXES]
     fmax = max_mean_fidelity(x)
     dmin = min_mean_trace_distance(x)
-    return {
-        "z": corr.z,
-        "xx": corr.xx,
-        "yy": corr.yy,
-        "zz": corr.zz,
-        "qd": qd.value,
-        "theta_star": qd.theta_star,
-        "sqc_x": sqc["x"],
-        "sqc_y": sqc["y"],
-        "sqc_z": sqc["z"],
-        "lqc_x": lqc["x"].value,
-        "lqc_y": lqc["y"].value,
-        "lqc_z": lqc["z"].value,
-        "lqc_x_divergent": lqc["x"].divergent,
-        "lqc_y_divergent": lqc["y"].divergent,
-        "lqc_z_divergent": lqc["z"].divergent,
-        "fmax_ext": fmax.value,
-        "fmax_branch": fmax.branch,
-        "dmin_int": dmin.value,
-        "dmin_branch": dmin.branch,
-    }
+    values = (
+        corr.z, corr.xx, corr.yy, corr.zz,
+        qd.value, qd.theta_star,
+        *sqc, *(v.value for v in lqc), *(v.divergent for v in lqc),
+        fmax.value, fmax.branch,
+        dmin.value, dmin.branch,
+    )
+    return dict(zip(COLUMNS, values, strict=True))
 
 
 def evaluate_detectors(param: float, corr: Correlators) -> dict:
@@ -155,35 +143,32 @@ def _error(exc: BaseException) -> str:
 
 
 def _temperature_columns(
-    corr: np.ndarray, model_errors: list[str | None]
+    corr: np.ndarray, model_failures: list[Exception | None]
 ) -> tuple[dict[str, np.ndarray], tuple[str | None, ...]]:
     """(columns, errors) over a column of rows.
 
-    ``corr`` holds the rows' (4, rows) z, xx, yy, zz and ``model_errors``
-    each row's model failure message, or None; a sweep passes all its
-    temperatures' rows at once.  Each row's X state is built and validated
-    on its own, so a build failure fails only its own row; the detectors
-    then run once on the column of states that were built, and their
-    values fill those rows.
+    ``corr`` holds the rows' (4, rows) z, xx, yy, zz and ``model_failures``
+    each row's model exception, or None; a sweep passes all its
+    temperatures' rows at once.  ``build_xstates`` builds and checks the X
+    states of all rows at once, and a row fails alone, with the model's
+    error or else its own ``PhysicalityError``; the detectors then run once
+    on the column of states that were built, and their values fill those
+    rows.
     """
-    errors = list(model_errors)
-    states = np.empty((len(errors), 5))
-    for i, values in enumerate(zip(*corr.tolist())):
-        if errors[i] is None:
-            try:
-                x = build_xstate(Correlators(*values))
-            except Exception as exc:
-                errors[i] = _error(exc)
-            else:
-                states[i] = x.a, x.b, x.c, x.d, x.e
+    states, physics = build_xstates(Correlators(*corr))
+    failures = (p if m is None else m for m, p in zip(model_failures, physics))
+    errors = [None if exc is None else _error(exc) for exc in failures]
     out = {
         name: np.full(len(errors), FAILED_ROW[name], dtype)
         for name, dtype in COLUMN_DTYPES.items()
     }
     points = [i for i, err in enumerate(errors) if err is None]
     if points:
+        fields = (states.a, states.b, states.c, states.d, states.e)
         try:
-            values = _columns(Correlators(*corr[:, points]), XState(*states[points].T))
+            values = _columns(
+                Correlators(*corr[:, points]), XState(*(f[points] for f in fields))
+            )
         except Exception as exc:
             for i in points:
                 errors[i] = _error(exc)
@@ -251,10 +236,9 @@ def sweep(
     """
     axis_field, params, kts = sweep_inputs(template, axis, start, stop, eta, kT_list)
     corrs, failures = solve_grid(template, axis_field, params, kts)
-    errors = [None if exc is None else _error(exc) for exc in failures]
     points = params.size
-    columns, all_errors = _temperature_columns(
-        corrs.transpose(1, 0, 2).reshape(4, -1), errors * len(kts)
+    columns, errors = _temperature_columns(
+        corrs.transpose(1, 0, 2).reshape(4, -1), failures * len(kts)
     )
     return [
         SweepResult(
@@ -263,7 +247,7 @@ def sweep(
             kT,
             params,
             {name: col[i * points : (i + 1) * points] for name, col in columns.items()},
-            all_errors[i * points : (i + 1) * points],
+            errors[i * points : (i + 1) * points],
         )
         for i, kT in enumerate(kts)
     ]

@@ -17,7 +17,9 @@ two-site correlators z = <sz>, ss = <s1 s2> for s in {x, y, z}:
     e = (xx - yy) / 4
 
 Everything downstream (discord, coherence spectra, teleportation figures of
-merit) consumes this type.
+merit) consumes this type.  ``build_xstates`` builds and checks a column
+of states at once, each row with its own error; ``build_xstate`` and
+``make_xstate`` run the same checks on one state.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ IDENTITY_2 = np.eye(2)
 # Physicality violations up to this size are snapped to the boundary;
 # anything larger raises PhysicalityError.
 VALIDATION_TOL = 1e-12
+_RANGE_CHECKS = [f"correlator {n} outside [-1, 1]" for n in ("z", "xx", "yy", "zz")]
 
 
 class PhysicalityError(ValueError):
@@ -50,18 +53,13 @@ class PhysicalityError(ValueError):
 
 @dataclass(frozen=True)
 class Correlators:
-    """One-site magnetization and nearest-neighbour two-point functions."""
+    """One-site magnetization and nearest-neighbour two-point functions:
+    floats, or equal-length arrays for a column of site pairs."""
 
     z: float
     xx: float
     yy: float
     zz: float
-
-    def validate(self) -> None:
-        for name in ("z", "xx", "yy", "zz"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or abs(v) > 1.0 + VALIDATION_TOL:
-                raise PhysicalityError(f"correlator {name} outside [-1, 1]", v)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,8 @@ class XState:
     (a + d +/- sqrt((a - d)^2 + 4 e^2)) / 2.
 
     The five fields are floats for one state, or equal-length arrays for a
-    column of states; every closed form in the package accepts either.
+    column of states (as ``build_xstates`` gives); every closed form in the
+    package accepts either.
     """
 
     a: float
@@ -108,6 +107,63 @@ class XState:
         )
 
 
+def _checked(params: np.ndarray, corr=()) -> tuple[XState, list]:
+    """The snapped XState of a (5, rows) array of a, b, c, d, e, failed rows
+    NaN, and each row's first PhysicalityError, or None; the rows' (4, rows)
+    correlators ``corr``, if given, are checked first."""
+    tol = VALIDATION_TOL
+    a, b, c, d, e = params
+    finite = np.isfinite(params)
+    gap = a + 2.0 * b + d - 1.0
+    pops = params[[0, 1, 3]]
+    a, b, d = np.where(pops < 0.0, 0.0, pops)
+    inner = b - np.abs(c)  # the inner block's eigenvalues are b +/- c
+    # libm pow, as float ** 2 is: np.square rounds about one value in a
+    # thousand to the other neighbour, which moves ``outer`` by an ulp
+    e2 = np.float_power(e, 2)
+    outer = 0.5 * (a + d - np.sqrt(np.float_power(a - d, 2) + 4.0 * e2))
+    checks = [
+        *zip(_RANGE_CHECKS, corr, ~(np.abs(corr) <= 1.0 + tol)),
+        *zip([f"parameter {n} not finite" for n in "abcde"], params, ~finite),
+        ("trace a + 2b + d differs from 1", gap, np.abs(gap) > tol),
+        *zip([f"population {n} negative" for n in "abd"], pops, pops < -tol),
+        ("inner-block eigenvalue b - |c| negative", inner, inner < -tol),
+        ("outer-block eigenvalue negative", outer, outer < -tol),
+    ]
+    c = np.where(np.abs(c) > b, np.copysign(b, c), c)
+    # the outer block is nonnegative iff e^2 <= a d
+    e = np.where(e2 > a * d, np.copysign(np.sqrt(a * d), e), e)
+    masks = np.array([failed for *_, failed in checks])
+    failed = masks.any(axis=0)
+    errors = [None] * failed.size
+    for i in np.flatnonzero(failed):
+        message, values, _ = checks[masks[:, i].argmax()]
+        errors[i] = PhysicalityError(message, float(values[i]))
+    return XState(*np.where(failed, math.nan, (a, b, c, d, e))), errors
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf, inf**2 in failing rows
+def build_xstates(corr: Correlators) -> tuple[XState, list[PhysicalityError | None]]:
+    """The X states of a column of correlators (a float is a column of one)
+    as one XState of arrays, failed rows NaN, and each row's error or None:
+    the PhysicalityError of the first check it fails, each correlator finite
+    and within [-1, 1] + VALIDATION_TOL, then those of ``make_xstate``,
+    which snaps the rows that pass."""
+    z, xx, yy, zz = corr = np.array(
+        [corr.z, corr.xx, corr.yy, corr.zz], dtype=float
+    ).reshape(4, np.size(corr.z))
+    params = [1.0 + 2.0 * z + zz, 1.0 - zz, xx + yy, 1.0 - 2.0 * z + zz, xx - yy]
+    return _checked(0.25 * np.array(params), corr)
+
+
+def _single(x: XState, errors: list) -> XState:
+    """The state of a column of one, as floats, or its error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return XState(*(float(p[0]) for p in (x.a, x.b, x.c, x.d, x.e)))
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def make_xstate(a: float, b: float, c: float, d: float, e: float) -> XState:
     """Validate raw X-state parameters, snapping rounding noise to the boundary.
 
@@ -115,55 +171,16 @@ def make_xstate(a: float, b: float, c: float, d: float, e: float) -> XState:
     semidefiniteness of both 2x2 blocks.  Violations within VALIDATION_TOL
     are repaired (tiny negative populations zeroed, |c| capped at b, |e|
     capped at sqrt(a d)); larger ones raise PhysicalityError carrying the
-    failing eigenvalue, or the non-finite parameter.
+    failing eigenvalue, or the non-finite parameter (``build_xstates``'s
+    checks, on a column of one).
     """
-    for name, value in zip("abcde", (a, b, c, d, e)):
-        if not math.isfinite(value):
-            raise PhysicalityError(f"parameter {name} not finite", value)
-    trace = a + 2.0 * b + d
-    if abs(trace - 1.0) > VALIDATION_TOL:
-        raise PhysicalityError("trace a + 2b + d differs from 1", trace - 1.0)
-
-    def _snap(p: float, name: str) -> float:
-        if p < -VALIDATION_TOL:
-            raise PhysicalityError(f"population {name} negative", p)
-        return max(p, 0.0)
-
-    a = _snap(a, "a")
-    b = _snap(b, "b")
-    d = _snap(d, "d")
-
-    # Inner block: eigenvalues b +/- c must be nonnegative.
-    if b - abs(c) < -VALIDATION_TOL:
-        raise PhysicalityError("inner-block eigenvalue b - |c| negative", b - abs(c))
-    if abs(c) > b:
-        c = math.copysign(b, c)
-
-    # Outer block: nonnegative iff e^2 <= a d.
-    s = math.sqrt((a - d) ** 2 + 4.0 * e**2)
-    lo = 0.5 * (a + d - s)
-    if lo < -VALIDATION_TOL:
-        raise PhysicalityError("outer-block eigenvalue negative", lo)
-    if e**2 > a * d:
-        e = math.copysign(math.sqrt(a * d), e)
-
-    return XState(a=a, b=b, c=c, d=d, e=e)
+    return _single(*_checked(np.array([a, b, c, d, e], dtype=float).reshape(5, 1)))
 
 
 def build_xstate(corr: Correlators) -> XState:
-    """Map chain correlators to the nearest-neighbour X state.
-
-    a = (1 + 2z + zz)/4, b = (1 - zz)/4, c = (xx + yy)/4,
-    d = (1 - 2z + zz)/4, e = (xx - yy)/4.
-    """
-    corr.validate()
-    return make_xstate(
-        a=0.25 * (1.0 + 2.0 * corr.z + corr.zz),
-        b=0.25 * (1.0 - corr.zz),
-        c=0.25 * (corr.xx + corr.yy),
-        d=0.25 * (1.0 - 2.0 * corr.z + corr.zz),
-        e=0.25 * (corr.xx - corr.yy),
-    )
+    """The X state of one set of correlators: ``build_xstates`` on a column
+    of one, its PhysicalityError raised."""
+    return _single(*build_xstates(corr))
 
 
 def dense_matrix(x: XState) -> np.ndarray:

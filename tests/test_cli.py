@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -256,49 +257,40 @@ def test_sweep_command_writes_expected_csv(tmp_path, capsys):
 @pytest.mark.parametrize("stage", ["detector", "model", "temperature"])
 def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
     import qcpdetect.models as models_mod
-    import qcpdetect.scan as scan_mod
 
-    # fail the point delta = -1.1 in the detectors (its X-state build, found
-    # by its correlators at each temperature), in the model solve, or in its
+    # fail the point delta = -1.1 in its X-state build (the model solve
+    # gives it xx = 1.5 at each temperature), in the model solve, or in its
     # solution's correlators at the second temperature only (either of the
     # last two fails it at every temperature)
     template = ModelSpec("xxz", 4, 0.5)
-    if stage == "detector":
-        clean = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
-        bad = {
-            Correlators(*(float(r.column(c)[1]) for c in ("z", "xx", "yy", "zz")))
-            for r in clean
-        }
-        original = scan_mod.build_xstate
+    original = models_mod.thermal_solution
 
-        def flaky(corr):
-            if corr in bad:
+    def flaky(spec):
+        if abs(spec.delta + 1.1) > 1e-9:
+            return original(spec)
+        if stage == "model":
+            raise RuntimeError("boom")
+        solution = original(spec)
+
+        def correlators(kT):
+            if stage == "detector":
+                return replace(solution.correlators(kT), xx=1.5)
+            if kT == 1.0:
                 raise RuntimeError("boom")
-            return original(corr)
+            return solution.correlators(kT)
 
-        monkeypatch.setattr(scan_mod, "build_xstate", flaky)
-    else:
-        original = models_mod.thermal_solution
+        return SimpleNamespace(correlators=correlators)
 
-        def flaky(spec):
-            if abs(spec.delta + 1.1) > 1e-9:
-                return original(spec)
-            if stage == "model":
-                raise RuntimeError("boom")
-            solution = original(spec)
-
-            def correlators(kT):
-                if kT == 1.0:
-                    raise RuntimeError("boom")
-                return solution.correlators(kT)
-
-            return SimpleNamespace(correlators=correlators)
-
-        monkeypatch.setattr(models_mod, "thermal_solution", flaky)
+    monkeypatch.setattr(models_mod, "thermal_solution", flaky)
+    message = {
+        "detector": "PhysicalityError: correlator xx outside [-1, 1] (value 1.500e+00)",
+        "model": "RuntimeError: boom",
+        "temperature": "RuntimeError: boom",
+    }[stage]
     results = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
     for result in results:
         assert result.failed_count == 1
-        assert result.errors[1] == "RuntimeError: boom"
+        assert result.errors[1] == message
         path = tmp_path / f"sweep_{result.kT}.csv"
         write_sweep_csv(result, path)
         lines = path.read_text().splitlines()
@@ -757,6 +749,27 @@ seed = 3
     out = capsys.readouterr().out
     assert "resource correlators" in out
     assert "closed-form detectors" in out
+
+
+def test_simulate_command_takes_one_temperature(tmp_path, capsys, monkeypatch):
+    # a model simulates at one kT: a kT_list of two is a config error, found
+    # before the model is solved, not a run at its first temperature
+    import qcpdetect.cli as cli_mod
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the model was solved before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "thermal_correlators", solve)
+    text = "family = xy\nL = 8\nlam = 1.0\ninput_theta = 1.0\ninput_chi = 0.0\n"
+    cfg = _write(tmp_path, text + "kT_list = 0.1, 0.5\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: simulate takes one kT, got kT_list (0.1, 0.5)\n"
+    assert captured.out == ""
+    # one temperature given as a kT_list is one temperature
+    monkeypatch.undo()
+    cfg = _write(tmp_path, text + "kT_list = 0.1\n")
+    assert main(["simulate", "--config", cfg]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qcpdetect.scan import (
     sweep,
     sweep_inputs,
 )
-from qcpdetect.xstate import Correlators
+from qcpdetect.xstate import Correlators, PhysicalityError, build_xstate
 
 
 def synthetic_result(params, values, eta, kT=1.0):
@@ -346,29 +347,44 @@ def test_sweep_validates_inputs():
             sweep(template, "delta", start, stop, eta=0.1)
 
 
-def test_sweep_isolates_detector_failures(monkeypatch):
-    import qcpdetect.scan as scan_mod
+def _unphysical_at(monkeypatch, delta, **bad):
+    """Make the model solve give the point ``delta`` the correlators ``bad``
+    at every temperature, as an unphysical solver result would."""
+    original = models_mod.thermal_solution
 
+    def patched(spec):
+        solution = original(spec)
+        if abs(spec.delta - delta) > 1e-9:
+            return solution
+        return SimpleNamespace(
+            correlators=lambda kT: replace(solution.correlators(kT), **bad)
+        )
+
+    monkeypatch.setattr(models_mod, "thermal_solution", patched)
+
+
+def test_sweep_isolates_detector_failures(monkeypatch):
     template = ModelSpec("xxz", 4, 0.5)
     clean = sweep(template, "delta", -1.2, -0.8, eta=0.1)[0]
-    # fail the X-state build of the point delta = -1.1, found by its correlators
-    bad = Correlators(*(float(clean.column(c)[1]) for c in ("z", "xx", "yy", "zz")))
-    original = scan_mod.build_xstate
-
-    def flaky(corr):
-        if corr == bad:
-            raise RuntimeError("boom")
-        return original(corr)
-
-    monkeypatch.setattr(scan_mod, "build_xstate", flaky)
+    # the model gives the point delta = -1.1 an unphysical xx: only its X
+    # state fails, with the message of the one-state build
+    _unphysical_at(monkeypatch, -1.1, xx=1.5)
     res = sweep(template, "delta", -1.2, -0.8, eta=0.1)[0]
+    bad = replace(Correlators(*(float(clean.column(c)[1]) for c in COLUMNS[:4])), xx=1.5)
+    with pytest.raises(PhysicalityError) as scalar:
+        build_xstate(bad)
     assert res.failed_count == 1
-    assert "RuntimeError: boom" in res.errors[1]
+    assert res.errors[1] == f"PhysicalityError: {scalar.value}"
+    assert res.errors[1] == "PhysicalityError: correlator xx outside [-1, 1] (value 1.500e+00)"
     assert math.isnan(res.column("qd")[1])
     assert math.isnan(res.column("xx")[1])
     assert res.errors[0] is None and np.isfinite(res.column("qd")[0])
     qd = res.column("qd")
     assert math.isnan(qd[1]) and np.isfinite(qd).sum() == 4
+    # the other points are those of the clean sweep
+    keep = np.arange(5) != 1
+    for name in NUMERIC_COLUMNS:
+        np.testing.assert_array_equal(res.column(name)[keep], clean.column(name)[keep])
     # column() hands out a copy: writing to it leaves the result unchanged
     qd[0] = -1.0
     assert res.column("qd")[0] != -1.0
@@ -378,6 +394,17 @@ def test_sweep_isolates_detector_failures(monkeypatch):
         assert res.column(name).dtype == clean.column(name).dtype == COLUMN_DTYPES[name]
     assert res.column("fmax_branch")[1] is None
     assert not res.column("lqc_z_divergent")[1]
+    # a detector that raises fails every row of its column, and the
+    # unphysical point keeps its own message
+    def broken(x):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(scan_mod, "max_mean_fidelity", broken)
+    res = sweep(template, "delta", -1.2, -0.8, eta=0.1, kT_list=(0.5, 1.0))
+    for result in res:
+        assert result.errors[1].startswith("PhysicalityError: correlator xx")
+        assert [result.errors[i] for i in (0, 2, 3, 4)] == ["RuntimeError: boom"] * 4
+        assert np.isnan(result.column("qd")).all()
 
 
 def test_evaluate_detectors_record_contents():
@@ -415,8 +442,6 @@ def test_sweep_rows_match_evaluate_detectors(template, axis, start, stop, eta, k
 
 
 def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
-    import qcpdetect.scan as scan_mod
-
     calls = []
 
     def counted(name):
@@ -435,7 +460,7 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
         "max_mean_fidelity",
         "min_mean_trace_distance",
     )
-    for name in (*detectors, "build_xstate"):
+    for name in (*detectors, "build_xstate", "build_xstates"):
         counted(name)
     # the solvers are counted where the grid is solved
     def counted_solver(name):
@@ -453,16 +478,17 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
     results = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, eta=0.1, kT_list=kts)
     points = results[0].params.size
     assert points > 16 and all(r.failed_count == 0 for r in results)
-    # one model solve per point, reused at every temperature; one X state
-    # per row; each detector once, on the rows of all temperatures
+    # one model solve per point, reused at every temperature; the X states
+    # of all rows built at once, and each detector once, on those rows
     assert calls.count(("thermal_solution",)) == points
-    assert calls.count(("build_xstate",)) == points * len(kts)
+    assert calls.count(("build_xstates",)) == 1
+    assert calls.count(("build_xstate",)) == 0
     for name in ("quantum_discord", "max_mean_fidelity", "min_mean_trace_distance"):
         assert calls.count((name,)) == 1
     for name in ("coherence_entropy", "log_spectrum"):
         for axis in AXES:
             assert calls.count((name, axis)) == 1
-    assert len(calls) == points + points * len(kts) + 9
+    assert len(calls) == points + 1 + 9
     # a finite xy ring is solved a column at a time, never point by point:
     # these points at all temperatures fit in one block of the free fermions
     calls.clear()

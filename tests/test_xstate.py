@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qcpdetect.xstate import (
     PhysicalityError,
     XState,
     build_xstate,
+    build_xstates,
     dense_matrix,
     make_xstate,
     reduced_single,
@@ -125,6 +127,105 @@ def test_correlator_validation():
         build_xstate(Correlators(z=0.0, xx=1.5, yy=0.0, zz=0.0))
     with pytest.raises(PhysicalityError):
         build_xstate(Correlators(z=math.nan, xx=0.0, yy=0.0, zz=0.0))
+
+
+def _hex(value: float) -> str:
+    return float(value).hex()
+
+
+def test_column_build_equals_one_state_builds():
+    # Every row of one column gets what build_xstate gives it alone: the
+    # same bits, or the same PhysicalityError message and value.
+    rng = np.random.default_rng(SEED + 4)
+    rows = [astuple(sample_random_xstate(rng).correlators()) for _ in range(200)]
+    rows += rng.uniform(-1.1, 1.1, (300, 4)).tolist()  # many unphysical
+    tiny = 5e-13  # below VALIDATION_TOL: snapped onto the boundary
+    rows += [
+        (0.0, -1.0, -1.0, -1.0),  # singlet: b = |c|
+        (0.0, -1.0 - tiny, -1.0, -1.0),  # |c| snapped to b
+        (0.0, 1.0 + tiny, -1.0, 1.0),  # e snapped to sqrt(a d)
+        (1.0, 0.0, 0.0, 1.0 - tiny),  # d snapped to 0
+        (-0.5, 0.3, 0.3, -0.1),
+    ]
+    rows += [  # one row per check a column of correlators can fail
+        (-1.5, 0.0, 0.0, 0.0),  # correlator z
+        (0.0, 1.5, 0.0, 0.0),  # correlator xx
+        (0.0, 0.0, -2.0, 0.0),  # correlator yy
+        (0.0, 0.0, 0.0, 1.0 + 1e-9),  # correlator zz
+        (-0.9, 0.0, 0.0, 0.5),  # population a
+        (0.9, 0.0, 0.0, 0.5),  # population d
+        (0.0, 0.9, 0.9, 0.5),  # inner block
+        (0.0, 0.9, -0.9, -0.5),  # outer block
+    ]
+    for field in range(4):  # a non-finite value in each field
+        for bad in (math.nan, math.inf, -math.inf):
+            row = [0.1, 0.2, -0.1, 0.3]
+            row[field] = bad
+            rows.append(tuple(row))
+    rows += [
+        (1.5, 0.0, 0.0, math.nan),  # two correlators: z comes first
+        (-0.9, 0.9, -0.9, 0.5),  # population a and outer block
+    ]
+    column = np.array(rows).T
+    states, errors = build_xstates(Correlators(*column))
+    assert len(errors) == len(rows)
+    seen = set()
+    for i, row in enumerate(rows):
+        got = [getattr(states, f)[i] for f in "abcde"]
+        try:
+            want = build_xstate(Correlators(*row))
+        except PhysicalityError as exc:
+            assert isinstance(errors[i], PhysicalityError)
+            assert str(errors[i]) == str(exc)
+            assert _hex(errors[i].value) == _hex(exc.value)
+            assert np.isnan(got).all()
+            seen.add(str(exc).split(" (value")[0])
+        else:
+            assert errors[i] is None
+            assert [_hex(v) for v in got] == [_hex(getattr(want, f)) for f in "abcde"]
+    assert seen >= {
+        "correlator z outside [-1, 1]",
+        "correlator xx outside [-1, 1]",
+        "correlator yy outside [-1, 1]",
+        "correlator zz outside [-1, 1]",
+        "population a negative",
+        "population d negative",
+        "inner-block eigenvalue b - |c| negative",
+        "outer-block eigenvalue negative",
+    }
+    assert str(errors[-2]).startswith("correlator z outside")
+    assert str(errors[-1]).startswith("population a negative")
+    # the snapped rows lie on the boundary of the physical states
+    assert states.c[501] == -states.b[501]
+    assert states.e[502] ** 2 == states.a[502] * states.d[502]
+    assert states.d[503] == 0.0
+    # a float is a column of one, and an empty column has no rows
+    x, errs = build_xstates(Correlators(0.3, 0.2, -0.1, 0.4))
+    assert x.a.shape == (1,) and errs == [None]
+    x, errs = build_xstates(Correlators(*np.empty((4, 0))))
+    assert x.a.shape == (0,) and errs == []
+
+
+def test_outer_block_value_is_plain_float_arithmetic():
+    # The outer-block eigenvalue a PhysicalityError carries is the plain
+    # float formula with float ** 2 (libm pow) bit for bit; the correctly
+    # rounded square differs from it in a few of these rows.
+    rng = np.random.default_rng(SEED + 5)
+    column = rng.uniform(-1.0, 1.0, (4, 200_000))
+    _, errors = build_xstates(Correlators(*column))
+    checked = moved = 0
+    for i, err in enumerate(errors):
+        if err is None or not str(err).startswith("outer-block"):
+            continue
+        z, xx, yy, zz = column[:, i].tolist()
+        a = max(0.25 * (1.0 + 2.0 * z + zz), 0.0)
+        d = max(0.25 * (1.0 - 2.0 * z + zz), 0.0)
+        e = 0.25 * (xx - yy)
+        want = 0.5 * (a + d - math.sqrt((a - d) ** 2 + 4.0 * e**2))
+        assert err.value == want
+        checked += 1
+        moved += want != 0.5 * (a + d - math.sqrt((a - d) * (a - d) + 4.0 * e * e))
+    assert checked > 10_000 and moved > 0
 
 
 def test_product_states_have_no_cross_terms():
