@@ -55,6 +55,7 @@ from .scan import (
     METHODS,
     NUMERIC_COLUMNS,
     ZeroTemperatureExtrapolation,
+    check_derivative_window,
     estimate_qcp,
     extrapolate_to_zero,
     search_window,
@@ -389,6 +390,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError("need window_lo/window_hi or candidate")
     try:
         window = search_window(cfg.window, cfg.candidate, params)
+        check_derivative_window(params, cfg.eta, cfg.method, cfg.order, window)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     results = _run_sweep(cfg)
@@ -604,17 +606,10 @@ def _verify_symmetry() -> list[Check]:
         ("xy free fermions vs ED (kT=0, gamma=0)", xy0, xy0),
     ]
     for label, ed_spec, free_spec in comparisons:
-        got = FreeFermionSolution(free_spec).correlators(free_spec.kT)
-        want = diagonalize(ed_spec).correlators(ed_spec.kT)
-        for name in ("z", "xx", "yy", "zz"):
-            checks.append(
-                _close(
-                    f"{label}: {name}",
-                    getattr(got, name) - getattr(want, name),
-                    0.0,
-                    1e-10,
-                )
-            )
+        got = FreeFermionSolution(free_spec).table((free_spec.kT,))[0]
+        diff = got - diagonalize(ed_spec).table((ed_spec.kT,))[0]
+        for name, value in zip(("z", "xx", "yy", "zz"), diff):
+            checks.append(_close(f"{label}: {name}", value, 0.0, 1e-10))
     ct = xy_thermo_correlators(0.8, 1.0, 1.0)
     cf = thermal_correlators(ModelSpec("xy", 12, 1.0, lam=0.8, gamma=1.0))
     err = max(

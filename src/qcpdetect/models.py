@@ -10,9 +10,9 @@ Three periodic chains (sigma are Pauli matrices, site L+1 = site 1):
 The canonical ensemble rho = exp(-H/kT)/Z yields the one-site magnetization
 z = <sz> and the nearest-neighbour correlators xx, yy, zz that parameterize
 the pair X state.  ``thermal_solution`` picks the one exact solver for a
-spec, and ``thermal_correlators`` uses it.  ``solve_grid`` solves a
-sweep's whole grid of couplings with the same solvers, one point or one
-free-fermion column at a time, and records each point's failure:
+spec; each answers ``table(kts)`` at every kT at once and ``correlators(kT)``
+at one.  ``solve_grid`` solves a sweep's grid of couplings through ``table``,
+one ED point or one free-fermion column at a time, and records each failure:
 
   * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
     sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -279,44 +279,46 @@ def build_hamiltonian(spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _thermal_weights(gap, kts, window) -> np.ndarray:
+def _thermal_weights(gap, kts, e0) -> np.ndarray:
     """The weights (len(kts), *gap.shape) of levels ``gap`` >= 0 above the
-    ground level: exp(-gap/kT), and at kT = 0 the equal-weight indicator of
-    the ground window, gap <= ``window``.  Nothing above zero is
-    exponentiated, so low temperatures cannot overflow."""
+    ground level ``e0``: exp(-gap/kT), and at kT = 0 the equal-weight
+    indicator of the ground window, gap <= GROUND_STATE_WINDOW max(1, |e0|).
+    Nothing above zero is exponentiated; gap/kT may overflow to inf at a
+    subnormal kT, where exp(-inf) = 0 is the limit wanted."""
+    window = GROUND_STATE_WINDOW * np.maximum(1.0, np.abs(e0))
     rows = []
-    for kT in kts:
-        if not (kT >= 0.0):
-            raise ValueError(f"kT must be >= 0, got {kT}")
-        rows.append(np.exp(-gap / kT) if kT > 0.0 else (gap <= window).astype(float))
+    with np.errstate(over="ignore"):
+        for kT in kts:
+            if not (kT >= 0.0):
+                raise ValueError(f"kT must be >= 0, got {kT}")
+            rows.append(np.exp(-gap / kT) if kT > 0.0 else (gap <= window).astype(float))
     return np.array(rows)
+
+
+def _correlators(solution, kT: float) -> Correlators:
+    """The one-kT row of ``solution.table``; over a column, lists of values."""
+    return Correlators(*solution.table((kT,))[0].tolist())
 
 
 @dataclass
 class ThermalSolution:
     """Eigendecomposition of a finite chain plus per-eigenstate observables.
 
-    ``energies`` concatenates all symmetry sectors; ``expectations`` maps each
-    correlator name to <n|O|n> aligned with ``energies``, where O is the
-    correlator's bond sum divided by L (see ``diagonalize``).  Thermal weights
-    are relative to the ground energy (``_thermal_weights``).
+    ``energies`` concatenates all symmetry sectors; ``expectations`` holds
+    the rows z, xx, yy, zz of <n|O|n> aligned with ``energies``, where O is
+    the correlator's bond sum divided by L (see ``diagonalize``).
     """
 
     energies: np.ndarray
-    expectations: dict[str, np.ndarray]
+    expectations: np.ndarray
     e0: float
 
-    def weights(self, kT: float) -> np.ndarray:
-        """Unnormalized Boltzmann weights exp(-(E - E0)/kT); kT = 0 gives an
-        equal-weight indicator of the ground window."""
-        window = GROUND_STATE_WINDOW * max(1.0, abs(self.e0))
-        return _thermal_weights(self.energies - self.e0, (kT,), window)[0]
+    def table(self, kts) -> np.ndarray:
+        """The (len(kts), 4) z, xx, yy, zz at every kT in ``kts``."""
+        weights = _thermal_weights(self.energies - self.e0, tuple(kts), self.e0)
+        return np.array([[np.dot(w, v) / w.sum() for v in self.expectations] for w in weights])
 
-    def correlators(self, kT: float) -> Correlators:
-        w = self.weights(kT)
-        norm = w.sum()
-        avg = {k: float(np.dot(w, v) / norm) for k, v in self.expectations.items()}
-        return Correlators(z=avg["z"], xx=avg["xx"], yy=avg["yy"], zz=avg["zz"])
+    correlators = _correlators
 
 
 def diagonalize(spec: ModelSpec) -> ThermalSolution:
@@ -342,8 +344,7 @@ def diagonalize(spec: ModelSpec) -> ThermalSolution:
             for rows, cols, vals in _bond_flips(basis, L, differ_amp, equal_amp)
         )
 
-    energies = []
-    expect = {name: [] for name in ("z", "xx", "yy", "zz")}
+    energies, expectations = [], []
     for basis, block in build_hamiltonian(spec):
         evals, evecs = np.linalg.eigh(block)
         energies.append(evals)
@@ -351,24 +352,17 @@ def diagonalize(spec: ModelSpec) -> ThermalSolution:
         z, zz = _diagonals(basis, L)
         hop_n = flip_sum(evecs, basis, 2.0, 0.0)
         pair_n = flip_sum(evecs, basis, 0.0, 2.0) if spec.family == "xy" else 0.0
-        expect["z"].append(density @ z / L)
-        expect["zz"].append(density @ zz / L)
-        expect["xx"].append((hop_n + pair_n) / (2 * L))
-        expect["yy"].append((hop_n - pair_n) / (2 * L))
+        xx, yy = (hop_n + pair_n) / (2 * L), (hop_n - pair_n) / (2 * L)
+        expectations.append([density @ z / L, xx, yy, density @ zz / L])
 
     energies = np.concatenate(energies)
-    expectations = {k: np.concatenate(v) for k, v in expect.items()}
-    return ThermalSolution(
-        energies=energies,
-        expectations=expectations,
-        e0=float(energies.min()),
-    )
+    return ThermalSolution(energies, np.concatenate(expectations, axis=1), float(energies.min()))
 
 
 def thermal_solution(
     spec: ModelSpec,
 ) -> ThermalSolution | FreeFermionSolution | ThermoLimitSolution:
-    """The exact solver for ``spec``; its ``correlators(kT)`` serves any kT.
+    """The exact solver for ``spec``; its ``table(kts)`` serves every kT.
 
     L = None is the xy thermodynamic limit, a finite xy ring gets the free
     fermions, and an xxz chain is diagonalized per sector.  ``spec.kT`` is
@@ -398,8 +392,8 @@ def solve_grid(
     exception at each of its points.  An xy block is a column of its free
     fermions, so that memory stays bounded on long grids: at most
     ``_COLUMN_ROWS`` (kT, point) rows of a finite ring, ``_LIMIT_POINTS``
-    points of the L = None chain.  An ED block is one point, solved by
-    ``thermal_solution`` once for every kT.
+    points of the L = None chain.  An ED block is one point.  Each block
+    answers every kT through its solver's ``table``.
     """
     kts = tuple(kts)
     points = np.asarray(values, dtype=float)
@@ -415,8 +409,8 @@ def solve_grid(
         step = 1
 
         def solve(block):
-            solution = thermal_solution(replace(template, **{field: float(block[0])}))
-            return np.array([astuple(solution.correlators(kT)) for kT in kts])[..., None]
+            spec = replace(template, **{field: float(block[0])})
+            return thermal_solution(spec).table(kts)[..., None]
 
     out = np.full((len(kts), 4, points.size), math.nan)
     errors = [None] * points.size
@@ -539,8 +533,8 @@ class FreeFermionSolution:
     at lam = 1, gamma = 0 modes at cos k = 1/lam) stay finite.  Sectors add
     with the weights exp(-(E_vac - E_min)/kT) of their vacuum energies.
 
-    kT = 0 averages the ground space with equal weights, as
-    ``ThermalSolution.weights`` does: modes with |eps| within the window
+    kT = 0 averages the ground space with equal weights, as ED does
+    (``_thermal_weights``): modes with |eps| within the window
     ``GROUND_STATE_WINDOW * max(1, |E_min|)`` are zero modes, free to be
     empty or filled, and a sector counts when its vacuum energy lies within
     the window of E_min.  The NS vacuum is always even (L is even, so the NS
@@ -593,13 +587,12 @@ class FreeFermionSolution:
         kts = tuple(kts)
         vacuum = [s.vacuum_energy for s in self.sectors]
         e_min = np.minimum(*vacuum)
-        window = GROUND_STATE_WINDOW * np.maximum(1.0, np.abs(e_min))
         rows = (len(kts), *e_min.shape)
         norm = np.zeros(rows)
         total = np.zeros((*rows, 4))
         for sector, e_vac in zip(self.sectors, vacuum):
-            scale = _thermal_weights(e_vac - e_min, kts, window)
-            excited = _thermal_weights(np.abs(sector.eps), kts, window[..., None])
+            scale = _thermal_weights(e_vac - e_min, kts, e_min)
+            excited = _thermal_weights(np.abs(sector.eps), kts, e_min[..., None])
             in_vacuum = sector.eps < 0.0
             sums = self._parity_sums(
                 sector,
@@ -614,10 +607,7 @@ class FreeFermionSolution:
             total += scale[..., None] * moments.real
         return np.moveaxis(total / norm[..., None], -1, 1)
 
-    def correlators(self, kT: float) -> Correlators:
-        """The correlators at one kT; over a column, each field lists the
-        points' values."""
-        return Correlators(*self.table((kT,))[0].tolist())
+    correlators = _correlators
 
 
 # ---------------------------------------------------------------------------
@@ -801,10 +791,7 @@ class ThermoLimitSolution:
             rows.append([z, xx, yy, z * z - xx * yy])
         return np.array(rows).reshape(len(rows), 4, *self._shape)
 
-    def correlators(self, kT: float) -> Correlators:
-        """The correlators at one kT; over a column, each field lists the
-        points' values."""
-        return Correlators(*self.table((kT,))[0].tolist())
+    correlators = _correlators
 
 
 def xy_thermo_correlators(lam: float, gamma: float, kT: float) -> Correlators:

@@ -339,6 +339,22 @@ def search_window(
     return lo, hi
 
 
+def _in_window(params: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The grid points in the search window, give or take its 1e-12."""
+    return (params >= lo - 1e-12) & (params <= hi + 1e-12)
+
+
+def check_derivative_window(params, eta, method, order, window) -> None:
+    """Raise ValueError unless a grid point inside ``window`` has its
+    ``derivative`` stencil on the grid ``params``; solves nothing."""
+    on_grid = np.isfinite(derivative(np.zeros(params.size), eta, method, order))
+    if not (on_grid & _in_window(params, *window)).any():
+        raise ValueError(
+            f"no {method} order-{order} derivative stencil fits the "
+            f"{params.size}-point grid inside window {window}"
+        )
+
+
 def estimate_qcp(
     result: SweepResult,
     detector: str,
@@ -360,7 +376,7 @@ def estimate_qcp(
     lo, hi = search_window(window, candidate, params)
     values = result.column(detector)
     deriv = derivative(values, result.eta, method, order)
-    in_window = (params >= lo - 1e-12) & (params <= hi + 1e-12)
+    in_window = _in_window(params, lo, hi)
     usable = in_window & np.isfinite(deriv)
     if not usable.any():
         raise ValueError(

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -260,8 +259,8 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
 
     # fail the point delta = -1.1 in its X-state build (the model solve
     # gives it xx = 1.5 at each temperature), in the model solve, or in its
-    # solution's correlators at the second temperature only (either of the
-    # last two fails it at every temperature)
+    # solution's table when the second temperature is asked for (either of
+    # the last two fails it at every temperature)
     template = ModelSpec("xxz", 4, 0.5)
     original = models_mod.thermal_solution
 
@@ -272,14 +271,15 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
             raise RuntimeError("boom")
         solution = original(spec)
 
-        def correlators(kT):
-            if stage == "detector":
-                return replace(solution.correlators(kT), xx=1.5)
-            if kT == 1.0:
+        def table(kts):
+            if stage == "temperature" and 1.0 in kts:
                 raise RuntimeError("boom")
-            return solution.correlators(kT)
+            rows = solution.table(kts)
+            if stage == "detector":
+                rows[:, 1] = 1.5  # xx
+            return rows
 
-        return SimpleNamespace(correlators=correlators)
+        return SimpleNamespace(table=table)
 
     monkeypatch.setattr(models_mod, "thermal_solution", flaky)
     message = {
@@ -579,26 +579,91 @@ candidate = 1.0
     assert not (tmp_path / "estimates.csv").exists()
 
 
-def test_estimate_command_compute_failure_exits_2(tmp_path, capsys):
-    # a 3-point grid cannot support a second-order central stencil anywhere
+def test_estimate_command_compute_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # the central stencil of the 3-point grid fits, but it reads the failed
+    # point delta = 0.4, which is NaN: the sweep leaves no derivative value
+    import qcpdetect.models as models_mod
+
+    original = models_mod.thermal_solution
+
+    def flaky(spec):
+        if abs(spec.delta - 0.4) < 1e-9:
+            raise RuntimeError("boom")
+        return original(spec)
+
+    monkeypatch.setattr(models_mod, "thermal_solution", flaky)
     text = """\
-family = xy
+family = xxz
 L = 4
 kT = 0.5
-gamma = 1.0
-axis = lambda
+axis = delta
 start = 0.4
 stop = 0.6
 eta = 0.1
 detectors = qd
-order = 2
 method = central
 window_lo = 0.4
 window_hi = 0.6
 """
     cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
     assert main(["estimate", "--config", cfg]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "error: ValueError: no defined central order-1 derivative of 'qd'" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline, message",
+    [
+        (
+            "stop = 1.0\nwindow_lo = 0.9\nwindow_hi = 1.0\n",
+            "need a 1-d array of at least 3 grid values",
+        ),
+        (
+            "stop = 1.2\norder = 2\nmethod = central\nwindow_lo = 0.9\nwindow_hi = 1.2\n",
+            "no central order-2 derivative stencil fits the 4-point grid",
+        ),
+        (
+            "stop = 1.2\nmethod = forward\nwindow_lo = 1.15\nwindow_hi = 1.2\n",
+            "no forward order-1 derivative stencil fits the 4-point grid "
+            "inside window (1.15, 1.2)",
+        ),
+    ],
+    ids=["two-points", "central-order-2", "forward-past-the-window"],
+)
+def test_estimate_stencil_off_the_grid_is_a_config_error(
+    tmp_path, capsys, monkeypatch, pipeline, message
+):
+    # a derivative whose stencil leaves the grid at every in-window point
+    # can locate nothing, whatever the sweep gives: a config error, raised
+    # before the grid is solved
+    import qcpdetect.scan as scan_mod
+
+    solved = []
+
+    def refuse(*args, **kwargs):
+        solved.append(args)
+        raise AssertionError("solved a grid")
+
+    monkeypatch.setattr(scan_mod, "solve_grid", refuse)
+    text = """\
+family = xy
+L = none
+gamma = 1.0
+kT = 0.05
+axis = lambda
+start = 0.9
+eta = 0.1
+detectors = qd
+"""
+    cfg = _write(tmp_path, text + pipeline + f"out = {tmp_path}\n")
+    assert main(["estimate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert "wrote" not in captured.out
+    assert not list(tmp_path.glob("*.csv"))
+    assert not solved
 
 
 # ---------------------------------------------------------------------------

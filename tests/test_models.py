@@ -191,7 +191,7 @@ def test_infinite_temperature_limit():
 def test_zero_temperature_uses_ground_space():
     spec = ModelSpec("xy", 6, 0.0, lam=0.5, gamma=1.0)
     sol = diagonalize(spec)
-    w = sol.weights(0.0)
+    w = models._thermal_weights(sol.energies - sol.e0, (0.0,), sol.e0)[0]
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     occupied = w > 0
     gaps = sol.energies[occupied] - sol.e0
@@ -201,19 +201,41 @@ def test_zero_temperature_uses_ground_space():
     assert c0.xx == pytest.approx(c_small.xx, abs=1e-8)
 
 
-@pytest.mark.parametrize(
-    "spec",
+# One solution of each solver: exact diagonalization of every family (the
+# xy ring through diagonalize, as the symmetry checks use it), the free
+# fermions of a finite xy ring and the L = None integrals.
+SOLVERS = pytest.mark.parametrize(
+    "solve, spec",
     [
-        ModelSpec("xxz", 4, 0.5, delta=0.7),
-        ModelSpec("xy", 4, 0.5, lam=0.8),
-        ModelSpec("xy", None, 0.5, lam=0.8),
+        (thermal_solution, ModelSpec("xxz", 4, 0.5, delta=0.7)),
+        (thermal_solution, ModelSpec("xy", 4, 0.5, lam=0.8)),
+        (thermal_solution, ModelSpec("xy", None, 0.5, lam=0.8)),
+        (thermal_solution, ModelSpec("xxz_field", 6, 0.5, delta=1.5, h=3.0)),
+        (diagonalize, ModelSpec("xy", 6, 0.5, lam=0.8, gamma=0.6)),
     ],
-    ids=["diagonalize", "free-fermions", "thermo-limit"],
+    ids=["diagonalize", "free-fermions", "thermo-limit", "diagonalize-field", "diagonalize-xy"],
 )
+
+
+@SOLVERS
 @pytest.mark.parametrize("kT", [math.nan, -0.1])
-def test_solutions_reject_nan_and_negative_kT(spec, kT):
+def test_solutions_reject_nan_and_negative_kT(solve, spec, kT):
     with pytest.raises(ValueError, match=re.escape(f"kT must be >= 0, got {kT}")):
-        thermal_solution(spec).correlators(kT)
+        solve(spec).correlators(kT)
+
+
+@SOLVERS
+def test_table_rows_are_the_one_temperature_answers(solve, spec):
+    # every solver answers table(kts) for all temperatures at once, and its
+    # rows are what one temperature alone gives, to the last bit
+    kts = (0.0, 0.05, 0.5, math.inf)
+    solution = solve(spec)
+    table = solution.table(kts)
+    assert table.shape == (len(kts), 4)
+    for kT, row in zip(kts, table.tolist()):
+        got = [x.hex() for x in row]
+        assert got == [x.hex() for x in solution.table((kT,))[0].tolist()], kT
+        assert got == [x.hex() for x in astuple(solution.correlators(kT))], kT
 
 
 def test_model_spec_validation():
@@ -468,9 +490,17 @@ def test_xy_thermo_ic_is_match_adaptive_quadrature():
 
 
 def test_xy_thermo_at_a_subnormal_kT_is_the_ground_state():
-    # tanh(E / 2kT) is 1 at every node once E / 2kT overflows, silently
+    # tanh(E / 2kT) is 1 at every node once E / 2kT overflows, and
+    # exp(-gap / kT) is 0 above the ground level once gap / kT does, silently
     for lam, gamma in ((0.5, 1.0), (1.0, 0.0), (-1.5, 0.3)):
         assert xy_thermo_correlators(lam, gamma, 1e-310) == xy_thermo_correlators(lam, gamma, 0.0)
+    for spec in (
+        ModelSpec("xy", 8, 0.0, lam=1.1),  # free fermions
+        ModelSpec("xy", 8, 0.0, lam=0.5, gamma=0.3),
+        ModelSpec("xxz", 6, 0.0, delta=0.5),  # exact diagonalization
+        ModelSpec("xxz_field", 6, 0.0, delta=2.0, h=3.0),
+    ):
+        assert thermal_correlators(replace(spec, kT=1e-310)) == thermal_correlators(spec), spec
 
 
 def test_xy_integrals_leave_no_reference_cycle():

@@ -356,9 +356,14 @@ def _unphysical_at(monkeypatch, delta, **bad):
         solution = original(spec)
         if abs(spec.delta - delta) > 1e-9:
             return solution
-        return SimpleNamespace(
-            correlators=lambda kT: replace(solution.correlators(kT), **bad)
-        )
+
+        def table(kts):
+            rows = solution.table(kts)
+            for name, value in bad.items():
+                rows[:, COLUMNS.index(name)] = value
+            return rows
+
+        return SimpleNamespace(table=table)
 
     monkeypatch.setattr(models_mod, "thermal_solution", patched)
 
