@@ -15,9 +15,10 @@ at one.  ``solve_grid`` solves a sweep's grid of couplings through ``table``,
 one ED point or one free-fermion column at a time, and records each failure:
 
   * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
-    sectors projected onto their fermion parity (Lieb, Schultz and Mattis,
-    Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127, 1508 (1962)), in
-    O(L^3) per point and temperature, for one coupling point or a column;
+    sectors projected onto their fermion parity as two Gaussian traces
+    (Lieb, Schultz and Mattis, Ann. Phys. 16, 407 (1961); Katsura, Phys.
+    Rev. 127, 1508 (1962)), in O(L) per point and temperature, for one
+    coupling point or a column;
   * finite xxz chains: exact diagonalization (``diagonalize``) per symmetry
     sector, since H conserves the total magnetization.  ``build_hamiltonian``
     builds each sector as a dense numpy block on its basis states, from the
@@ -67,7 +68,8 @@ DEFAULT_L_MAX = 12
 GROUND_STATE_WINDOW = 1e-10
 
 # Most (kT, point) rows a finite xy ring solves in one pass of its free
-# fermions; bounds the memory of their recurrence and coefficients to a few MB.
+# fermions; its arrays are (3, rows, 2 sectors, L) at most, about a megabyte
+# at L = 12, and a failed block loses no more than these rows.
 _COLUMN_ROWS = 256
 # Most points the L = None xy chain solves in one pass of its k-integrals;
 # its node arrays are (points, 968), a fraction of a megabyte.
@@ -429,13 +431,14 @@ def solve_grid(
 
 
 @dataclass(frozen=True)
-class _FermionSector:
-    """One boundary-condition sector of the Jordan-Wigner fermions.
+class _FermionSectors:
+    """The two boundary-condition sectors of the Jordan-Wigner fermions,
+    stacked on a leading axis: Neveu-Schwarz at 0, Ramond at 1.
 
     With sz = 1 - 2n the ring's even-fermion-parity states are those of
-    antiperiodic fermions (Neveu-Schwarz, k = (2m+1) pi / L) and its odd
-    ones those of periodic fermions (Ramond, k = 2 pi m / L).  Each sector
-    is H = sum_k eps_k (n_k - 1/2) over Bogoliubov modes: with
+    antiperiodic fermions (NS, k = (2m+1) pi / L) and its odd ones those of
+    periodic fermions (R, k = 2 pi m / L).  Each sector is
+    H = sum_k eps_k (n_k - 1/2) over Bogoliubov modes: with
     xi = 1 - lam cos k and D = lam gamma sin k, the paired modes have
     eps = sqrt(xi^2 + D^2) >= 0, while k = 0, k = pi and, at gamma = 0,
     every mode keep the signed eps = xi, so a mode with eps < 0 is filled in
@@ -446,56 +449,83 @@ class _FermionSector:
       z = h(0),  xx = -h(-1),  yy = -h(1),
       zz = (1/L^2) sum_{k != k'} u_k u_k' (1 - e^{i(k-k')}) tau_k tau_k'
 
-    (Wick's theorem; the k = k' terms vanish identically, so zz is linear
-    in each tau).  ``coefficients`` holds these as a (4, 1 + L + L^2)
-    matrix acting on the sums [1, tau_k, tau_k tau_k'] over the sector's
-    states.
+    (Wick's theorem; the k = k' terms vanish identically).  ``amplitudes``
+    holds the mode amplitudes of z, xx and yy, u_k, -u_k e^{-ik} and
+    -u_k e^{ik}, and zz's coefficient is z_k z_k' - yy_k xx_k' in them: two
+    rank-one terms.
 
     ``build`` takes lam and gamma as floats or as arrays that broadcast
-    together, a column of couplings; ``eps`` is then (..., L) and
-    ``coefficients`` (..., 4, 1 + L + L^2), one sector per point.
+    together, a column of couplings; ``eps`` is then (2, ..., L) and
+    ``amplitudes`` (3, 2, ..., L).
     """
 
-    parity: int  # fermion parity of the sector's states: 0 NS, 1 R
     eps: np.ndarray
-    coefficients: np.ndarray
+    amplitudes: np.ndarray
 
     @classmethod
-    def build(cls, parity: int, L: int, lam, gamma) -> _FermionSector:
+    def build(cls, L: int, lam, gamma) -> _FermionSectors:
         lam, gamma = np.broadcast_arrays(np.asarray(lam, float), np.asarray(gamma, float))
-        m = np.arange(L)
-        k = (2 * m + 1 - parity) * math.pi / L
+        column = [1] * lam.ndim
+        parity = np.arange(2).reshape(2, 1)
+        k = ((2 * np.arange(L) + 1 - parity) * math.pi / L).reshape(2, *column, L)
         xi = 1.0 - lam[..., None] * np.cos(k)
         delta = np.multiply(lam, gamma)[..., None] * np.sin(k)
-        unpaired = np.repeat((gamma == 0.0)[..., None], L, axis=-1)
-        if parity == 1:
-            unpaired[..., [0, L // 2]] = True  # k = 0 and k = pi
+        unpaired = np.broadcast_to((gamma == 0.0)[..., None], xi.shape).copy()
+        unpaired[1, ..., [0, L // 2]] = True  # the Ramond k = 0 and k = pi
         delta[unpaired] = 0.0
         eps = np.where(unpaired, xi, np.hypot(xi, delta))
         u = np.ones(xi.shape, dtype=complex)
         paired = ~unpaired
         u[paired] = (xi[paired] - 1j * delta[paired]) / eps[paired]
         phase = np.exp(1j * k)
-        coef = np.zeros((*lam.shape, 4, 1 + L + L * L), dtype=complex)
-        coef[..., 0, 1 : L + 1] = u / L
-        coef[..., 1, 1 : L + 1] = -u / phase / L
-        coef[..., 2, 1 : L + 1] = -u * phase / L
-        pairs = u[..., :, None] * u[..., None, :] * (1.0 - np.outer(phase, 1.0 / phase))
-        coef[..., 3, L + 1 :] = (pairs / L**2).reshape(*lam.shape, L * L)
-        return cls(parity, eps, coef)
+        return cls(eps, np.stack([u, -u / phase, -u * phase]))
 
-    @property
-    def vacuum_energy(self) -> np.ndarray:
-        return -0.5 * np.abs(self.eps).sum(axis=-1)
-
-
-def _tau_insertions(L: int) -> np.ndarray:
-    """Signs (1 + L + L^2, L) on each mode's filled weight: row 0 none, then
-    -1 at mode k, then -1 at modes k and k' (once on the diagonal)."""
-    eye = np.eye(L, dtype=bool)
-    pairs = (eye[:, None, :] | eye[None, :, :]).reshape(L * L, L)
-    flips = np.vstack([np.zeros((1, L), dtype=bool), eye, pairs])
-    return np.where(flips, -1.0, 1.0)
+    def table(self, kts) -> np.ndarray:
+        """The correlators z, xx, yy, zz at every kT in ``kts``, an array
+        (len(kts), 4, ...); see ``FreeFermionSolution``."""
+        kts = tuple(kts)
+        L = self.eps.shape[-1]
+        # (-1)^parity of each sector, broadcast over the column
+        sign = np.array([1.0, -1.0]).reshape(2, *[1] * (self.eps.ndim - 2))
+        vacuum = -0.5 * np.abs(self.eps).sum(axis=-1)
+        e_min = np.minimum(*vacuum)
+        scale = _thermal_weights(vacuum - e_min, kts, e_min)
+        excited = _thermal_weights(np.abs(self.eps), kts, e_min[..., None])
+        # P = e + f and m = (e - f) / P of the empty and filled weights, 1 and
+        # excited, swapped for a mode filled in the vacuum
+        weight = 1.0 + excited
+        m = np.where(self.eps < 0.0, -1.0, 1.0) * ((1.0 - excited) / weight)
+        # prod_{j<k} m_j and prod_{j>k} m_j, by products only
+        before = np.ones_like(m)
+        np.cumprod(m[..., :-1], axis=-1, out=before[..., 1:])
+        after = np.ones_like(m)
+        after[..., :-1] = np.cumprod(m[..., :0:-1], axis=-1)[..., ::-1]
+        # tau_k in the plain trace gives m_k; in the parity trace every other
+        # mode gives m_j.  Each one-body sum is real: the k grid is symmetric.
+        amplitudes = self.amplitudes[:, None]
+        plain = (amplitudes.real * m).sum(axis=-1)
+        one_body = plain + sign * (amplitudes.real * (before * after)).sum(axis=-1)
+        # A pair k < k' in the parity trace gives prod m_j over j not in
+        # {k, k'}: scanned[..., k'] sums amplitude_k prod_{j < k', j != k} m_j
+        # over k < k' as one running sum, and `after` adds the j > k'.
+        reach = amplitudes * before
+        scanned = np.empty_like(reach)
+        running = np.zeros(reach.shape[:-1], dtype=complex)
+        for q in range(L):
+            scanned[..., q] = running
+            running = running * m[..., q] + reach[..., q]
+        # The plain pairs are z^2 - xx yy of the plain sums; each parity pair
+        # k < k' carries both orders of its coefficient.
+        z, xx, yy = amplitudes
+        pairs = (2.0 * z * scanned[0] - yy * scanned[1] - xx * scanned[2]) * after
+        zz = plain[0] ** 2 - plain[1] * plain[2] + sign * pairs.sum(axis=-1).real
+        # Each sector's product of P relative to the larger one, by logs:
+        # 2^L overflows a float at L = 1024.
+        log_weight = np.log(weight).sum(axis=-1)
+        share = scale * np.exp(log_weight - log_weight.max(axis=1, keepdims=True))
+        norm = (share * (1.0 + sign * (before[..., -1] * m[..., -1]))).sum(axis=1)
+        moments = np.concatenate([one_body / L, zz[None] / L**2])
+        return np.moveaxis((share * moments).sum(axis=2) / norm, 0, 1)
 
 
 def _column_couplings(spec: ModelSpec, column: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -520,18 +550,29 @@ class FreeFermionSolution:
     ``FreeFermionSolution(spec, lam=values)`` (or ``gamma=values``) solves
     the rings of a column, every point the spec with that coupling
     replaced.  A spec alone is a column of one point: both run the same
-    array code, which handles every point at every temperature in one pass.
+    array code (``_FermionSectors``), which handles both sectors and every
+    point at every temperature in one pass.
 
     The thermal trace runs over each sector's Fock states of its own
-    parity.  Per mode, the empty and filled states carry Boltzmann weights
-    relative to the sector vacuum (1 and exp(-|eps|/kT), swapped for a mode
-    filled in the vacuum).  A two-component recurrence over the modes sums
-    the weights of the even and the odd states separately, so the parity
-    projection never subtracts two nearly equal products, and inserting
-    tau_k = 1 - 2 n_k only flips the sign of a filled weight, so no mode
-    factor is ever divided out: the exact zero modes (the Ramond k = 0 mode
-    at lam = 1, gamma = 0 modes at cos k = 1/lam) stay finite.  Sectors add
-    with the weights exp(-(E_vac - E_min)/kT) of their vacuum energies.
+    parity p, so it is (1/2)[Tr e^{-H/kT} + (-1)^p Tr (-1)^F e^{-H/kT}],
+    and both traces factorize over the modes.  Per mode, the empty and
+    filled states carry Boltzmann weights e, f relative to the sector vacuum
+    (1 and exp(-|eps|/kT), swapped for a mode filled in the vacuum); with
+    P = e + f and m = (e - f) / P, each trace is prod P times:
+
+      plain trace      1,         with tau_k: m_k,  tau_k tau_k': m_k m_k'
+      parity trace     prod m_j,  with tau_k: prod_{j != k} m_j,
+                                  tau_k tau_k': prod_{j not in {k, k'}} m_j
+
+    The plain zz sum over k != k' is z^2 - xx yy of the plain one-body sums,
+    since its coefficient is two rank-one terms with a zero diagonal.  The
+    parity products come from prefix and suffix products and, for the
+    pairs, one running sum over the modes, so no mode factor is ever
+    divided out: the exact zero modes (m = 0: the Ramond k = 0 mode at
+    lam = 1, gamma = 0 modes at cos k = 1/lam) stay exact.  A row costs O(L)
+    time and memory.  Sectors add with the weights exp(-(E_vac - E_min)/kT)
+    of their vacuum energies times their prod P, carried as a sum of logs,
+    relative to the larger sector's, so nothing overflows at any L.
 
     kT = 0 averages the ground space with equal weights, as ED does
     (``_thermal_weights``): modes with |eps| within the window
@@ -541,71 +582,25 @@ class FreeFermionSolution:
     modes come in +-k pairs of equal eps); the R vacuum is odd, as its
     sector needs, for |lam| > 1 and even for |lam| < 1, where its energy
     never lies below the NS vacuum (tests/test_models.py checks this on a
-    grid).  A wrong-parity sector without zero modes that counts then adds
-    exactly zero, so the sectors' vacua are all a kT = 0 average needs.
+    grid).  A wrong-parity sector without zero modes that counts has every
+    m = +-1 and prod m = -(-1)^p, so it adds zero to the norm and the
+    one-body sums exactly and to rounding in zz: the sectors' vacua are all
+    a kT = 0 average needs.
 
-    Memory grows as (points) x L^2 for the sectors and as (temperatures x
-    points) x L^2 for the recurrence, so a caller with a long column hands
-    it over in blocks (``solve_grid`` does, of at most ``_COLUMN_ROWS``
-    rows).
+    Memory grows as (temperatures x points) x L, so a caller with a long
+    column hands it over in blocks (``solve_grid`` does, of at most
+    ``_COLUMN_ROWS`` rows).
     """
 
     def __init__(self, spec: ModelSpec, **column):
         if spec.family != "xy" or spec.L is None:
             raise ValueError("FreeFermionSolution needs a finite xy ring")
-        lam, gamma = _column_couplings(spec, column)
-        self.sectors = tuple(
-            _FermionSector.build(parity, spec.L, lam, gamma) for parity in (0, 1)
-        )
-        self._insertions = _tau_insertions(spec.L)
-
-    def _parity_sums(
-        self, sector: _FermionSector, empty_weight: np.ndarray, filled_weight: np.ndarray
-    ) -> np.ndarray:
-        """Sums over the sector's states of [1, tau_k, tau_k tau_k'] x weight,
-        (..., 1 + L + L^2) for the mode weights (..., L) of each row."""
-        even = np.ones((*empty_weight.shape[:-1], self._insertions.shape[0]))
-        odd = np.zeros(even.shape)
-        filled = np.empty(even.shape)
-        odd_filled = np.empty(even.shape)
-        # even, odd <- even * empty + odd * filled, even * filled + odd * empty,
-        # updated in place: no array is allocated per mode.
-        for q, signs in enumerate(self._insertions.T):
-            empty = empty_weight[..., q, None]
-            np.multiply(signs, filled_weight[..., q, None], out=filled)
-            np.multiply(odd, filled, out=odd_filled)
-            np.multiply(even, filled, out=filled)
-            np.multiply(even, empty, out=even)
-            np.add(even, odd_filled, out=even)
-            np.multiply(odd, empty, out=odd)
-            np.add(filled, odd, out=odd)
-        return odd if sector.parity else even
+        self.sectors = _FermionSectors.build(spec.L, *_column_couplings(spec, column))
 
     def table(self, kts) -> np.ndarray:
         """The correlators z, xx, yy, zz at every kT in ``kts``: an array
         (len(kts), 4) for a spec alone, (len(kts), 4, points) for a column."""
-        kts = tuple(kts)
-        vacuum = [s.vacuum_energy for s in self.sectors]
-        e_min = np.minimum(*vacuum)
-        rows = (len(kts), *e_min.shape)
-        norm = np.zeros(rows)
-        total = np.zeros((*rows, 4))
-        for sector, e_vac in zip(self.sectors, vacuum):
-            scale = _thermal_weights(e_vac - e_min, kts, e_min)
-            excited = _thermal_weights(np.abs(sector.eps), kts, e_min[..., None])
-            in_vacuum = sector.eps < 0.0
-            sums = self._parity_sums(
-                sector,
-                np.where(in_vacuum, excited, 1.0),
-                np.where(in_vacuum, 1.0, excited),
-            )
-            # A sector of weight 0 adds exact zeros: its sums are finite.
-            norm += scale * sums[..., 0]
-            # matmul, not einsum: each row then sums as coefficients @ sums
-            # of one point does, to the last bit.
-            moments = np.matmul(sector.coefficients, sums[..., None])[..., 0]
-            total += scale[..., None] * moments.real
-        return np.moveaxis(total / norm[..., None], -1, 1)
+        return self.sectors.table(kts)
 
     correlators = _correlators
 

@@ -13,7 +13,7 @@ from qcpdetect.models import (
     FreeFermionSolution,
     ModelSpec,
     ThermoLimitSolution,
-    _FermionSector,
+    _FermionSectors,
     build_hamiltonian,
     diagonalize,
     thermal_correlators,
@@ -639,6 +639,32 @@ def test_free_fermion_column_matches_one_point_solves(template, field, values):
     assert all(isinstance(v, float) for v in astuple(one.correlators(0.5)))
 
 
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_free_fermions_match_a_sum_over_fock_states(L):
+    # The Gaussian traces against the sum they factorize: every Fock state of
+    # each sector's modes, of the sector's parity, with its Boltzmann weight
+    # and its tau_k = 1 - 2 n_k.  kT = 0 is ED's check; the grid holds the
+    # Ramond k = 0 zero mode (lam = 1) and gamma = 0 zero modes.
+    occupied = (np.arange(1 << L)[:, None] >> np.arange(L)) & 1
+    tau = 1.0 - 2.0 * occupied
+    kts = (0.02, 0.1, 1.0, math.inf)
+    for lam in (-1.3, 0.5, 1.0, 1 / math.cos(math.pi / 4), 1.5):
+        for gamma in (0.0, 0.3, 1.0):
+            sectors = _FermionSectors.build(L, lam, gamma)
+            energy = occupied @ sectors.eps.T - 0.5 * sectors.eps.sum(axis=-1)
+            in_sector = occupied.sum(axis=1)[:, None] % 2 == np.arange(2)
+            z, xx, yy = (amp @ tau.T for amp in sectors.amplitudes.real)
+            pairs = sectors.amplitudes[0][:, :, None] * sectors.amplitudes[0][:, None, :]
+            pairs -= sectors.amplitudes[2][:, :, None] * sectors.amplitudes[1][:, None, :]
+            pairs[:, np.arange(L), np.arange(L)] = 0.0
+            zz = np.einsum("sij,ni,nj->sn", pairs, tau, tau).real
+            for kT, got in zip(kts, sectors.table(kts)):
+                weight = np.where(in_sector.T, np.exp(-(energy.T - energy.min()) / kT), 0.0)
+                sums = [(weight * v).sum() for v in (z / L, xx / L, yy / L, zz / L**2)]
+                want = np.array(sums) / weight.sum()
+                assert np.allclose(got, want, rtol=0.0, atol=1e-13), (lam, gamma, kT)
+
+
 def test_free_fermion_column_is_checked():
     spec = ModelSpec("xy", 8, 0.1)
     with pytest.raises(ValueError, match="lam must be a 1-d array of finite values"):
@@ -655,10 +681,50 @@ def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():
     for L in range(4, 40, 2):
         for lam in np.linspace(-3.0, 3.0, 121):
             for gamma in (0.0, 0.3, 1.0):
-                ns, r = (_FermionSector.build(p, L, lam, gamma) for p in (0, 1))
-                assert np.sum(ns.eps < 0) % 2 == 0
-                if np.sum(r.eps < 0) % 2 == 0:
-                    assert r.vacuum_energy >= ns.vacuum_energy - 1e-12, (L, lam, gamma)
+                ns, r = _FermionSectors.build(L, lam, gamma).eps
+                assert np.sum(ns < 0) % 2 == 0
+                if np.sum(r < 0) % 2 == 0:
+                    vacuum_ns, vacuum_r = -0.5 * np.abs(ns).sum(), -0.5 * np.abs(r).sum()
+                    assert vacuum_r >= vacuum_ns - 1e-12, (L, lam, gamma)
+
+
+# Rings of L = 600 and 1100, built from their sectors since ModelSpec caps
+# L, against the L = None integrals.  Left out are two finite-size effects
+# that are physics, not error, and shrink as L grows: at gamma = 2 the
+# ring is 9.0e-9 off at lam = -0.98, kT = 0.05 (2.1e-15 at L = 1200), and
+# for |lam| > 1 at kT <= 0.3 it is up to 1.3e-3 off (8.8e-4 at kT = 0.3),
+# since in the ordered phase the thermal correlation length exceeds the
+# ring.
+LONG_RING_LAMBDAS = np.linspace(-0.98, 0.98, 15)
+LONG_RING_KTS = (0.05, 0.3, 1.0, math.inf)
+
+
+def _long_ring_error(L, lams, gamma, kts):
+    ring = _FermionSectors.build(L, lams, gamma).table(kts)
+    limit = ThermoLimitSolution(ModelSpec("xy", None, 0.0, gamma=gamma), lam=lams).table(kts)
+    assert np.isfinite(ring).all()
+    return np.abs(ring - limit).max()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, -0.7])
+def test_long_ring_matches_the_thermodynamic_limit(gamma):
+    assert _long_ring_error(600, LONG_RING_LAMBDAS, gamma, LONG_RING_KTS) < 1e-13
+
+
+def test_long_ring_meets_the_30_digit_z_where_quad_misses_it():
+    # z at the lam = 0.961, gamma = 1, kT = 0.05 point from 30-digit mpmath;
+    # the L = None quad is 2.7e-10 off there
+    z = _FermionSectors.build(600, 0.961, 1.0).table((0.05,))[0, 0]
+    assert abs(z - 0.67902028038570595038) < 1e-15
+
+
+def test_long_ring_does_not_overflow():
+    # 2^L overflows a float at L = 1024: each sector's product of mode
+    # weights is carried as a sum of logs
+    lams = np.array([-0.9, 0.0, 0.5, 0.99, 1.5])
+    at_infinity = _FermionSectors.build(1100, lams, 1.0).table((math.inf,))
+    assert (at_infinity == 0.0).all()
+    assert _long_ring_error(1100, lams, 1.0, (2.0,)) < 1e-13
 
 
 @pytest.mark.parametrize("L", [8, 12])
