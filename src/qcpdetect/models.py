@@ -9,24 +9,25 @@ Three periodic chains (sigma are Pauli matrices, site L+1 = site 1):
 
 The canonical ensemble rho = exp(-H/kT)/Z yields the one-site magnetization
 z = <sz> and the nearest-neighbour correlators xx, yy, zz that parameterize
-the pair X state.  ``thermal_solution`` picks the one exact solver for a
-spec; each answers ``table(kts)`` at every kT at once and ``correlators(kT)``
-at one.  ``solve_grid`` solves a sweep's grid of couplings through ``table``,
-one ED point or one free-fermion column at a time, and records each failure:
+the pair X state.  ``thermal_solution(spec, **column)`` picks the one exact
+solver for a spec, at its point or over a column of one coupling; each
+answers ``table(kts)`` at every kT at once and ``correlators(kT)`` at one.
+``solve_grid`` solves a sweep's grid through ``table``, a column block at a
+time, and records each point's failure:
 
   * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
     sectors projected onto their fermion parity as two Gaussian traces
     (Lieb, Schultz and Mattis, Ann. Phys. 16, 407 (1961); Katsura, Phys.
-    Rev. 127, 1508 (1962)), in O(L) per point and temperature, for one
-    coupling point or a column;
+    Rev. 127, 1508 (1962)), in O(L) per point and temperature;
   * finite xxz chains: exact diagonalization (``diagonalize``) per symmetry
     sector, since H conserves the total magnetization.  ``build_hamiltonian``
-    builds each sector as a dense numpy block on its basis states, from the
-    sz diagonals and the bond flips sum_j (sx sx +- sy sy) (``_bond_flips``);
-    the measured correlators are the same translation sums per eigenstate;
+    stacks each sector's dense blocks, one per point, on its basis states,
+    from the sz diagonals and the bond flips sum_j (sx sx +- sy sy)
+    (``_bond_flips``); the measured correlators are the same translation
+    sums per eigenstate;
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
-    free fermions (``ThermoLimitSolution``), for one coupling point or a
-    column, also an oracle for the finite-L pipeline.
+    free fermions (``ThermoLimitSolution``), also an oracle for the finite-L
+    pipeline.
 
 ``diagonalize`` also solves a finite xy ring, in its two spin-flip parity
 sectors; the tests and ``qcpdetect verify symmetry`` check it and the free
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,6 +75,9 @@ _COLUMN_ROWS = 256
 # Most points the L = None xy chain solves in one pass of its k-integrals;
 # its node arrays are (points, 968), a fraction of a megabyte.
 _LIMIT_POINTS = 16
+# Most entries an xxz block stacks per sector: the largest (half-filled)
+# sector of one L = DEFAULT_L_MAX chain, about 7 MB.
+_SECTOR_ENTRIES = math.comb(DEFAULT_L_MAX, DEFAULT_L_MAX // 2) ** 2
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,21 @@ class ModelSpec:
                 raise ValueError(
                     f"L must be even with 4 <= L <= {DEFAULT_L_MAX}, got {self.L}"
                 )
+
+
+def _couplings(spec: ModelSpec, column: dict) -> dict:
+    """The couplings ``spec``'s family reads (``FAMILY_COUPLINGS``), any of
+    them replaced by a column of values: floats for a spec alone, 1-d arrays
+    otherwise."""
+    couplings = {name: float(getattr(spec, name)) for name in FAMILY_COUPLINGS[spec.family]}
+    for name, values in column.items():
+        if name not in couplings:
+            raise TypeError(f"a column replaces one of {tuple(couplings)}, not {name!r}")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or not np.isfinite(values).all():
+            raise ValueError(f"{name} must be a 1-d array of finite values")
+        couplings[name] = values
+    return couplings
 
 
 def xxz_delta1(h: float, j: float = 1.0) -> float:
@@ -215,26 +234,25 @@ def xxz_delta2(h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bond_flips(basis: np.ndarray, L: int, differ_amp: float, equal_amp: float):
-    """COO triplets (rows, cols, vals) of the two-bit flip on each bond
-    (j, j+1) of the ring, one bond at a time, within one sector: rows and
-    cols are positions in its sorted ``basis`` of states.
+def _bond_flips(basis: np.ndarray, L: int, pairs: bool):
+    """(rows, cols, hop) of the two-bit flip on each bond (j, j+1) of the
+    ring, one bond at a time, within one sector: rows and cols are positions
+    in its sorted ``basis`` of states, and hop marks the flips between
+    states whose two bond bits differ, listed only unless ``pairs``.
 
-    The flip has amplitude ``differ_amp`` between states whose two bond bits
-    differ and ``equal_amp`` between states whose bond bits agree; zero
-    amplitudes give no entries, and every other flip must stay in the
-    sector.  sx sx flips with (1, 1), sy sy with (1, -1), so
-    sx sx + sy sy is (2, 0) and sx sx - sy sy is (0, 2).  The flip is
-    symmetric, so only the states with bit j = 0 are sources: each pair of
-    states appears once, and (cols, rows, vals) is the other half.
+    sx sx flips with amplitude 1, sy sy with 1 where the bits differ and -1
+    where they agree, so hop = sx sx + sy sy is 2 on the hop flips and
+    pair = sx sx - sy sy 2 on the others.  The flip is symmetric, so only
+    the states with bit j = 0 are sources: each pair of states appears once,
+    and (cols, rows) is the other half.
     """
     for j in range(L):
         k = (j + 1) % L
         bit_j, bit_k = (basis >> j) & 1, (basis >> k) & 1
-        amp = np.where(bit_j != bit_k, differ_amp, equal_amp)
-        cols = np.flatnonzero((amp != 0.0) & (bit_j == 0))
+        hop = bit_j != bit_k
+        cols = np.flatnonzero((hop | pairs) & (bit_j == 0))
         rows = np.searchsorted(basis, basis[cols] ^ ((1 << j) | (1 << k)))
-        yield rows, cols, amp[cols]
+        yield rows, cols, hop[cols]
 
 
 def _diagonals(states: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,27 +274,32 @@ def _sector_bases(spec: ModelSpec) -> list[np.ndarray]:
     return [np.flatnonzero(down % 2 == r) for r in (0, 1)]
 
 
-def build_hamiltonian(spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """H as its symmetry-sector blocks: (basis states, dense block) pairs.
+def build_hamiltonian(spec: ModelSpec, **column) -> list[tuple[np.ndarray, np.ndarray]]:
+    """H as its symmetry-sector blocks: (basis states, dense blocks) pairs.
 
     H = c_hop hop + c_pair pair + c_zz zz + c_z z over the ring's bond sums
     hop = sum_j (sx sx + sy sy), pair = sum_j (sx sx - sy sy) and the
     diagonals of ``_diagonals``, with one row of coefficients per family;
     an ``xxz`` spec has h = 0.  pair changes the magnetization by 2, so an
-    xxz sector has none.
+    xxz sector has none.  A spec alone gives (d, d) blocks, a column of a
+    coupling the family reads (say ``delta=values``) (points, d, d).
     """
     if spec.L is None:
         raise ValueError("build_hamiltonian needs a finite L")
+    c = _couplings(spec, column)
     if spec.family == "xy":
-        c_hop, c_pair, c_zz, c_z = -spec.lam / 4, -spec.lam * spec.gamma / 4, 0.0, -0.5
+        coefficients = (-c["lam"] / 4, -c["lam"] * c["gamma"] / 4, 0.0, -0.5)
     else:
-        c_hop, c_pair, c_zz, c_z = 1.0, 0.0, spec.delta, -spec.h / 2
+        coefficients = (1.0, 0.0, c["delta"], -c.get("h", 0.0) / 2)
+    c_hop, c_pair, c_zz, c_z = (x[..., None] for x in np.broadcast_arrays(*coefficients))
     blocks = []
     for basis in _sector_bases(spec):
         z, zz = _diagonals(basis, spec.L)
-        block = np.diag(c_zz * zz + c_z * z)
-        for rows, cols, vals in _bond_flips(basis, spec.L, 2 * c_hop, 2 * c_pair):
-            block[rows, cols] = block[cols, rows] = vals
+        d = basis.size
+        block = np.zeros((*c_hop.shape[:-1], d, d))
+        block[..., np.arange(d), np.arange(d)] = c_zz * zz + c_z * z
+        for rows, cols, hop in _bond_flips(basis, spec.L, spec.family == "xy"):
+            block[..., rows, cols] = block[..., cols, rows] = np.where(hop, 2 * c_hop, 2 * c_pair)
         blocks.append((basis, block))
     return blocks
 
@@ -306,30 +329,33 @@ def _correlators(solution, kT: float) -> Correlators:
 class ThermalSolution:
     """Eigendecomposition of a finite chain plus per-eigenstate observables.
 
-    ``energies`` concatenates all symmetry sectors; ``expectations`` holds
-    the rows z, xx, yy, zz of <n|O|n> aligned with ``energies``, where O is
-    the correlator's bond sum divided by L (see ``diagonalize``).
+    ``energies`` (..., states) concatenates all symmetry sectors, with ...
+    empty at one point and (points,) over a column; ``expectations``
+    (4, ..., states) holds the rows z, xx, yy, zz of <n|O|n> aligned with
+    them, where O is the correlator's bond sum divided by L (see
+    ``diagonalize``), and ``e0`` (...) the ground energies.
     """
 
     energies: np.ndarray
     expectations: np.ndarray
-    e0: float
+    e0: np.ndarray
 
     def table(self, kts) -> np.ndarray:
-        """The (len(kts), 4) z, xx, yy, zz at every kT in ``kts``."""
-        weights = _thermal_weights(self.energies - self.e0, tuple(kts), self.e0)
-        return np.array([[np.dot(w, v) / w.sum() for v in self.expectations] for w in weights])
+        """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
+        e0 = np.expand_dims(self.e0, -1)
+        weights = _thermal_weights(self.energies - e0, tuple(kts), e0)
+        return np.array([(self.expectations * w).sum(axis=-1) / w.sum(axis=-1) for w in weights])
 
     correlators = _correlators
 
 
-def diagonalize(spec: ModelSpec) -> ThermalSolution:
-    """Exactly diagonalize the blocks of ``build_hamiltonian`` and cache
-    per-eigenstate observables.
+def diagonalize(spec: ModelSpec, **column) -> ThermalSolution:
+    """Exactly diagonalize the blocks of ``build_hamiltonian(spec, **column)``,
+    one batched eigh per sector, and cache per-eigenstate observables.
 
     Each eigenstate stores the ring's bond sums divided by L, not the
-    operators of one pair: z, zz, xx = (hop + pair) / 2L and
-    yy = (hop - pair) / 2L, with pair = 0 in an xxz sector.  Every thermal
+    operators of one pair: z, zz, and xx and yy gathered along the flips of
+    ``_bond_flips``, where a pair of states counts twice.  Every thermal
     average, the kT = 0 average over the ground window included, is a trace
     of f(H) O, and H commutes with translation, so each bond contributes the
     same trace and the bond average equals the pair (1, 2) exactly.
@@ -337,44 +363,37 @@ def diagonalize(spec: ModelSpec) -> ThermalSolution:
     if spec.L is None:
         raise ValueError("diagonalize needs a finite L; use xy_thermo_correlators")
     L = spec.L
-
-    def flip_sum(evecs, basis, differ_amp, equal_amp):
-        # <n| sum_j flip_j |n>, gathered along each bond's flips; a bond
-        # lists each pair of states once, so the pair counts twice
-        return sum(
-            2.0 * vals @ (evecs[rows] * evecs[cols])
-            for rows, cols, vals in _bond_flips(basis, L, differ_amp, equal_amp)
-        )
-
     energies, expectations = [], []
-    for basis, block in build_hamiltonian(spec):
+    for basis, block in build_hamiltonian(spec, **column):
         evals, evecs = np.linalg.eigh(block)
         energies.append(evals)
-        density = (evecs * evecs).T
+        density = evecs * evecs
         z, zz = _diagonals(basis, L)
-        hop_n = flip_sum(evecs, basis, 2.0, 0.0)
-        pair_n = flip_sum(evecs, basis, 0.0, 2.0) if spec.family == "xy" else 0.0
-        xx, yy = (hop_n + pair_n) / (2 * L), (hop_n - pair_n) / (2 * L)
-        expectations.append([density @ z / L, xx, yy, density @ zz / L])
-
-    energies = np.concatenate(energies)
-    return ThermalSolution(energies, np.concatenate(expectations, axis=1), float(energies.min()))
+        flips = np.zeros((*evals.shape[:-1], 2, basis.size))
+        for rows, cols, hop in _bond_flips(basis, L, spec.family == "xy"):
+            amplitudes = np.stack([np.ones(hop.size), np.where(hop, 1.0, -1.0)])  # sx sx, sy sy
+            flips += 2.0 * amplitudes @ (evecs[..., rows, :] * evecs[..., cols, :])
+        xx, yy = np.moveaxis(flips, -2, 0) / L
+        expectations.append(np.stack([z @ density / L, xx, yy, zz @ density / L]))
+    energies = np.concatenate(energies, axis=-1)
+    return ThermalSolution(energies, np.concatenate(expectations, axis=-1), energies.min(axis=-1))
 
 
 def thermal_solution(
-    spec: ModelSpec,
+    spec: ModelSpec, **column
 ) -> ThermalSolution | FreeFermionSolution | ThermoLimitSolution:
-    """The exact solver for ``spec``; its ``table(kts)`` serves every kT.
+    """The exact solver for ``spec``, at its point or over a ``column`` of
+    one coupling its family reads; its ``table(kts)`` serves every kT.
 
     L = None is the xy thermodynamic limit, a finite xy ring gets the free
     fermions, and an xxz chain is diagonalized per sector.  ``spec.kT`` is
     not read.
     """
     if spec.L is None:
-        return ThermoLimitSolution(spec)
+        return ThermoLimitSolution(spec, **column)
     if spec.family == "xy":
-        return FreeFermionSolution(spec)
-    return diagonalize(spec)
+        return FreeFermionSolution(spec, **column)
+    return diagonalize(spec, **column)
 
 
 def thermal_correlators(spec: ModelSpec) -> Correlators:
@@ -390,38 +409,36 @@ def solve_grid(
     coupling ``field`` set to each of ``values``, and each point's exception
     or None; a point that fails at any kT is NaN at all.
 
-    The grid is solved a block at a time, and a block that fails records its
-    exception at each of its points.  An xy block is a column of its free
-    fermions, so that memory stays bounded on long grids: at most
-    ``_COLUMN_ROWS`` (kT, point) rows of a finite ring, ``_LIMIT_POINTS``
-    points of the L = None chain.  An ED block is one point.  Each block
-    answers every kT through its solver's ``table``.
+    Each column block is one ``thermal_solution(template, field=block)``,
+    whose ``table`` answers every kT; only the block size, which bounds
+    memory on long grids, depends on the solver: ``_COLUMN_ROWS`` (kT, point)
+    rows of a finite xy ring, ``_LIMIT_POINTS`` points at L = None, and the
+    points an xxz sector stacks in ``_SECTOR_ENTRIES`` (one at L =
+    ``DEFAULT_L_MAX``).  A block that raises is solved again a point at a
+    time, each with the bits it has in a column, so each keeps its own
+    exception.
     """
     kts = tuple(kts)
     points = np.asarray(values, dtype=float)
-    if template.family == "xy":
-        if template.L is None:
-            solver, step = ThermoLimitSolution, _LIMIT_POINTS
-        else:
-            solver, step = FreeFermionSolution, max(1, _COLUMN_ROWS // len(kts))
-
-        def solve(block):
-            return solver(template, **{field: block}).table(kts)
+    if template.L is None:
+        step = _LIMIT_POINTS
+    elif template.family == "xy":
+        step = max(1, _COLUMN_ROWS // len(kts))
     else:
-        step = 1
-
-        def solve(block):
-            spec = replace(template, **{field: float(block[0])})
-            return thermal_solution(spec).table(kts)[..., None]
-
+        step = _SECTOR_ENTRIES // math.comb(template.L, template.L // 2) ** 2
     out = np.full((len(kts), 4, points.size), math.nan)
+
+    def solve(lo: int, hi: int) -> Exception | None:
+        try:
+            out[..., lo:hi] = thermal_solution(template, **{field: points[lo:hi]}).table(kts)
+        except Exception as exc:
+            return exc
+
     errors = [None] * points.size
     for i in range(0, points.size, step):
-        block = points[i : i + step]
-        try:
-            out[..., i : i + step] = solve(block)
-        except Exception as exc:
-            errors[i : i + step] = [exc] * block.size
+        if solve(i, i + step) is not None:
+            for j in range(i, min(i + step, points.size)):
+                errors[j] = solve(j, j + 1)
     return out, errors
 
 
@@ -528,30 +545,13 @@ class _FermionSectors:
         return np.moveaxis((share * moments).sum(axis=2) / norm, 0, 1)
 
 
-def _column_couplings(spec: ModelSpec, column: dict) -> tuple[np.ndarray, np.ndarray]:
-    """lam and gamma of ``spec``, one of them replaced by a column of
-    values: floats for a spec alone, 1-d arrays otherwise."""
-    couplings = {"lam": float(spec.lam), "gamma": float(spec.gamma)}
-    for name, values in column.items():
-        if name not in couplings:
-            raise TypeError(f"a column replaces lam or gamma, not {name!r}")
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or not np.isfinite(values).all():
-            raise ValueError(f"{name} must be a 1-d array of finite values")
-        couplings[name] = values
-    return couplings["lam"], couplings["gamma"]
-
-
 class FreeFermionSolution:
     """Exact thermal correlators of a finite xy ring from its free fermions,
     at one coupling point or over a column of them.
 
-    ``FreeFermionSolution(spec)`` solves the ring of ``spec``;
-    ``FreeFermionSolution(spec, lam=values)`` (or ``gamma=values``) solves
-    the rings of a column, every point the spec with that coupling
-    replaced.  A spec alone is a column of one point: both run the same
-    array code (``_FermionSectors``), which handles both sectors and every
-    point at every temperature in one pass.
+    A spec alone is a column of one point (see ``thermal_solution``): both
+    run ``_FermionSectors``, which handles both sectors and every point at
+    every temperature in one pass.
 
     The thermal trace runs over each sector's Fock states of its own
     parity p, so it is (1/2)[Tr e^{-H/kT} + (-1)^p Tr (-1)^F e^{-H/kT}],
@@ -595,11 +595,10 @@ class FreeFermionSolution:
     def __init__(self, spec: ModelSpec, **column):
         if spec.family != "xy" or spec.L is None:
             raise ValueError("FreeFermionSolution needs a finite xy ring")
-        self.sectors = _FermionSectors.build(spec.L, *_column_couplings(spec, column))
+        self.sectors = _FermionSectors.build(spec.L, *_couplings(spec, column).values())
 
     def table(self, kts) -> np.ndarray:
-        """The correlators z, xx, yy, zz at every kT in ``kts``: an array
-        (len(kts), 4) for a spec alone, (len(kts), 4, points) for a column."""
+        """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
         return self.sectors.table(kts)
 
     correlators = _correlators
@@ -742,7 +741,7 @@ class ThermoLimitSolution:
     def __init__(self, spec: ModelSpec, **column):
         if spec.family != "xy" or spec.L is not None:
             raise ValueError("ThermoLimitSolution needs the L = None xy chain")
-        lam, gamma = np.broadcast_arrays(*_column_couplings(spec, column))
+        lam, gamma = np.broadcast_arrays(*_couplings(spec, column).values())
         self._shape = lam.shape
         pairs = zip(lam.ravel().tolist(), gamma.ravel().tolist())
         # (lam, gamma, k0) of each point, for its z quadrature
@@ -770,8 +769,7 @@ class ThermoLimitSolution:
         self._moments = (moments * scale).reshape(2, points, -1)
 
     def table(self, kts) -> np.ndarray:
-        """The correlators z, xx, yy, zz at every kT in ``kts``: an array
-        (len(kts), 4) for a spec alone, (len(kts), 4, points) for a column."""
+        """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
         rows = []
         for kT in kts:
             if not (kT >= 0.0):

@@ -11,8 +11,9 @@ Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``,
 ``FAILED_ROW`` in the columns), never aborting the sweep or failing
-another point; downstream derivative stencils that touch a failed point
-come out undefined (NaN) rather than interpolated.
+another point, on every solver: a column block whose solve raises is solved
+again a point at a time.  Downstream derivative stencils that touch a failed
+point come out undefined (NaN) rather than interpolated.
 
 Critical points are then located as the extremum of a finite-difference
 derivative of a chosen detector: forward [f(x+e)-f(x)]/e, central

@@ -260,23 +260,25 @@ def test_sweep_csv_matches_records(tmp_path, monkeypatch, stage):
     # fail the point delta = -1.1 in its X-state build (the model solve
     # gives it xx = 1.5 at each temperature), in the model solve, or in its
     # solution's table when the second temperature is asked for (either of
-    # the last two fails it at every temperature)
+    # the last two fails its column block, solved again a point at a time,
+    # and the point at every temperature)
     template = ModelSpec("xxz", 4, 0.5)
     original = models_mod.thermal_solution
 
-    def flaky(spec):
-        if abs(spec.delta + 1.1) > 1e-9:
-            return original(spec)
+    def flaky(spec, **column):
+        at = np.abs(column["delta"] + 1.1) < 1e-9
+        if not at.any():
+            return original(spec, **column)
         if stage == "model":
             raise RuntimeError("boom")
-        solution = original(spec)
+        solution = original(spec, **column)
 
         def table(kts):
             if stage == "temperature" and 1.0 in kts:
                 raise RuntimeError("boom")
             rows = solution.table(kts)
             if stage == "detector":
-                rows[:, 1] = 1.5  # xx
+                rows[:, 1, at] = 1.5  # xx
             return rows
 
         return SimpleNamespace(table=table)
@@ -315,10 +317,11 @@ def test_sweep_csv_is_the_per_cell_rule_byte_for_byte(tmp_path, monkeypatch):
 
     original = models_mod.thermal_solution
 
-    def flaky(spec):
-        if abs(spec.delta + 1.1) < 1e-9:
+    def flaky(spec, **column):
+        # fails the column block that holds the point, then the point alone
+        if (np.abs(column["delta"] + 1.1) < 1e-9).any():
             raise RuntimeError("boom")
-        return original(spec)
+        return original(spec, **column)
 
     monkeypatch.setattr(models_mod, "thermal_solution", flaky)
     template = ModelSpec("xxz", 4, 0.5)
@@ -586,10 +589,11 @@ def test_estimate_command_compute_failure_exits_2(tmp_path, capsys, monkeypatch)
 
     original = models_mod.thermal_solution
 
-    def flaky(spec):
-        if abs(spec.delta - 0.4) < 1e-9:
+    def flaky(spec, **column):
+        # fails the column block that holds the point, then the point alone
+        if (np.abs(column["delta"] - 0.4) < 1e-9).any():
             raise RuntimeError("boom")
-        return original(spec)
+        return original(spec, **column)
 
     monkeypatch.setattr(models_mod, "thermal_solution", flaky)
     text = """\

@@ -620,23 +620,65 @@ def test_free_fermions_match_exact_diagonalization(L, points):
         (ModelSpec("xy", 12, 0.0, gamma=1.0), "lam", (-1.3, 0.92, 1.0, 1.08, 3.0)),
         (ModelSpec("xy", 10, 0.0, lam=1.0), "gamma", (-1.0, -0.3, 0.0, 0.3, 1.0)),
         (ModelSpec("xy", 6, 0.0, lam=1.5), "gamma", (0.0, 0.5, 2.0)),
+        # exact diagonalization: Delta columns through +-1 (degenerate ground
+        # spaces at kT = 0), the L = 10 one over two blocks of solve_grid
+        (ModelSpec("xxz", 4, 0.0), "delta", (-1.5, -1.0, -0.3, 0.0, 1.0, 2.0)),
+        (ModelSpec("xxz", 8, 0.0), "delta", (-1.2, -1.0, 0.5, 1.0, 1.3)),
+        (ModelSpec("xxz", 10, 0.0), "delta", tuple(np.arange(-2.0, 2.0, 0.25))),
+        (ModelSpec("xxz_field", 8, 0.0, delta=1.0), "h", (0.0, 2.0, 8.0, 12.0)),
+        (ModelSpec("xxz_field", 6, 0.0, h=3.0), "delta", (-1.0, 0.0, 1.0, 2.5)),
     ],
 )
 def test_free_fermion_column_matches_one_point_solves(template, field, values):
-    # A column is one array pass; each of its points must carry the bits of
-    # the point solved alone (a spec is a column of one).
-    kts = (0.0, 0.02, 1.0, math.inf)
-    table = FreeFermionSolution(template, **{field: np.array(values)}).table(kts)
+    # A column is one array pass, of the free fermions or of one batched
+    # eigh per sector; each of its points must carry the bits of the point
+    # solved alone (a spec is a column of one), and so must each point of
+    # solve_grid's blocks.
+    kts = (0.0, 0.02, 0.05, 0.5, 1.0, math.inf)
+    table = thermal_solution(template, **{field: np.array(values)}).table(kts)
     assert table.shape == (len(kts), 4, len(values))
+    grid, errors = models.solve_grid(template, field, values, kts)
+    assert errors == [None] * len(values)
+    assert grid.tobytes() == table.tobytes()
     for j, value in enumerate(values):
-        one = FreeFermionSolution(replace(template, **{field: value}))
+        one = thermal_solution(replace(template, **{field: value}))
         for i, kT in enumerate(kts):
             got = [float(v).hex() for v in table[i, :, j]]
             want = [v.hex() for v in astuple(one.correlators(kT))]
             assert got == want, (value, kT)
-    one = FreeFermionSolution(template)
+    one = thermal_solution(template)
     assert one.table(kts).shape == (len(kts), 4)
     assert all(isinstance(v, float) for v in astuple(one.correlators(0.5)))
+
+
+@pytest.mark.parametrize(
+    "template, field, values",
+    [
+        (ModelSpec("xxz", 6, 0.0), "delta", (-1.0, -0.4, 1.0, 1.7)),
+        (ModelSpec("xxz", 8, 0.0), "delta", (-1.0, 1.0)),
+        (ModelSpec("xxz_field", 8, 0.0, delta=1.5), "h", (0.0, 3.0, 12.0)),
+        (ModelSpec("xy", 6, 0.0, lam=1.0), "gamma", (0.0, 0.6)),
+    ],
+)
+def test_diagonalized_column_matches_kron_reference(template, field, values):
+    # Every point of an ED column against the Kronecker Hamiltonian, solved
+    # as one dense block by np.linalg.eigh and measured on the pair (1, 2);
+    # Delta = +-1 and gamma = 0 have degenerate ground spaces at kT = 0.
+    kts = (0.0, 0.05, 0.5, math.inf)
+    L = template.L
+    table = diagonalize(template, **{field: np.array(values)}).table(kts)
+    ops = [_site_op(SZ, 1, L)] + [_site_op(p, 1, L) @ _site_op(p, 2, L) for p in (SX, SY, SZ)]
+    for j, value in enumerate(values):
+        energies, vectors = np.linalg.eigh(_dense_reference(replace(template, **{field: value})))
+        moments = [np.einsum("in,ij,jn->n", vectors.conj(), op, vectors).real for op in ops]
+        gap = energies - energies[0]
+        for i, kT in enumerate(kts):
+            if kT == 0.0:
+                w = gap <= models.GROUND_STATE_WINDOW * max(1.0, abs(energies[0]))
+            else:
+                w = np.exp(-gap / kT)
+            want = [np.dot(w, m) / w.sum() for m in moments]
+            np.testing.assert_allclose(table[i, :, j], want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [4, 6, 8])
@@ -673,6 +715,16 @@ def test_free_fermion_column_is_checked():
         FreeFermionSolution(spec, delta=np.array([0.5]))
     with pytest.raises(ValueError, match="kT must be >= 0"):
         FreeFermionSolution(spec, gamma=np.array([0.5])).table((0.1, -1.0))
+    # exact diagonalization checks its column the same way
+    with pytest.raises(TypeError, match=re.escape("one of ('delta',), not 'h'")):
+        diagonalize(ModelSpec("xxz", 6, 0.1), h=np.array([1.0]))
+    with pytest.raises(TypeError, match=re.escape("one of ('delta', 'h'), not 'lam'")):
+        diagonalize(ModelSpec("xxz_field", 6, 0.1), lam=np.array([0.5]))
+    for bad in (np.array([0.5, math.nan]), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="delta must be a 1-d array of finite values"):
+            diagonalize(ModelSpec("xxz", 6, 0.1), delta=bad)
+    with pytest.raises(ValueError, match="diagonalize needs a finite L; use xy_thermo"):
+        diagonalize(ModelSpec("xy", None, 0.1), lam=np.array([0.5]))
 
 
 def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():
@@ -731,14 +783,14 @@ def test_long_ring_does_not_overflow():
 def test_xxz_field_at_zero_anisotropy_matches_xx_free_fermions(L):
     # At Delta = 0, H_xxz_field(h) = h H_xy(lam = -4/h, gamma = 0), so the
     # sector ED of xxz_field at kT equals the xy free fermions at kT / h: an
-    # oracle for the xxz diagonalization that shares none of its code.
-    for h, kT in ((3.0, 0.7), (1.0, 0.2), (5.0, 0.05), (12.0, 0.1)):
-        ed = thermal_correlators(ModelSpec("xxz_field", L, kT, delta=0.0, h=h))
-        free = thermal_correlators(ModelSpec("xy", L, kT / h, lam=-4.0 / h, gamma=0.0))
-        for name in ("z", "xx", "yy", "zz"):
-            assert getattr(ed, name) == pytest.approx(
-                getattr(free, name), abs=1e-12
-            ), (h, kT, name)
+    # oracle for the xxz diagonalization that shares none of its code.  The
+    # ED solves its h values as one column.
+    fields, kts = (3.0, 1.0, 5.0, 12.0), (0.05, 0.1, 0.2, 0.7)
+    ed = thermal_solution(ModelSpec("xxz_field", L, 0.0), h=np.array(fields)).table(kts)
+    for j, h in enumerate(fields):
+        free = FreeFermionSolution(ModelSpec("xy", L, 0.0, lam=-4.0 / h, gamma=0.0))
+        want = free.table([kT / h for kT in kts])
+        np.testing.assert_allclose(ed[..., j], want, rtol=0.0, atol=1e-12, err_msg=str(h))
 
 
 def test_xy_auto_solver_needs_no_diagonalization(monkeypatch):

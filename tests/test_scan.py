@@ -352,15 +352,16 @@ def _unphysical_at(monkeypatch, delta, **bad):
     at every temperature, as an unphysical solver result would."""
     original = models_mod.thermal_solution
 
-    def patched(spec):
-        solution = original(spec)
-        if abs(spec.delta - delta) > 1e-9:
+    def patched(spec, **column):
+        solution = original(spec, **column)
+        at = np.abs(column["delta"] - delta) < 1e-9
+        if not at.any():
             return solution
 
         def table(kts):
             rows = solution.table(kts)
             for name, value in bad.items():
-                rows[:, COLUMNS.index(name)] = value
+                rows[:, COLUMNS.index(name), at] = value
             return rows
 
         return SimpleNamespace(table=table)
@@ -483,9 +484,10 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
     results = sweep(ModelSpec("xxz", 4, 0.5), "delta", -1.5, 0.5, eta=0.1, kT_list=kts)
     points = results[0].params.size
     assert points > 16 and all(r.failed_count == 0 for r in results)
-    # one model solve per point, reused at every temperature; the X states
-    # of all rows built at once, and each detector once, on those rows
-    assert calls.count(("thermal_solution",)) == points
+    # one model solve per column block (all these points fit in one),
+    # reused at every temperature; the X states of all rows built at once,
+    # and each detector once, on those rows
+    assert calls.count(("thermal_solution",)) == 1
     assert calls.count(("build_xstates",)) == 1
     assert calls.count(("build_xstate",)) == 0
     for name in ("quantum_discord", "max_mean_fidelity", "min_mean_trace_distance"):
@@ -493,13 +495,13 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
     for name in ("coherence_entropy", "log_spectrum"):
         for axis in AXES:
             assert calls.count((name, axis)) == 1
-    assert len(calls) == points + 1 + 9
-    # a finite xy ring is solved a column at a time, never point by point:
-    # these points at all temperatures fit in one block of the free fermions
+    assert len(calls) == 1 + 1 + 9
+    # a finite xy ring is solved the same way: these points at all
+    # temperatures fit in one block of the free fermions
     calls.clear()
     results = sweep(ModelSpec("xy", 6, 0.5), "lambda", 0.0, 2.0, eta=0.1, kT_list=kts)
     assert results[0].params.size * len(kts) <= models_mod._COLUMN_ROWS
-    assert calls.count(("thermal_solution",)) == 0
+    assert calls.count(("thermal_solution",)) == 1
     assert calls.count(("FreeFermionSolution",)) == 1
     assert calls.count(("quantum_discord",)) == 1
 
@@ -530,8 +532,10 @@ def test_xy_sweep_records_a_failed_column_block(monkeypatch):
 
 
 def test_xy_sweep_failure_stays_inside_its_column_block(monkeypatch):
-    # 101 points at 3 temperatures: blocks of 85 and 16 points; only the
-    # block that holds the chosen lam fails
+    # 101 points at 3 temperatures: blocks of 85 and 16 points.  The block
+    # that holds the chosen lam fails and is solved again a point at a time:
+    # the chosen lam fails alone, and every other point has the bits of the
+    # clean sweep
     template = ModelSpec("xy", 6, 0.5)
     kts = (0.0, 0.05, math.inf)
     args = (template, "lambda", -0.5, 1.5)
@@ -549,16 +553,16 @@ def test_xy_sweep_failure_stays_inside_its_column_block(monkeypatch):
 
     monkeypatch.setattr(models_mod, "FreeFermionSolution", Flaky)
     results = sweep(*args, eta=0.02, kT_list=kts)
+    keep = np.arange(101) != 90
     for res, ref in zip(results, clean):
-        assert res.errors == (None,) * step + ("RuntimeError: boom",) * (101 - step)
+        assert res.errors == (None,) * 90 + ("RuntimeError: boom",) + (None,) * 10
         for name in COLUMNS:
-            got, want = res.columns[name][:step], ref.columns[name][:step]
+            got, want = res.columns[name][keep], ref.columns[name][keep]
             if got.dtype == object:  # branch labels
                 assert got.tolist() == want.tolist()
             else:  # bitwise
                 assert got.tobytes() == want.tobytes()
-        assert np.isnan(res.column("qd")[step:]).all()
-        assert np.isnan(res.column("z")[step:]).all()
+        assert math.isnan(res.column("qd")[90]) and math.isnan(res.column("z")[90])
 
 
 def test_record_rejects_unknown_column():
