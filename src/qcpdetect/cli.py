@@ -611,12 +611,12 @@ def _verify_symmetry() -> list[Check]:
         for name, value in zip(("z", "xx", "yy", "zz"), diff):
             checks.append(_close(f"{label}: {name}", value, 0.0, 1e-10))
     ct = xy_thermo_correlators(0.8, 1.0, 1.0)
-    cf = thermal_correlators(ModelSpec("xy", 12, 1.0, lam=0.8, gamma=1.0))
+    cf = thermal_correlators(ModelSpec("xy", 600, 1.0, lam=0.8, gamma=1.0))
     err = max(
         abs(cf.z - ct.z), abs(cf.xx - ct.xx), abs(cf.yy - ct.yy), abs(cf.zz - ct.zz)
     )
     checks.append(
-        _close("xy L=12 free fermions vs thermodynamic limit (kT=1)", err, 0.0, 1e-4)
+        _close("xy L=600 free fermions vs thermodynamic limit (kT=1)", err, 0.0, 1e-12)
     )
     c = thermal_correlators(ModelSpec("xxz_field", 6, math.inf, delta=0.9, h=1.0))
     for name in ("z", "xx", "yy", "zz"):

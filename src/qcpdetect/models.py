@@ -15,12 +15,14 @@ answers ``table(kts)`` at every kT at once and ``correlators(kT)`` at one.
 ``solve_grid`` solves a sweep's grid through ``table``, a column block at a
 time, and records each point's failure:
 
-  * finite xy rings: the Jordan-Wigner free fermions, two boundary-condition
-    sectors projected onto their fermion parity as two Gaussian traces
-    (Lieb, Schultz and Mattis, Ann. Phys. 16, 407 (1961); Katsura, Phys.
-    Rev. 127, 1508 (1962)), in O(L) per point and temperature;
-  * finite xxz chains: exact diagonalization (``diagonalize``) per symmetry
-    sector, since H conserves the total magnetization.  ``build_hamiltonian``
+  * finite xy rings, L <= ``_COLUMN_MODES``: the Jordan-Wigner free
+    fermions (``FreeFermionSolution``), two boundary-condition sectors
+    projected onto their fermion parity as two Gaussian traces (Lieb,
+    Schultz and Mattis, Ann. Phys. 16, 407 (1961); Katsura, Phys. Rev. 127,
+    1508 (1962)), in O(L) per point and temperature;
+  * finite xxz chains, L <= ``DEFAULT_L_MAX``: exact diagonalization
+    (``diagonalize``) per symmetry sector, since H conserves the total
+    magnetization.  ``build_hamiltonian``
     stacks each sector's dense blocks, one per point, on its basis states,
     from the sz diagonals and the bond flips sum_j (sx sx +- sy sy)
     (``_bond_flips``); the measured correlators are the same translation
@@ -29,9 +31,9 @@ time, and records each point's failure:
     free fermions (``ThermoLimitSolution``), also an oracle for the finite-L
     pipeline.
 
-``diagonalize`` also solves a finite xy ring, in its two spin-flip parity
-sectors; the tests and ``qcpdetect verify symmetry`` check it and the free
-fermions against each other.
+``diagonalize`` also solves an xy ring of L <= ``DEFAULT_L_MAX``, in its two
+spin-flip parity sectors; the tests and ``qcpdetect verify symmetry`` check
+it and the free fermions against each other.
 
 Critical couplings for the field-carrying xxz chain:
 
@@ -61,17 +63,19 @@ FAMILY_COUPLINGS = {
 FAMILIES = tuple(FAMILY_COUPLINGS)
 COUPLINGS = tuple(dict.fromkeys(c for read in FAMILY_COUPLINGS.values() for c in read))
 
-# Largest finite L a ModelSpec accepts (2^L-dimensional ED stays affordable).
+# Largest L exact diagonalization takes (2^L-dimensional ED stays
+# affordable), and so the largest L of an xxz chain.
 DEFAULT_L_MAX = 12
 
 # Degeneracy window for the kT = 0 ground-space average, relative to
 # max(1, |E0|).
 GROUND_STATE_WINDOW = 1e-10
 
-# Most (kT, point) rows a finite xy ring solves in one pass of its free
-# fermions; its arrays are (3, rows, 2 sectors, L) at most, about a megabyte
-# at L = 12, and a failed block loses no more than these rows.
-_COLUMN_ROWS = 256
+# Most (kT, point, mode) entries a finite xy ring solves in one pass of its
+# free fermions, and its largest L, so that one row always fits; its arrays
+# are (3, rows, 2 sectors, L) at most, about a megabyte, and a failed block
+# loses no more than these rows.  256 rows at L = 12.
+_COLUMN_MODES = 256 * 12
 # Most points the L = None xy chain solves in one pass of its k-integrals;
 # its node arrays are (points, 968), a fraction of a megabyte.
 _LIMIT_POINTS = 16
@@ -85,11 +89,13 @@ class ModelSpec:
     """A chain family with its couplings, length, and temperature.
 
     ``L = None`` selects the thermodynamic limit, available only for the xy
-    family (free-fermion solution).  Finite ``L`` must be even, between 4 and
-    ``DEFAULT_L_MAX``: odd rings frustrate the antiferromagnet and a 2-site
-    ring double-counts its single bond.  The couplings must be finite; kT may
-    be inf.  A coupling the family does not read (``FAMILY_COUPLINGS``) must
-    keep its default.
+    family (free-fermion solution).  Finite ``L`` must be even and at least
+    4: odd rings frustrate the antiferromagnet and a 2-site ring
+    double-counts its single bond.  Its largest value is the solver's:
+    ``_COLUMN_MODES`` for an xy ring (free fermions, one row of a block) and
+    ``DEFAULT_L_MAX`` for the xxz families (exact diagonalization).  The
+    couplings must be finite; kT may be inf.  A coupling the family does not
+    read (``FAMILY_COUPLINGS``) must keep its default.
     """
 
     family: str
@@ -121,9 +127,11 @@ class ModelSpec:
         else:
             if isinstance(self.L, bool) or not isinstance(self.L, numbers.Integral):
                 raise ValueError(f"L must be an integer or None, got {self.L!r}")
-            if self.L % 2 != 0 or not (4 <= self.L <= DEFAULT_L_MAX):
+            l_max = _COLUMN_MODES if self.family == "xy" else DEFAULT_L_MAX
+            if self.L % 2 != 0 or not (4 <= self.L <= l_max):
                 raise ValueError(
-                    f"L must be even with 4 <= L <= {DEFAULT_L_MAX}, got {self.L}"
+                    f"L must be even with 4 <= L <= {l_max} for family "
+                    f"{self.family!r}, got {self.L}"
                 )
 
 
@@ -266,7 +274,10 @@ def _diagonals(states: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sector_bases(spec: ModelSpec) -> list[np.ndarray]:
     """The sorted basis states of each block of H: total magnetization for
-    the xxz families, global spin-flip parity for xy."""
+    the xxz families, global spin-flip parity for xy.  The 2^L states bound
+    exact diagonalization to L <= DEFAULT_L_MAX."""
+    if spec.L > DEFAULT_L_MAX:
+        raise ValueError(f"exact diagonalization needs L <= {DEFAULT_L_MAX}, got {spec.L}")
     z, _ = _diagonals(np.arange(1 << spec.L, dtype=np.int64), spec.L)
     down = (spec.L - z.astype(np.int64)) // 2  # number of sz = -1 sites
     if spec.family in ("xxz", "xxz_field"):
@@ -311,13 +322,13 @@ def _thermal_weights(gap, kts, e0) -> np.ndarray:
     Nothing above zero is exponentiated; gap/kT may overflow to inf at a
     subnormal kT, where exp(-inf) = 0 is the limit wanted."""
     window = GROUND_STATE_WINDOW * np.maximum(1.0, np.abs(e0))
-    rows = []
+    weights = np.empty((len(kts), *gap.shape))
     with np.errstate(over="ignore"):
-        for kT in kts:
+        for row, kT in zip(weights, kts):
             if not (kT >= 0.0):
                 raise ValueError(f"kT must be >= 0, got {kT}")
-            rows.append(np.exp(-gap / kT) if kT > 0.0 else (gap <= window).astype(float))
-    return np.array(rows)
+            row[...] = np.exp(-gap / kT) if kT > 0.0 else gap <= window
+    return weights
 
 
 def _correlators(solution, kT: float) -> Correlators:
@@ -344,7 +355,8 @@ class ThermalSolution:
         """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
         e0 = np.expand_dims(self.e0, -1)
         weights = _thermal_weights(self.energies - e0, tuple(kts), e0)
-        return np.array([(self.expectations * w).sum(axis=-1) / w.sum(axis=-1) for w in weights])
+        rows = [(self.expectations * w).sum(axis=-1) / w.sum(axis=-1) for w in weights]
+        return np.array(rows).reshape(len(rows), 4, *self.e0.shape)
 
     correlators = _correlators
 
@@ -411,8 +423,9 @@ def solve_grid(
 
     Each column block is one ``thermal_solution(template, field=block)``,
     whose ``table`` answers every kT; only the block size, which bounds
-    memory on long grids, depends on the solver: ``_COLUMN_ROWS`` (kT, point)
-    rows of a finite xy ring, ``_LIMIT_POINTS`` points at L = None, and the
+    memory on long grids, depends on the solver: the (kT, point) rows of a
+    finite xy ring that hold ``_COLUMN_MODES`` modes (at least one point),
+    ``_LIMIT_POINTS`` points at L = None, and the
     points an xxz sector stacks in ``_SECTOR_ENTRIES`` (one at L =
     ``DEFAULT_L_MAX``).  A block that raises is solved again a point at a
     time, each with the bits it has in a column, so each keeps its own
@@ -423,7 +436,7 @@ def solve_grid(
     if template.L is None:
         step = _LIMIT_POINTS
     elif template.family == "xy":
-        step = max(1, _COLUMN_ROWS // len(kts))
+        step = max(1, _COLUMN_MODES // (max(1, len(kts)) * template.L))
     else:
         step = _SECTOR_ENTRIES // math.comb(template.L, template.L // 2) ** 2
     out = np.full((len(kts), 4, points.size), math.nan)
@@ -447,59 +460,92 @@ def solve_grid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FermionSectors:
-    """The two boundary-condition sectors of the Jordan-Wigner fermions,
-    stacked on a leading axis: Neveu-Schwarz at 0, Ramond at 1.
+class FreeFermionSolution:
+    """Exact thermal correlators of a finite xy ring from its free fermions,
+    at one coupling point or over a column of them (a spec alone is a column
+    of one), every point and temperature in one pass.
 
-    With sz = 1 - 2n the ring's even-fermion-parity states are those of
-    antiperiodic fermions (NS, k = (2m+1) pi / L) and its odd ones those of
-    periodic fermions (R, k = 2 pi m / L).  Each sector is
-    H = sum_k eps_k (n_k - 1/2) over Bogoliubov modes: with
-    xi = 1 - lam cos k and D = lam gamma sin k, the paired modes have
-    eps = sqrt(xi^2 + D^2) >= 0, while k = 0, k = pi and, at gamma = 0,
-    every mode keep the signed eps = xi, so a mode with eps < 0 is filled in
-    the sector vacuum.  A Fock state of the modes with tau_k = 1 - 2 n_k
-    has, with u_k = (xi - iD) / eps (1 for unpaired modes) and
-    h(r) = (1/L) sum_k u_k e^{ikr} tau_k,
+    The Jordan-Wigner fermions have two boundary-condition sectors, stacked
+    on a leading axis: Neveu-Schwarz at 0, Ramond at 1.  With sz = 1 - 2n
+    the ring's even-fermion-parity states are those of antiperiodic
+    fermions (NS, k = (2m+1) pi / L) and its odd ones those of periodic
+    fermions (R, k = 2 pi m / L).  Each sector is H = sum_k eps_k (n_k - 1/2) over
+    Bogoliubov modes: with xi = 1 - lam cos k and D = lam gamma sin k, the
+    paired modes have eps = sqrt(xi^2 + D^2) >= 0, while k = 0, k = pi and,
+    at gamma = 0, every mode keep the signed eps = xi, so a mode with
+    eps < 0 is filled in the sector vacuum.  A Fock state of the modes with
+    tau_k = 1 - 2 n_k has, with u_k = (xi - iD) / eps (1 for unpaired modes)
+    and h(r) = (1/L) sum_k u_k e^{ikr} tau_k,
 
       z = h(0),  xx = -h(-1),  yy = -h(1),
       zz = (1/L^2) sum_{k != k'} u_k u_k' (1 - e^{i(k-k')}) tau_k tau_k'
 
     (Wick's theorem; the k = k' terms vanish identically).  ``amplitudes``
-    holds the mode amplitudes of z, xx and yy, u_k, -u_k e^{-ik} and
-    -u_k e^{ik}, and zz's coefficient is z_k z_k' - yy_k xx_k' in them: two
-    rank-one terms.
+    (3, 2, ..., L) holds the mode amplitudes of z, xx and yy, u_k,
+    -u_k e^{-ik} and -u_k e^{ik}, and zz's coefficient is
+    z_k z_k' - yy_k xx_k' in them: two rank-one terms.  ``eps`` is
+    (2, ..., L), with ... the column's shape.
 
-    ``build`` takes lam and gamma as floats or as arrays that broadcast
-    together, a column of couplings; ``eps`` is then (2, ..., L) and
-    ``amplitudes`` (3, 2, ..., L).
+    The thermal trace runs over each sector's Fock states of its own
+    parity p, so it is (1/2)[Tr e^{-H/kT} + (-1)^p Tr (-1)^F e^{-H/kT}],
+    and both traces factorize over the modes.  Per mode, the empty and
+    filled states carry Boltzmann weights e, f relative to the sector vacuum
+    (1 and exp(-|eps|/kT), swapped for a mode filled in the vacuum); with
+    P = e + f and m = (e - f) / P, each trace is prod P times:
+
+      plain trace      1,         with tau_k: m_k,  tau_k tau_k': m_k m_k'
+      parity trace     prod m_j,  with tau_k: prod_{j != k} m_j,
+                                  tau_k tau_k': prod_{j not in {k, k'}} m_j
+
+    The plain zz sum over k != k' is z^2 - xx yy of the plain one-body sums,
+    since its coefficient is two rank-one terms with a zero diagonal.  The
+    parity products come from prefix and suffix products and, for the
+    pairs, one running sum over the modes, so no mode factor is ever
+    divided out: the exact zero modes (m = 0: the Ramond k = 0 mode at
+    lam = 1, gamma = 0 modes at cos k = 1/lam) stay exact.  A row costs O(L)
+    time and memory.  Sectors add with the weights exp(-(E_vac - E_min)/kT)
+    of their vacuum energies times their prod P, carried as a sum of logs,
+    relative to the larger sector's, so nothing overflows at any L.
+
+    kT = 0 averages the ground space with equal weights, as ED does
+    (``_thermal_weights``): modes with |eps| within the window
+    ``GROUND_STATE_WINDOW * max(1, |E_min|)`` are zero modes, free to be
+    empty or filled, and a sector counts when its vacuum energy lies within
+    the window of E_min.  The NS vacuum is always even (L is even, so the NS
+    modes come in +-k pairs of equal eps); the R vacuum is odd, as its
+    sector needs, for |lam| > 1 and even for |lam| < 1, where its energy
+    never lies below the NS vacuum (tests/test_models.py checks this on a
+    grid).  A wrong-parity sector without zero modes that counts has every
+    m = +-1 and prod m = -(-1)^p, so it adds zero to the norm and the
+    one-body sums exactly and to rounding in zz: the sectors' vacua are all
+    a kT = 0 average needs.
+
+    Memory grows as (temperatures x points) x L, so a caller with a long
+    column hands it over in blocks (``solve_grid`` does, of at most
+    ``_COLUMN_MODES`` modes).
     """
 
-    eps: np.ndarray
-    amplitudes: np.ndarray
-
-    @classmethod
-    def build(cls, L: int, lam, gamma) -> _FermionSectors:
-        lam, gamma = np.broadcast_arrays(np.asarray(lam, float), np.asarray(gamma, float))
-        column = [1] * lam.ndim
+    def __init__(self, spec: ModelSpec, **column):
+        if spec.family != "xy" or spec.L is None:
+            raise ValueError("FreeFermionSolution needs a finite xy ring")
+        L = spec.L
+        lam, gamma = np.broadcast_arrays(*_couplings(spec, column).values())
         parity = np.arange(2).reshape(2, 1)
-        k = ((2 * np.arange(L) + 1 - parity) * math.pi / L).reshape(2, *column, L)
+        k = ((2 * np.arange(L) + 1 - parity) * math.pi / L).reshape(2, *[1] * lam.ndim, L)
         xi = 1.0 - lam[..., None] * np.cos(k)
         delta = np.multiply(lam, gamma)[..., None] * np.sin(k)
         unpaired = np.broadcast_to((gamma == 0.0)[..., None], xi.shape).copy()
         unpaired[1, ..., [0, L // 2]] = True  # the Ramond k = 0 and k = pi
         delta[unpaired] = 0.0
-        eps = np.where(unpaired, xi, np.hypot(xi, delta))
+        self.eps = np.where(unpaired, xi, np.hypot(xi, delta))
         u = np.ones(xi.shape, dtype=complex)
         paired = ~unpaired
-        u[paired] = (xi[paired] - 1j * delta[paired]) / eps[paired]
+        u[paired] = (xi[paired] - 1j * delta[paired]) / self.eps[paired]
         phase = np.exp(1j * k)
-        return cls(eps, np.stack([u, -u / phase, -u * phase]))
+        self.amplitudes = np.stack([u, -u / phase, -u * phase])
 
     def table(self, kts) -> np.ndarray:
-        """The correlators z, xx, yy, zz at every kT in ``kts``, an array
-        (len(kts), 4, ...); see ``FreeFermionSolution``."""
+        """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
         kts = tuple(kts)
         L = self.eps.shape[-1]
         # (-1)^parity of each sector, broadcast over the column
@@ -543,63 +589,6 @@ class _FermionSectors:
         norm = (share * (1.0 + sign * (before[..., -1] * m[..., -1]))).sum(axis=1)
         moments = np.concatenate([one_body / L, zz[None] / L**2])
         return np.moveaxis((share * moments).sum(axis=2) / norm, 0, 1)
-
-
-class FreeFermionSolution:
-    """Exact thermal correlators of a finite xy ring from its free fermions,
-    at one coupling point or over a column of them.
-
-    A spec alone is a column of one point (see ``thermal_solution``): both
-    run ``_FermionSectors``, which handles both sectors and every point at
-    every temperature in one pass.
-
-    The thermal trace runs over each sector's Fock states of its own
-    parity p, so it is (1/2)[Tr e^{-H/kT} + (-1)^p Tr (-1)^F e^{-H/kT}],
-    and both traces factorize over the modes.  Per mode, the empty and
-    filled states carry Boltzmann weights e, f relative to the sector vacuum
-    (1 and exp(-|eps|/kT), swapped for a mode filled in the vacuum); with
-    P = e + f and m = (e - f) / P, each trace is prod P times:
-
-      plain trace      1,         with tau_k: m_k,  tau_k tau_k': m_k m_k'
-      parity trace     prod m_j,  with tau_k: prod_{j != k} m_j,
-                                  tau_k tau_k': prod_{j not in {k, k'}} m_j
-
-    The plain zz sum over k != k' is z^2 - xx yy of the plain one-body sums,
-    since its coefficient is two rank-one terms with a zero diagonal.  The
-    parity products come from prefix and suffix products and, for the
-    pairs, one running sum over the modes, so no mode factor is ever
-    divided out: the exact zero modes (m = 0: the Ramond k = 0 mode at
-    lam = 1, gamma = 0 modes at cos k = 1/lam) stay exact.  A row costs O(L)
-    time and memory.  Sectors add with the weights exp(-(E_vac - E_min)/kT)
-    of their vacuum energies times their prod P, carried as a sum of logs,
-    relative to the larger sector's, so nothing overflows at any L.
-
-    kT = 0 averages the ground space with equal weights, as ED does
-    (``_thermal_weights``): modes with |eps| within the window
-    ``GROUND_STATE_WINDOW * max(1, |E_min|)`` are zero modes, free to be
-    empty or filled, and a sector counts when its vacuum energy lies within
-    the window of E_min.  The NS vacuum is always even (L is even, so the NS
-    modes come in +-k pairs of equal eps); the R vacuum is odd, as its
-    sector needs, for |lam| > 1 and even for |lam| < 1, where its energy
-    never lies below the NS vacuum (tests/test_models.py checks this on a
-    grid).  A wrong-parity sector without zero modes that counts has every
-    m = +-1 and prod m = -(-1)^p, so it adds zero to the norm and the
-    one-body sums exactly and to rounding in zz: the sectors' vacua are all
-    a kT = 0 average needs.
-
-    Memory grows as (temperatures x points) x L, so a caller with a long
-    column hands it over in blocks (``solve_grid`` does, of at most
-    ``_COLUMN_ROWS`` rows).
-    """
-
-    def __init__(self, spec: ModelSpec, **column):
-        if spec.family != "xy" or spec.L is None:
-            raise ValueError("FreeFermionSolution needs a finite xy ring")
-        self.sectors = _FermionSectors.build(spec.L, *_couplings(spec, column).values())
-
-    def table(self, kts) -> np.ndarray:
-        """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
-        return self.sectors.table(kts)
 
     correlators = _correlators
 

@@ -397,6 +397,21 @@ def test_cli_flag_overrides_config(tmp_path):
     assert (tmp_path / "sweep_kT0.5.csv").exists()
 
 
+def test_sweep_length_limit_is_the_solvers(tmp_path, capsys):
+    # an xy ring runs its free fermions far past the L <= 12 of exact
+    # diagonalization, which still bounds the xxz families
+    ring = "family = xy\ngamma = 1.0\nkT_list = 0.05, 0.1\naxis = lambda\n"
+    ring += f"start = 0.9\nstop = 1.1\neta = 0.1\nout = {tmp_path}\n"
+    assert main(["sweep", "--config", _write(tmp_path, ring), "--L", "600"]) == 0
+    for name in ("sweep_kT0.05.csv", "sweep_kT0.1.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 4
+    chain = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path / 'xxz'}\n", "xxz.cfg")
+    capsys.readouterr()
+    assert main(["sweep", "--config", chain, "--L", "14"]) == 1
+    assert "4 <= L <= 12 for family 'xxz'" in capsys.readouterr().err
+    assert not (tmp_path / "xxz").exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate command
 # ---------------------------------------------------------------------------

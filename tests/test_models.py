@@ -13,7 +13,6 @@ from qcpdetect.models import (
     FreeFermionSolution,
     ModelSpec,
     ThermoLimitSolution,
-    _FermionSectors,
     build_hamiltonian,
     diagonalize,
     thermal_correlators,
@@ -262,6 +261,22 @@ def test_model_spec_validation():
     ModelSpec("xy", None, 0.05, lam=1.0, gamma=1.0)
     ModelSpec("xxz", np.int64(6), 1.0)
     ModelSpec("xxz_field", 6, math.inf, delta=0.9, h=1.0)
+
+
+def test_model_spec_caps_L_per_solver():
+    # an xy ring is solved by its free fermions, one row of a block at most;
+    # the xxz families by exact diagonalization, which alone needs 2^L states
+    for L in (14, 600, models._COLUMN_MODES):
+        assert ModelSpec("xy", L, 0.1).L == L
+    for L in (models._COLUMN_MODES + 2, 601, 2):
+        with pytest.raises(ValueError, match=f"<= {models._COLUMN_MODES} for family 'xy'"):
+            ModelSpec("xy", L, 0.1)
+    for family in ("xxz", "xxz_field"):
+        with pytest.raises(ValueError, match=f"4 <= L <= {models.DEFAULT_L_MAX} for family"):
+            ModelSpec(family, 14, 0.1)
+    # and so does diagonalize, whatever the family
+    with pytest.raises(ValueError, match=f"diagonalization needs L <= {models.DEFAULT_L_MAX}"):
+        diagonalize(ModelSpec("xy", 14, 0.1))
 
 
 def test_model_spec_rejects_a_coupling_its_family_does_not_read():
@@ -627,27 +642,29 @@ def test_free_fermions_match_exact_diagonalization(L, points):
         (ModelSpec("xxz", 10, 0.0), "delta", tuple(np.arange(-2.0, 2.0, 0.25))),
         (ModelSpec("xxz_field", 8, 0.0, delta=1.0), "h", (0.0, 2.0, 8.0, 12.0)),
         (ModelSpec("xxz_field", 6, 0.0, h=3.0), "delta", (-1.0, 0.0, 1.0, 2.5)),
+        # a long ring, one point per solve_grid block at six temperatures
+        (ModelSpec("xy", 600, 0.0), "lam", (-0.9, 0.5, 1.0, 1.5)),
     ],
 )
 def test_free_fermion_column_matches_one_point_solves(template, field, values):
     # A column is one array pass, of the free fermions or of one batched
     # eigh per sector; each of its points must carry the bits of the point
     # solved alone (a spec is a column of one), and so must each point of
-    # solve_grid's blocks.
-    kts = (0.0, 0.02, 0.05, 0.5, 1.0, math.inf)
-    table = thermal_solution(template, **{field: np.array(values)}).table(kts)
-    assert table.shape == (len(kts), 4, len(values))
-    grid, errors = models.solve_grid(template, field, values, kts)
-    assert errors == [None] * len(values)
-    assert grid.tobytes() == table.tobytes()
-    for j, value in enumerate(values):
-        one = thermal_solution(replace(template, **{field: value}))
-        for i, kT in enumerate(kts):
-            got = [float(v).hex() for v in table[i, :, j]]
-            want = [v.hex() for v in astuple(one.correlators(kT))]
-            assert got == want, (value, kT)
-    one = thermal_solution(template)
-    assert one.table(kts).shape == (len(kts), 4)
+    # solve_grid's blocks.  No temperature at all is a (0, 4[, points]) table.
+    for kts in ((0.0, 0.02, 0.05, 0.5, 1.0, math.inf), ()):
+        table = thermal_solution(template, **{field: np.array(values)}).table(kts)
+        assert table.shape == (len(kts), 4, len(values))
+        grid, errors = models.solve_grid(template, field, values, kts)
+        assert errors == [None] * len(values)
+        assert grid.tobytes() == table.tobytes()
+        for j, value in enumerate(values):
+            one = thermal_solution(replace(template, **{field: value}))
+            for i, kT in enumerate(kts):
+                got = [float(v).hex() for v in table[i, :, j]]
+                want = [v.hex() for v in astuple(one.correlators(kT))]
+                assert got == want, (value, kT)
+        one = thermal_solution(template)
+        assert one.table(kts).shape == (len(kts), 4)
     assert all(isinstance(v, float) for v in astuple(one.correlators(0.5)))
 
 
@@ -692,7 +709,7 @@ def test_free_fermions_match_a_sum_over_fock_states(L):
     kts = (0.02, 0.1, 1.0, math.inf)
     for lam in (-1.3, 0.5, 1.0, 1 / math.cos(math.pi / 4), 1.5):
         for gamma in (0.0, 0.3, 1.0):
-            sectors = _FermionSectors.build(L, lam, gamma)
+            sectors = FreeFermionSolution(ModelSpec("xy", L, 0.0, lam=lam, gamma=gamma))
             energy = occupied @ sectors.eps.T - 0.5 * sectors.eps.sum(axis=-1)
             in_sector = occupied.sum(axis=1)[:, None] % 2 == np.arange(2)
             z, xx, yy = (amp @ tau.T for amp in sectors.amplitudes.real)
@@ -733,15 +750,14 @@ def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():
     for L in range(4, 40, 2):
         for lam in np.linspace(-3.0, 3.0, 121):
             for gamma in (0.0, 0.3, 1.0):
-                ns, r = _FermionSectors.build(L, lam, gamma).eps
+                ns, r = FreeFermionSolution(ModelSpec("xy", L, 0.0, lam=lam, gamma=gamma)).eps
                 assert np.sum(ns < 0) % 2 == 0
                 if np.sum(r < 0) % 2 == 0:
                     vacuum_ns, vacuum_r = -0.5 * np.abs(ns).sum(), -0.5 * np.abs(r).sum()
                     assert vacuum_r >= vacuum_ns - 1e-12, (L, lam, gamma)
 
 
-# Rings of L = 600 and 1100, built from their sectors since ModelSpec caps
-# L, against the L = None integrals.  Left out are two finite-size effects
+# Rings of L = 600 and 1100 against the L = None integrals.  Left out are two finite-size effects
 # that are physics, not error, and shrink as L grows: at gamma = 2 the
 # ring is 9.0e-9 off at lam = -0.98, kT = 0.05 (2.1e-15 at L = 1200), and
 # for |lam| > 1 at kT <= 0.3 it is up to 1.3e-3 off (8.8e-4 at kT = 0.3),
@@ -752,7 +768,7 @@ LONG_RING_KTS = (0.05, 0.3, 1.0, math.inf)
 
 
 def _long_ring_error(L, lams, gamma, kts):
-    ring = _FermionSectors.build(L, lams, gamma).table(kts)
+    ring = FreeFermionSolution(ModelSpec("xy", L, 0.0, gamma=gamma), lam=lams).table(kts)
     limit = ThermoLimitSolution(ModelSpec("xy", None, 0.0, gamma=gamma), lam=lams).table(kts)
     assert np.isfinite(ring).all()
     return np.abs(ring - limit).max()
@@ -766,7 +782,7 @@ def test_long_ring_matches_the_thermodynamic_limit(gamma):
 def test_long_ring_meets_the_30_digit_z_where_quad_misses_it():
     # z at the lam = 0.961, gamma = 1, kT = 0.05 point from 30-digit mpmath;
     # the L = None quad is 2.7e-10 off there
-    z = _FermionSectors.build(600, 0.961, 1.0).table((0.05,))[0, 0]
+    z = FreeFermionSolution(ModelSpec("xy", 600, 0.0, lam=0.961)).table((0.05,))[0, 0]
     assert abs(z - 0.67902028038570595038) < 1e-15
 
 
@@ -774,7 +790,7 @@ def test_long_ring_does_not_overflow():
     # 2^L overflows a float at L = 1024: each sector's product of mode
     # weights is carried as a sum of logs
     lams = np.array([-0.9, 0.0, 0.5, 0.99, 1.5])
-    at_infinity = _FermionSectors.build(1100, lams, 1.0).table((math.inf,))
+    at_infinity = FreeFermionSolution(ModelSpec("xy", 1100, 0.0), lam=lams).table((math.inf,))
     assert (at_infinity == 0.0).all()
     assert _long_ring_error(1100, lams, 1.0, (2.0,)) < 1e-13
 

@@ -496,22 +496,23 @@ def test_sweep_calls_each_detector_once_per_sweep(monkeypatch):
         for axis in AXES:
             assert calls.count((name, axis)) == 1
     assert len(calls) == 1 + 1 + 9
-    # a finite xy ring is solved the same way: these points at all
-    # temperatures fit in one block of the free fermions
+    # a finite xy ring is solved the same way: the modes of these points at
+    # all temperatures fit in one block of the free fermions
     calls.clear()
     results = sweep(ModelSpec("xy", 6, 0.5), "lambda", 0.0, 2.0, eta=0.1, kT_list=kts)
-    assert results[0].params.size * len(kts) <= models_mod._COLUMN_ROWS
+    assert results[0].params.size * len(kts) * 6 <= models_mod._COLUMN_MODES
     assert calls.count(("thermal_solution",)) == 1
     assert calls.count(("FreeFermionSolution",)) == 1
     assert calls.count(("quantum_discord",)) == 1
 
 
 def test_xy_sweep_columns_match_one_point_solves():
-    # 101 points at 3 temperatures span two column blocks of the solver
-    template = ModelSpec("xy", 6, 0.5, gamma=0.0)
+    # 101 points at 3 temperatures on 12 modes span two column blocks of the
+    # solver
+    template = ModelSpec("xy", 12, 0.5, gamma=0.0)
     kts = (0.0, 0.05, math.inf)
     results = sweep(template, "lambda", -0.5, 1.5, eta=0.02, kT_list=kts)
-    assert results[0].params.size * len(kts) > models_mod._COLUMN_ROWS
+    assert results[0].params.size * len(kts) * 12 > models_mod._COLUMN_MODES
     for res in results:
         assert res.failed_count == 0
         for i, param in enumerate(res.params.tolist()):
@@ -532,15 +533,15 @@ def test_xy_sweep_records_a_failed_column_block(monkeypatch):
 
 
 def test_xy_sweep_failure_stays_inside_its_column_block(monkeypatch):
-    # 101 points at 3 temperatures: blocks of 85 and 16 points.  The block
-    # that holds the chosen lam fails and is solved again a point at a time:
-    # the chosen lam fails alone, and every other point has the bits of the
-    # clean sweep
-    template = ModelSpec("xy", 6, 0.5)
+    # 101 points at 3 temperatures on 12 modes: blocks of 85 and 16 points.
+    # The block that holds the chosen lam fails and is solved again a point
+    # at a time: the chosen lam fails alone, and every other point has the
+    # bits of the clean sweep
+    template = ModelSpec("xy", 12, 0.5)
     kts = (0.0, 0.05, math.inf)
     args = (template, "lambda", -0.5, 1.5)
     clean = sweep(*args, eta=0.02, kT_list=kts)
-    step = models_mod._COLUMN_ROWS // len(kts)
+    step = models_mod._COLUMN_MODES // (len(kts) * 12)
     params = clean[0].params.tolist()
     assert len(params) == 101 and step == 85
     chosen = params[90]
