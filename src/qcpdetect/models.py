@@ -40,7 +40,8 @@ Critical couplings for the field-carrying xxz chain:
   Delta_1 = h/4 - 1                      (saturation line, coupling J = 1)
   h(Delta_2) = 4 sinh(eta) sum_j (-1)^j / cosh(j eta),   eta = arccosh(Delta_2)
 
-the latter inverted numerically for Delta_2(h).
+(des Cloizeaux and Gaudin, J. Math. Phys. 7, 1384 (1966)); the sum is
+theta_4(e^-eta)^2, and bisection inverts the field for Delta_2(h).
 """
 
 from __future__ import annotations
@@ -157,84 +158,42 @@ def xxz_delta1(h: float, j: float = 1.0) -> float:
     return h / (4.0 * j) - 1.0
 
 
-def _sech(x: float) -> float:
-    """Overflow-safe 1/cosh."""
-    ax = abs(x)
-    if ax > 700.0:
-        # 2 e^-ax to double precision; the correction term underflows.
-        return 2.0 * math.exp(-ax) if ax < 745.0 else 0.0
-    return 1.0 / math.cosh(ax)
-
-_POISSON_SWITCH = 1.0
-
-
-def _alternating_sech_sum(eta: float) -> float:
-    """S(eta) = sum_{j=-inf}^{inf} (-1)^j / cosh(j eta), for eta > 0.
-
-    For eta >= 1 the alternating series converges quickly and is summed
-    directly, truncating once a term drops below 1e-15.  For small eta the
-    direct series suffers catastrophic cancellation (S is exponentially
-    small), so the Poisson-resummed form
-
-        S(eta) = (2 pi / eta) sum_{m>=0} sech((2m+1) pi^2 / (2 eta))
-
-    is used instead; its terms fall so fast that a relative cutoff of 1e-15
-    needs only a couple of them.
-    """
-    if eta >= _POISSON_SWITCH:
-        total = 1.0
-        j = 1
-        while True:
-            term = 2.0 * _sech(j * eta)
-            if term < 1e-15:
-                break
-            total += term if j % 2 == 0 else -term
-            j += 1
-        return total
-    total = 0.0
-    m = 0
-    while True:
-        term = (2.0 * math.pi / eta) * _sech((2 * m + 1) * math.pi**2 / (2.0 * eta))
-        total += term
-        if term < 1e-15 * total or term == 0.0:
-            break
-        m += 1
-    return total
-
-
 def _field_of_eta(eta: float) -> float:
-    """The critical field h(eta) = 4 sinh(eta) S(eta) on Delta = cosh(eta) > 1."""
-    return 4.0 * math.sinh(eta) * _alternating_sech_sum(eta)
+    """The critical field h(eta) = 4 sinh(eta) theta_4(e^-eta)^2 on
+    Delta = cosh(eta) > 1.
+
+    theta_4^2 is the series sum_j (-1)^j / cosh(j eta) (Jacobi's dn series
+    at the quarter period; Whittaker and Watson, ch. 21).  From eta = 1 up,
+    theta_4 = 1 + 2 sum_n (-1)^n e^(-eta n^2); below, that sum cancels, and
+    Jacobi's imaginary transformation theta_4 = 2 sqrt(pi/eta)
+    sum_{n>=0} e^(-pi^2 (n+1/2)^2 / eta) is used.  Both fall as Gaussians:
+    the seven and three terms kept reach rounding at every eta > 0.
+    """
+    if eta >= 1.0:
+        theta4 = 1.0 + 2.0 * sum((-1) ** n * math.exp(-eta * n * n) for n in range(1, 8))
+    else:
+        gauss = sum(math.exp(-((math.pi * (n + 0.5)) ** 2) / eta) for n in range(3))
+        theta4 = 2.0 * math.sqrt(math.pi / eta) * gauss
+    return 4.0 * math.sinh(eta) * theta4 * theta4
 
 
 def xxz_delta2(h: float) -> float:
-    """Invert h(Delta_2) for the upper critical anisotropy, h > 0.
-
-    Bisection on eta = arccosh(Delta_2) to |h(eta) - h| < 1e-10.  Because
-    h(eta) is exponentially flat near eta = 0, that residual alone would
-    accept a wide range of eta for small h, so the bracket must also have
-    collapsed below 1e-10 before the residual test can stop the search; for
-    extreme h where an absolute 1e-10 is finer than double spacing, the
-    bracket criterion alone terminates.  Raises ValueError if h does not
-    bracket.
+    """Invert h(Delta_2) = 4 sinh(eta) theta_4(e^-eta)^2 for the upper
+    critical anisotropy Delta_2 = cosh(eta), h > 0, by bisection on eta in
+    [1e-8, 60] until the midpoint no longer lies strictly inside the
+    bracket.  Raises ValueError if h does not bracket.
     """
     if not (h > 0.0) or not math.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h}")
     lo, hi = 1e-8, 60.0
-    f_lo, f_hi = _field_of_eta(lo) - h, _field_of_eta(hi) - h
-    if not (f_lo < 0.0 < f_hi):
+    if not (_field_of_eta(lo) < h < _field_of_eta(hi)):
         raise ValueError(f"h = {h} not bracketed by eta in [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _field_of_eta(mid) - h
-        width = hi - lo
-        if (abs(f_mid) < 1e-10 and width < 1e-10) or width < 1e-16 * max(1.0, mid):
-            return math.cosh(mid)
-        if f_mid < 0.0:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _field_of_eta(mid) < h:
             lo = mid
         else:
             hi = mid
-    return math.cosh(0.5 * (lo + hi))
+    return math.cosh(mid)
 
 
 # ---------------------------------------------------------------------------

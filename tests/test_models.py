@@ -1,3 +1,4 @@
+import decimal
 import gc
 import math
 import re
@@ -308,27 +309,53 @@ def test_critical_line_delta2_reference_points():
     assert xxz_delta2(1e-10) > xxz_delta2(1e-50)
 
 
+# pi to 64 digits, for the 60-digit decimal oracle below
+_PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+
+
+def _critical_field_reference(eta: float) -> float:
+    """h(eta) = 4 sinh(eta) sum_j (-1)^j / cosh(j eta) in 60-digit decimal
+    arithmetic, sharing no code with ``models._field_of_eta``: the
+    alternating sech series summed directly for eta >= 0.3, where 60 digits
+    outlast its cancellation, and its Poisson resummation
+    (2 pi / eta) sum_{m>=0} sech((2m+1) pi^2 / (2 eta)) below."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = decimal.Decimal(eta)
+        if eta >= 0.3:
+            # sech(j eta) = 2 x^j / (1 + x^2j) with x = e^-eta
+            x, xj, total, j = (-e).exp(), decimal.Decimal(1), decimal.Decimal(1), 0
+            while True:
+                j += 1
+                xj *= x
+                term = 4 * xj / (1 + xj * xj)
+                if term < decimal.Decimal("1e-70"):
+                    break
+                total += term if j % 2 == 0 else -term
+        else:
+            args = [(2 * m + 1) * _PI * _PI / (2 * e) for m in range(8)]
+            total = 2 * _PI / e * sum(2 / (a.exp() + (-a).exp()) for a in args)
+        return float(2 * (e.exp() - (-e).exp()) * total)
+
+
+def test_critical_field_matches_decimal_oracle_to_rounding():
+    # the bound is rounding times exp's conditioning pi^2 / (4 eta) of the
+    # small-eta Gaussian; eta = 0.999, 1 and 1.001 straddle the
+    # implementation's change of theta_4 series
+    for eta in [*np.geomspace(0.02, 60.0, 200), 0.999, 1.0, 1.001]:
+        eta = float(eta)
+        want = _critical_field_reference(eta)
+        bound = 4 * 2.0**-52 * max(1.0, math.pi**2 / (4 * eta))
+        assert abs(models._field_of_eta(eta) / want - 1) <= bound, eta
+
+
 def test_critical_line_delta2_roundtrip():
-    # invert the field h(eta) at points on both summation branches of the
-    # implementation (it switches series representation around eta = 1);
-    # the plain alternating-sum reference is machine accurate down to
-    # eta ~ 0.4, below which cancellation would swamp it
-    for eta in (0.4, 0.7, 1.0, 2.5, 8.0):
+    # invert the oracle's field on both sides of eta = 1, where the
+    # implementation changes theta_4 series, and deep into small fields
+    for eta in (0.05, 0.1, 0.2, 0.4, 0.7, 0.999, 1.0, 1.001, 2.5, 8.0, 30.0):
         delta = math.cosh(eta)
-        h = 4.0 * math.sinh(eta) * _alternating_sum_reference(eta)
-        assert xxz_delta2(h) == pytest.approx(delta, abs=1e-9)
-
-
-def _alternating_sum_reference(eta: float) -> float:
-    # two-sided alternating series sum_{n=-inf}^{inf} (-1)^n sech(n eta),
-    # by plain summation
-    total = 1.0
-    for n in range(1, 400000):
-        term = 2.0 * (-1.0) ** n / math.cosh(n * eta)
-        total += term
-        if abs(term) < 1e-17:
-            break
-    return total
+        h = _critical_field_reference(eta)
+        assert xxz_delta2(h) == pytest.approx(delta, rel=1e-14, abs=0), eta
 
 
 def test_critical_line_delta2_monotone_in_field():
@@ -382,7 +409,7 @@ def _gauss_legendre_xy(lam: float, gamma: float, kT: float, nodes: int = 2048):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="known defect, ROADMAP item 4: z alone misses; its adaptive quad is "
+    reason="known defect, ROADMAP item 1: z alone misses; its adaptive quad is "
     "2.7e-10 off at lam = 0.961, kT = 0.05, and the lam = 0.961 row of "
     "bench/reference/ising_thermo/sweep_kT0.05.csv stores that error",
 )
