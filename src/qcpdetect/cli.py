@@ -484,76 +484,38 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Check:
-    name: str
-    expected: str
-    got: str
-    tol: str
-    passed: bool
-
-
-def _close(name: str, got: float, want: float, tol: float) -> Check:
-    return Check(
-        name=name,
-        expected=_fmt(want),
-        got=_fmt(got),
-        tol=_fmt(tol),
-        passed=bool(abs(got - want) <= tol),
-    )
-
-
-def _flag(name: str, got: bool, want: bool) -> Check:
-    return Check(
-        name=name,
-        expected=str(want),
-        got=str(got),
-        tol="exact",
-        passed=bool(got == want),
-    )
-
-
-def _verify_critical_lines() -> list[Check]:
-    checks = [
-        _close("delta1(h=0)", xxz_delta1(0.0), -1.0, 1e-12),
-        _close("delta1(h=12)", xxz_delta1(12.0), 2.0, 1e-12),
-        _close("delta2(h=12)", xxz_delta2(12.0), 4.875, 1e-3),
-        _close("delta2(h->0+)", xxz_delta2(1e-50), 1.0, 1e-3),
+# Each check group returns rows (name, got, expected, tol): numbers, or bools
+# for a divergence flag, with tol None for an exact check.  cmd_verify alone
+# judges and prints them.
+def _verify_critical_lines() -> list[tuple]:
+    return [
+        ("delta1(h=0)", xxz_delta1(0.0), -1.0, 1e-12),
+        ("delta1(h=12)", xxz_delta1(12.0), 2.0, 1e-12),
+        ("delta2(h=12)", xxz_delta2(12.0), 4.875, 1e-3),
+        ("delta2(h->0+)", xxz_delta2(1e-50), 1.0, 1e-3),
     ]
-    return checks
 
 
-def _verify_bell() -> list[Check]:
+def _verify_bell() -> list[tuple]:
     bell = make_xstate(0.5, 0.0, 0.0, 0.5, 0.5)  # (|00> + |11>)/sqrt(2)
-    checks = []
+    rows = []
     for axis in AXES:
-        spec = spectrum_eigenvalues(bell, axis)
-        ordered = sorted(spec.alphas)
+        ordered = sorted(spectrum_eigenvalues(bell, axis).alphas)
         for i, want in enumerate((-1.0, -1.0, 0.0, 0.0)):
-            checks.append(
-                _close(f"bell alpha[{i}] axis {axis}", ordered[i], want, 1e-12)
-            )
+            rows.append((f"bell alpha[{i}] axis {axis}", ordered[i], want, 1e-12))
     for axis in AXES:
-        checks.append(
-            _flag(
-                f"bell log-spectrum divergent axis {axis}",
-                log_spectrum(bell, axis).divergent,
-                True,
-            )
-        )
-    checks.append(_close("bell discord = ln 2", quantum_discord(bell).value,
-                         math.log(2.0), 1e-9))
-    checks.append(_close("bell fmax_ext = 1", max_mean_fidelity(bell).value,
-                         1.0, 1e-12))
-    checks.append(_close("bell dmin_int = 0", min_mean_trace_distance(bell).value,
-                         0.0, 1e-12))
+        rows.append((f"bell log-spectrum divergent axis {axis}",
+                     log_spectrum(bell, axis).divergent, True, None))
     mixed = make_xstate(0.25, 0.25, 0.0, 0.25, 0.0)
-    checks.append(_close("maximally mixed discord = 0",
-                         quantum_discord(mixed).value, 0.0, 1e-12))
-    return checks
+    return rows + [
+        ("bell discord = ln 2", quantum_discord(bell).value, math.log(2.0), 1e-9),
+        ("bell fmax_ext = 1", max_mean_fidelity(bell).value, 1.0, 1e-12),
+        ("bell dmin_int = 0", min_mean_trace_distance(bell).value, 0.0, 1e-12),
+        ("maximally mixed discord = 0", quantum_discord(mixed).value, 0.0, 1e-12),
+    ]
 
 
-def _verify_oracles() -> list[Check]:
+def _verify_oracles() -> list[tuple]:
     rng = np.random.default_rng(VERIFY_ORACLE_SEED)
     worst_coh = 0.0
     worst_f = 0.0
@@ -577,19 +539,18 @@ def _verify_oracles() -> list[Check]:
         worst_qd = max(worst_qd, abs(quantum_discord(x).value - max(qd_direct, 0.0)))
     n = VERIFY_ORACLE_STATES
     return [
-        _close(f"coherence spectra vs dense oracle (N={n})", worst_coh, 0.0, 1e-10),
-        _close(f"fmax_ext closed vs brute force (N={n})", worst_f, 0.0, 1e-6),
-        _close(f"dmin_int closed vs brute force (N={n})", worst_d, 0.0, 1e-9),
-        _close(f"discord minimization vs dense theta grid (N={n})", worst_qd, 0.0, 1e-8),
+        (f"coherence spectra vs dense oracle (N={n})", worst_coh, 0.0, 1e-10),
+        (f"fmax_ext closed vs brute force (N={n})", worst_f, 0.0, 1e-6),
+        (f"dmin_int closed vs brute force (N={n})", worst_d, 0.0, 1e-9),
+        (f"discord minimization vs dense theta grid (N={n})", worst_qd, 0.0, 1e-8),
     ]
 
 
-def _verify_symmetry() -> list[Check]:
-    checks = []
+def _verify_symmetry() -> list[tuple]:
     c = thermal_correlators(ModelSpec("xxz", 8, 0.3, delta=1.0))
-    checks.append(_close("xxz Delta=1: xx = zz", c.xx - c.zz, 0.0, 1e-10))
+    rows = [("xxz Delta=1: xx = zz", c.xx - c.zz, 0.0, 1e-10)]
     c = thermal_correlators(ModelSpec("xxz", 8, 0.3, delta=-1.0))
-    checks.append(_close("xxz Delta=-1: xx = -zz", c.xx + c.zz, 0.0, 1e-10))
+    rows.append(("xxz Delta=-1: xx = -zz", c.xx + c.zz, 0.0, 1e-10))
     # Every ED result is checked against the free fermions, which share no
     # code with it.  At Delta = 0, H_xxz_field(h) = h H_xy(lam = -4/h,
     # gamma = 0), so xxz_field at kT matches the xx ring at kT / h.
@@ -609,21 +570,17 @@ def _verify_symmetry() -> list[Check]:
         got = FreeFermionSolution(free_spec).table((free_spec.kT,))[0]
         diff = got - diagonalize(ed_spec).table((ed_spec.kT,))[0]
         for name, value in zip(("z", "xx", "yy", "zz"), diff):
-            checks.append(_close(f"{label}: {name}", value, 0.0, 1e-10))
+            rows.append((f"{label}: {name}", value, 0.0, 1e-10))
     ct = xy_thermo_correlators(0.8, 1.0, 1.0)
     cf = thermal_correlators(ModelSpec("xy", 600, 1.0, lam=0.8, gamma=1.0))
     err = max(
         abs(cf.z - ct.z), abs(cf.xx - ct.xx), abs(cf.yy - ct.yy), abs(cf.zz - ct.zz)
     )
-    checks.append(
-        _close("xy L=600 free fermions vs thermodynamic limit (kT=1)", err, 0.0, 1e-12)
-    )
+    rows.append(("xy L=600 free fermions vs thermodynamic limit (kT=1)", err, 0.0, 1e-12))
     c = thermal_correlators(ModelSpec("xxz_field", 6, math.inf, delta=0.9, h=1.0))
     for name in ("z", "xx", "yy", "zz"):
-        checks.append(
-            _close(f"kT=inf: {name} = 0", getattr(c, name), 0.0, 1e-12)
-        )
-    return checks
+        rows.append((f"kT=inf: {name} = 0", getattr(c, name), 0.0, 1e-12))
+    return rows
 
 
 _VERIFY_RUNNERS = {
@@ -636,19 +593,29 @@ VERIFY_SUBSETS = tuple(_VERIFY_RUNNERS)
 
 
 def cmd_verify(subset: str) -> int:
+    """Run one check group, print a line per check, and return its exit code.
+
+    A group returns rows (name, got, expected, tol).  A row with a number tol
+    passes when abs(got - expected) <= tol and prints its numbers with _fmt;
+    a row with tol None passes when got == expected and prints them with str
+    and tol "exact".  Any failing row gives EXIT_VERIFY.
+    """
     if subset not in VERIFY_SUBSETS:
         raise ConfigError(f"subset must be one of {VERIFY_SUBSETS}, got {subset!r}")
-    checks = _VERIFY_RUNNERS[subset]()
-    width = max(len(c.name) for c in checks)
+    rows = _VERIFY_RUNNERS[subset]()
+    width = max(len(name) for name, *_ in rows)
     failures = 0
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        failures += not c.passed
-        print(
-            f"{status}  {c.name:<{width}}  expected {c.expected}  "
-            f"got {c.got}  tol {c.tol}"
-        )
-    print(f"{subset}: {len(checks) - failures}/{len(checks)} checks passed")
+    for name, got, expected, tol in rows:
+        if tol is None:
+            passed = got == expected
+            want, have, within = str(expected), str(got), "exact"
+        else:
+            passed = abs(got - expected) <= tol
+            want, have, within = _fmt(expected), _fmt(got), _fmt(tol)
+        failures += not passed
+        print(f"{'PASS' if passed else 'FAIL'}  {name:<{width}}  expected {want}  "
+              f"got {have}  tol {within}")
+    print(f"{subset}: {len(rows) - failures}/{len(rows)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

@@ -163,7 +163,8 @@ class SimulationResult:
 
 
 def _as_density(state) -> np.ndarray:
-    """Accept an InputQubit, a ket vector, or a 2x2 density matrix."""
+    """Accept an InputQubit, a ket vector, or the 2x2 density matrix of a
+    pure state."""
     if isinstance(state, InputQubit):
         return state.density()
     arr = np.asarray(state)
@@ -400,16 +401,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _qubit_fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Uhlmann fidelity for qubits: Tr(rho sigma) + 2 sqrt(det rho det sigma).
-    Broadcasts over the leading axes of (..., 2, 2) stacks."""
-    overlap = np.einsum("...ij,...ji->...", rho, sigma).real
-    dets = np.maximum(np.linalg.det(rho).real, 0.0) * np.maximum(
-        np.linalg.det(sigma).real, 0.0
-    )
-    return overlap + 2.0 * np.sqrt(dets)
-
-
 def min_mean_trace_distance(x: XState) -> MinMeanTraceDistance:
     """Closed-form internal-protocol detector.
 
@@ -443,18 +434,21 @@ def simulate_protocol(
 ) -> SimulationResult:
     """Monte Carlo run of the protocol: sample outcomes, tally statistics.
 
-    Outcome j is drawn ~ Q_j for each run; the corrected Bob state is
-    compared with the input by fidelity and trace distance.  The counts are
-    one multinomial draw from numpy's default generator (PCG64) seeded with
-    ``seed``, so results are exactly reproducible.  Standard errors are
-    sample standard deviations / sqrt(runs).
+    Outcome j is drawn ~ Q_j for each run; the corrected Bob state rho_Bj
+    is compared with the pure input |psi> by the fidelity <psi|rho_Bj|psi>
+    = Tr(rho_in rho_Bj), which mean_fidelity sums, and by the trace
+    distance.  The counts are one multinomial draw from numpy's default
+    generator (PCG64) seeded with ``seed``, so results are exactly
+    reproducible.  Standard errors are sample standard deviations /
+    sqrt(runs).
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     rho_in = _as_density(input_state)
     corrections = _CORRECTIONS[_bell_index(set_label)]
     states, q, possible = _conditional_states(rho_in, x, corrections)
-    fids = np.where(possible, _qubit_fidelity(rho_in, states), 0.0)
+    overlaps = np.einsum("ij,kji->k", rho_in, states).real
+    fids = np.where(possible, overlaps, 0.0)
     dists = np.where(possible, trace_distance(rho_in, states), 0.0)
     qs = np.maximum(q, 0.0)
     qs /= qs.sum()

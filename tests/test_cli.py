@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qcpdetect
+from qcpdetect import cli
 from qcpdetect.cli import (
     ESTIMATE_HEADER,
     EXTRAPOLATION_HEADER,
@@ -18,6 +19,7 @@ from qcpdetect.cli import (
     VERIFY_SUBSETS,
     ConfigError,
     RunConfig,
+    cmd_verify,
     main,
     parse_config_text,
     write_sweep_csv,
@@ -134,6 +136,12 @@ def test_run_config_validation():
             RunConfig.from_mapping({"eta": eta})
     with pytest.raises(ConfigError, match="kT = 0.1 appears more than once"):
         RunConfig.from_mapping({"kT_list": "0.1, 0.1, 0.2"})
+    with pytest.raises(ConfigError, match="axis must be one of"):
+        RunConfig.from_mapping({"axis": "kelvin"})
+    with pytest.raises(ConfigError, match="method must be one of"):
+        RunConfig.from_mapping({"method": "sideways"})
+    with pytest.raises(ConfigError, match="runs must be >= 1, got 0"):
+        RunConfig.from_mapping({"runs": "0"})
 
 
 def test_run_config_rejects_kt_with_kt_list():
@@ -390,6 +398,30 @@ def test_sweep_command_rejects_repeated_temperature(tmp_path, capsys):
     assert "appears more than once" in capsys.readouterr().err
 
 
+def test_sweep_command_requires_start_and_stop(tmp_path, capsys):
+    cfg = _write(tmp_path, SWEEP_CONFIG.replace("stop = -0.8\n", "") + f"out = {tmp_path}\n")
+    assert main(["sweep", "--config", cfg]) == 1
+    assert "missing key 'start' or 'stop'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_command_notes_failed_points(tmp_path, capsys, monkeypatch):
+    import qcpdetect.models as models_mod
+
+    original = models_mod.thermal_solution
+
+    def flaky(spec, **column):
+        if (np.abs(column["delta"] + 1.1) < 1e-9).any():
+            raise RuntimeError("boom")
+        return original(spec, **column)
+
+    monkeypatch.setattr(models_mod, "thermal_solution", flaky)
+    cfg = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path}\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.endswith("[5 rows]  (1 failed points)") for line in out] == [True, True]
+
+
 def test_cli_flag_overrides_config(tmp_path):
     # --L overrides the default length; the sweep then runs at L = 6
     cfg = _write(tmp_path, SWEEP_CONFIG.replace("L = 4\n", "") + f"out = {tmp_path}\n")
@@ -461,6 +493,24 @@ def test_estimate_command_requires_detectors(tmp_path, capsys):
     cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
     assert main(["estimate", "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_estimate_command_requires_a_window_or_a_candidate(tmp_path, capsys):
+    text = ESTIMATE_CONFIG.replace("window_lo = -1.3\nwindow_hi = -0.7\n", "")
+    cfg = _write(tmp_path, text + f"out = {tmp_path}\n")
+    assert main(["estimate", "--config", cfg]) == 1
+    assert "need window_lo/window_hi or candidate" in capsys.readouterr().err
+    assert not (tmp_path / "estimates.csv").exists()
+
+
+def test_out_and_method_flags_override_config(tmp_path, capsys):
+    cfg = _write(tmp_path, ESTIMATE_CONFIG + f"out = {tmp_path / 'config'}\n")
+    out = tmp_path / "flag"
+    assert main(["estimate", "--config", cfg, "--out", str(out), "--method", "forward"]) == 0
+    assert not (tmp_path / "config").exists()
+    rows = (out / "estimates.csv").read_text().splitlines()
+    method = ESTIMATE_HEADER.split(",").index("method")
+    assert {row.split(",")[method] for row in rows[1:]} == {"forward"}
 
 
 def test_estimate_command_rejects_a_repeated_detector(tmp_path, capsys, monkeypatch):
@@ -869,8 +919,30 @@ def test_verify_subset_passes(capsys, subset):
     assert re.search(rf"^{subset}: (\d+)/\1 checks passed$", out, re.MULTILINE)
 
 
+@pytest.mark.parametrize("subset", VERIFY_SUBSETS)
+def test_verify_failing_row_exits_3(capsys, monkeypatch, subset):
+    rows = [
+        ("close enough", 1.0 + 1e-13, 1.0, 1e-12),
+        ("too far", 1.5, 1.0, 0.25),
+        ("flag", False, True, None),
+        ("nan", math.nan, 0.0, 1.0),
+    ]
+    monkeypatch.setitem(cli._VERIFY_RUNNERS, subset, lambda: rows)
+    assert main(["verify", subset]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  close enough  expected 1  got 1  tol 1e-12",
+        "FAIL  too far       expected 1  got 1.5  tol 0.25",
+        "FAIL  flag          expected True  got False  tol exact",
+        "FAIL  nan           expected 0  got nan  tol 1",
+        f"{subset}: 1/4 checks passed",
+    ]
+
+
 def test_bad_arguments_are_config_errors(tmp_path, capsys):
     assert main(["verify", "everything"]) == 1
+    # the subset check holds also without argparse's choices
+    with pytest.raises(ConfigError, match="subset must be one of"):
+        cmd_verify("everything")
     assert main(["frobnicate"]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     cfg = _write(tmp_path, SWEEP_CONFIG + f"out = {tmp_path}\n")

@@ -372,6 +372,8 @@ def test_critical_line_delta2_invalid_inputs():
         xxz_delta2(-1.0)
     with pytest.raises(ValueError):
         xxz_delta2(math.nan)
+    with pytest.raises(ValueError, match="not bracketed by eta in"):
+        xxz_delta2(1e30)
 
 
 def test_xy_thermo_criticality_values():
@@ -769,6 +771,12 @@ def test_free_fermion_column_is_checked():
             diagonalize(ModelSpec("xxz", 6, 0.1), delta=bad)
     with pytest.raises(ValueError, match="diagonalize needs a finite L; use xy_thermo"):
         diagonalize(ModelSpec("xy", None, 0.1), lam=np.array([0.5]))
+    with pytest.raises(ValueError, match="build_hamiltonian needs a finite L"):
+        build_hamiltonian(ModelSpec("xy", None, 0.1))
+    with pytest.raises(ValueError, match="FreeFermionSolution needs a finite xy ring"):
+        FreeFermionSolution(ModelSpec("xxz", 6, 0.1))
+    with pytest.raises(ValueError, match="ThermoLimitSolution needs the L = None xy chain"):
+        ThermoLimitSolution(ModelSpec("xy", 8, 0.1))
 
 
 def test_even_ramond_vacuum_never_lies_below_the_ns_vacuum():

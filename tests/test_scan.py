@@ -572,3 +572,11 @@ def test_record_rejects_unknown_column():
         res.column("fmax")
     with pytest.raises(KeyError):
         res.column("params")
+
+
+def test_param_column_is_a_copy_of_the_grid():
+    res = synthetic_result([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], eta=0.5)
+    grid = res.column("param")
+    np.testing.assert_array_equal(grid, [0.0, 0.5, 1.0])
+    grid[0] = -1.0
+    assert res.params[0] == 0.0

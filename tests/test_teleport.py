@@ -458,6 +458,41 @@ def test_simulation_deterministic_and_convergent():
     assert int(r1.counts.sum()) == 40000
 
 
+def test_simulated_fidelity_is_the_pure_input_overlap():
+    # Every Bob state of the maximally mixed channel is 1/2, so each outcome's
+    # <psi|rho_Bj|psi> is 1/2; a det(rho_in) term rounding above 0 for a pure
+    # input would add up to ~1e-8 through its square root.
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        qubit = InputQubit(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        res = simulate_protocol(MIXED, qubit, "phi+", runs=100, seed=0)
+        assert abs(res.mean_fidelity - 0.5) <= 1e-15, qubit
+
+
+def test_simulation_runs_must_be_positive_and_one_run_has_no_spread():
+    qubit = InputQubit(1.0, 0.5)
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        simulate_protocol(BELL, qubit, "phi+", runs=0, seed=0)
+    res = simulate_protocol(SINGLET, qubit, "phi+", runs=1, seed=0)
+    assert int(res.counts.sum()) == 1
+    assert res.stderr_fidelity == 0.0 and res.stderr_trace_distance == 0.0
+
+
+def test_input_may_be_a_ket_but_no_other_shape():
+    qubit = InputQubit(1.1, 2.3)
+    x = build_xstate(Correlators(z=0.1, xx=-0.4, yy=-0.2, zz=0.3))
+    for set_label in BELL_LABELS:
+        assert mean_fidelity(qubit.ket(), x, set_label) == mean_fidelity(
+            qubit, x, set_label
+        )
+    for label in BELL_LABELS:
+        assert outcome_probability(qubit.ket(), x, label) == outcome_probability(
+            qubit, x, label
+        )
+    with pytest.raises(ValueError, match=re.escape("ket (2,), or density (2, 2); got (3,)")):
+        mean_fidelity(np.ones(3), x, "phi+")
+
+
 def test_simulation_never_draws_a_zero_probability_outcome():
     # |0> through |00><00|: Alice's pair is |00>, so psi+ and psi- have Q = 0
     x = make_xstate(1.0, 0.0, 0.0, 0.0, 0.0)
