@@ -21,7 +21,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,16 +123,13 @@ def _comma_list(item):
 
 
 # The config schema: every key and the parser of its value.  RunConfig holds
-# the defaults; from_mapping combines kT, the window and the correlators.
+# the defaults; from_mapping combines kT, couplings, window and correlators.
 _KEY_PARSERS = {
     "family": str,
     "L": _length,
     "kT": float,
     "kT_list": _comma_list(float),
-    "delta": float,
-    "h": float,
-    "lam": float,
-    "gamma": float,
+    **dict.fromkeys(COUPLINGS, float),
     "axis": str,
     "start": float,
     "stop": float,
@@ -185,11 +182,8 @@ class RunConfig:
     family: str | None = None
     L: int | None = DEFAULT_L_MAX
     kT_list: tuple[float, ...] = ()
-    # The couplings; None where not given, so that ModelSpec's default holds.
-    delta: float | None = None
-    h: float | None = None
-    lam: float | None = None
-    gamma: float | None = None
+    # The couplings given; ModelSpec's default holds for the others.
+    couplings: dict[str, float] = field(default_factory=dict)
     axis: str | None = None
     start: float | None = None
     stop: float | None = None
@@ -232,6 +226,7 @@ class RunConfig:
             if not (lo < hi):
                 raise ConfigError(f"need window_lo < window_hi, got ({lo}, {hi})")
             values["window"] = (lo, hi)
+        values["couplings"] = {k: values.pop(k) for k in COUPLINGS if k in values}
         corr = {k: values.pop(k) for k in ("z", "xx", "yy", "zz") if k in values}
         if corr:
             if len(corr) != 4:
@@ -293,14 +288,11 @@ class RunConfig:
             raise ConfigError("missing key 'family'")
         if not self.kT_list:
             raise ConfigError("missing key 'kT_list' (or 'kT')")
-        couplings = {
-            k: getattr(self, k) for k in COUPLINGS if getattr(self, k) is not None
-        }
         try:
-            spec = ModelSpec(self.family, self.L, self.kT_list[0], **couplings)
+            spec = ModelSpec(self.family, self.L, self.kT_list[0], **self.couplings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        unread = [k for k in couplings if k not in FAMILY_COUPLINGS[self.family]]
+        unread = [k for k in self.couplings if k not in FAMILY_COUPLINGS[self.family]]
         if unread:
             raise ConfigError(f"family {self.family!r} does not read {', '.join(unread)}")
         return spec

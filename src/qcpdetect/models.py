@@ -24,7 +24,7 @@ time, and records each point's failure:
     (``diagonalize``) per symmetry sector, since H conserves the total
     magnetization.  ``build_hamiltonian``
     stacks each sector's dense blocks, one per point, on its basis states,
-    from the sz diagonals and the bond flips sum_j (sx sx +- sy sy)
+    from the sz diagonals and the bond flips of sum_j sx sx and sum_j sy sy
     (``_bond_flips``); the measured correlators are the same translation
     sums per eigenstate;
   * L = None: the xy thermodynamic limit, closed k-integrals of the same
@@ -202,16 +202,15 @@ def xxz_delta2(h: float) -> float:
 
 
 def _bond_flips(basis: np.ndarray, L: int, pairs: bool):
-    """(rows, cols, hop) of the two-bit flip on each bond (j, j+1) of the
+    """(rows, cols, sy) of the two-bit flip on each bond (j, j+1) of the
     ring, one bond at a time, within one sector: rows and cols are positions
-    in its sorted ``basis`` of states, and hop marks the flips between
-    states whose two bond bits differ, listed only unless ``pairs``.
+    in its sorted ``basis`` of states, and flips of two equal bond bits are
+    listed only if ``pairs``.
 
-    sx sx flips with amplitude 1, sy sy with 1 where the bits differ and -1
-    where they agree, so hop = sx sx + sy sy is 2 on the hop flips and
-    pair = sx sx - sy sy 2 on the others.  The flip is symmetric, so only
-    the states with bit j = 0 are sources: each pair of states appears once,
-    and (cols, rows) is the other half.
+    sx sx flips with amplitude 1, sy sy with sy = 1 where the bits differ
+    and -1 where they agree.  The flip is symmetric, so only the states with
+    bit j = 0 are sources: each pair of states appears once, and (cols,
+    rows) is the other half.
     """
     for j in range(L):
         k = (j + 1) % L
@@ -219,7 +218,7 @@ def _bond_flips(basis: np.ndarray, L: int, pairs: bool):
         hop = bit_j != bit_k
         cols = np.flatnonzero((hop | pairs) & (bit_j == 0))
         rows = np.searchsorted(basis, basis[cols] ^ ((1 << j) | (1 << k)))
-        yield rows, cols, hop[cols]
+        yield rows, cols, np.where(hop[cols], 1.0, -1.0)
 
 
 def _diagonals(states: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,29 +246,30 @@ def _sector_bases(spec: ModelSpec) -> list[np.ndarray]:
 def build_hamiltonian(spec: ModelSpec, **column) -> list[tuple[np.ndarray, np.ndarray]]:
     """H as its symmetry-sector blocks: (basis states, dense blocks) pairs.
 
-    H = c_hop hop + c_pair pair + c_zz zz + c_z z over the ring's bond sums
-    hop = sum_j (sx sx + sy sy), pair = sum_j (sx sx - sy sy) and the
-    diagonals of ``_diagonals``, with one row of coefficients per family;
-    an ``xxz`` spec has h = 0.  pair changes the magnetization by 2, so an
-    xxz sector has none.  A spec alone gives (d, d) blocks, a column of a
-    coupling the family reads (say ``delta=values``) (points, d, d).
+    H = c_xx sum_j sx sx + c_yy sum_j sy sy + c_zz zz + c_z z, the
+    diagonals from ``_diagonals``, with one row of Pauli couplings per
+    family, as the module docstring writes H; an ``xxz`` spec has h = 0.
+    Flips of equal bits have c_xx - c_yy = 0 in an xxz sector, which lists
+    none.  A spec alone gives (d, d) blocks, a column of a coupling the
+    family reads (say ``delta=values``) (points, d, d).
     """
     if spec.L is None:
         raise ValueError("build_hamiltonian needs a finite L")
     c = _couplings(spec, column)
     if spec.family == "xy":
-        coefficients = (-c["lam"] / 4, -c["lam"] * c["gamma"] / 4, 0.0, -0.5)
+        lam, gamma = c["lam"], c["gamma"]
+        pauli = (-lam * (1 + gamma) / 4, -lam * (1 - gamma) / 4, 0.0, -0.5)
     else:
-        coefficients = (1.0, 0.0, c["delta"], -c.get("h", 0.0) / 2)
-    c_hop, c_pair, c_zz, c_z = (x[..., None] for x in np.broadcast_arrays(*coefficients))
+        pauli = (1.0, 1.0, c["delta"], -c.get("h", 0.0) / 2)
+    c_xx, c_yy, c_zz, c_z = (x[..., None] for x in np.broadcast_arrays(*pauli))
     blocks = []
     for basis in _sector_bases(spec):
         z, zz = _diagonals(basis, spec.L)
         d = basis.size
-        block = np.zeros((*c_hop.shape[:-1], d, d))
+        block = np.zeros((*c_xx.shape[:-1], d, d))
         block[..., np.arange(d), np.arange(d)] = c_zz * zz + c_z * z
-        for rows, cols, hop in _bond_flips(basis, spec.L, spec.family == "xy"):
-            block[..., rows, cols] = block[..., cols, rows] = np.where(hop, 2 * c_hop, 2 * c_pair)
+        for rows, cols, sy in _bond_flips(basis, spec.L, spec.family == "xy"):
+            block[..., rows, cols] = block[..., cols, rows] = c_xx + c_yy * sy
         blocks.append((basis, block))
     return blocks
 
@@ -341,8 +341,8 @@ def diagonalize(spec: ModelSpec, **column) -> ThermalSolution:
         density = evecs * evecs
         z, zz = _diagonals(basis, L)
         flips = np.zeros((*evals.shape[:-1], 2, basis.size))
-        for rows, cols, hop in _bond_flips(basis, L, spec.family == "xy"):
-            amplitudes = np.stack([np.ones(hop.size), np.where(hop, 1.0, -1.0)])  # sx sx, sy sy
+        for rows, cols, sy in _bond_flips(basis, L, spec.family == "xy"):
+            amplitudes = np.stack([np.ones(sy.size), sy])  # sx sx, sy sy
             flips += 2.0 * amplitudes @ (evecs[..., rows, :] * evecs[..., cols, :])
         xx, yy = np.moveaxis(flips, -2, 0) / L
         expectations.append(np.stack([z @ density / L, xx, yy, zz @ density / L]))
@@ -495,11 +495,9 @@ class FreeFermionSolution:
         delta = np.multiply(lam, gamma)[..., None] * np.sin(k)
         unpaired = np.broadcast_to((gamma == 0.0)[..., None], xi.shape).copy()
         unpaired[1, ..., [0, L // 2]] = True  # the Ramond k = 0 and k = pi
-        delta[unpaired] = 0.0
+        delta = np.where(unpaired, 0.0, delta)
         self.eps = np.where(unpaired, xi, np.hypot(xi, delta))
-        u = np.ones(xi.shape, dtype=complex)
-        paired = ~unpaired
-        u[paired] = (xi[paired] - 1j * delta[paired]) / self.eps[paired]
+        u = np.where(unpaired, 1.0, (xi - 1j * delta) / np.where(unpaired, 1.0, self.eps))
         phase = np.exp(1j * k)
         self.amplitudes = np.stack([u, -u / phase, -u * phase])
 

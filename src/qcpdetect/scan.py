@@ -9,8 +9,8 @@ all rows at once, a row that fails its checks failing alone, and every
 detector then runs once on the column of states that were built.
 Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
-grid point are caught and recorded (its message in ``errors``,
-``FAILED_ROW`` in the columns), never aborting the sweep or failing
+grid point are caught and recorded (its message in ``errors``, the fill
+of each column's dtype in the columns), never aborting the sweep or failing
 another point, on every solver: a column block whose solve raises is solved
 again a point at a time.  Downstream derivative stencils that touch a failed
 point come out undefined (NaN) rather than interpolated.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -52,32 +51,20 @@ AXIS_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 # The column schema, in CSV emission order: the correlators, then the
-# detectors.  The branch labels are strings and the divergence flags are
-# booleans; every other column is a float.
-COLUMNS = (
-    "z", "xx", "yy", "zz",
-    "qd", "theta_star",
-    "sqc_x", "sqc_y", "sqc_z",
-    "lqc_x", "lqc_y", "lqc_z",
-    "lqc_x_divergent", "lqc_y_divergent", "lqc_z_divergent",
-    "fmax_ext", "fmax_branch",
-    "dmin_int", "dmin_branch",
-)
-LABEL_COLUMNS = ("fmax_branch", "dmin_branch")
-FLAG_COLUMNS = ("lqc_x_divergent", "lqc_y_divergent", "lqc_z_divergent")
-NUMERIC_COLUMNS = tuple(c for c in COLUMNS if c not in LABEL_COLUMNS)
+# detectors, each with its dtype.  The branch labels are strings (object),
+# the divergence flags booleans, and every other column a float.
 COLUMN_DTYPES = {
-    c: object if c in LABEL_COLUMNS else bool if c in FLAG_COLUMNS else float
-    for c in COLUMNS
+    "z": float, "xx": float, "yy": float, "zz": float,
+    "qd": float, "theta_star": float,
+    "sqc_x": float, "sqc_y": float, "sqc_z": float,
+    "lqc_x": float, "lqc_y": float, "lqc_z": float,
+    "lqc_x_divergent": bool, "lqc_y_divergent": bool, "lqc_z_divergent": bool,
+    "fmax_ext": float, "fmax_branch": object,
+    "dmin_int": float, "dmin_branch": object,
 }
-
-# The row of every failed point: NaN numbers, False flags, no labels.
-FAILED_ROW = MappingProxyType(
-    {
-        c: None if c in LABEL_COLUMNS else False if c in FLAG_COLUMNS else math.nan
-        for c in COLUMNS
-    }
-)
+COLUMNS = tuple(COLUMN_DTYPES)
+FLAG_COLUMNS = tuple(c for c, dtype in COLUMN_DTYPES.items() if dtype is bool)
+NUMERIC_COLUMNS = tuple(c for c, dtype in COLUMN_DTYPES.items() if dtype is not object)
 
 
 @dataclass(frozen=True)
@@ -111,21 +98,23 @@ class SweepResult:
 
 def _columns(corr: Correlators, x: XState) -> dict:
     """The schema's values for correlators and their X state, every detector
-    run once on ``x``.  The fields of both are floats for one row, or arrays
-    over a column for a column of rows."""
+    run once on ``x``, in ``COLUMNS`` order.  The fields of both are floats
+    for one row, or arrays over a column for a column of rows."""
     qd = quantum_discord(x)
-    sqc = [coherence_entropy(x, ax) for ax in AXES]
-    lqc = [log_spectrum(x, ax) for ax in AXES]
     fmax = max_mean_fidelity(x)
     dmin = min_mean_trace_distance(x)
-    values = (
-        corr.z, corr.xx, corr.yy, corr.zz,
-        qd.value, qd.theta_star,
-        *sqc, *(v.value for v in lqc), *(v.divergent for v in lqc),
-        fmax.value, fmax.branch,
-        dmin.value, dmin.branch,
-    )
-    return dict(zip(COLUMNS, values, strict=True))
+    values = {
+        "z": corr.z, "xx": corr.xx, "yy": corr.yy, "zz": corr.zz,
+        "qd": qd.value, "theta_star": qd.theta_star,
+        "fmax_ext": fmax.value, "fmax_branch": fmax.branch,
+        "dmin_int": dmin.value, "dmin_branch": dmin.branch,
+    }
+    for ax in AXES:
+        lqc = log_spectrum(x, ax)
+        values[f"sqc_{ax}"] = coherence_entropy(x, ax)
+        values[f"lqc_{ax}"] = lqc.value
+        values[f"lqc_{ax}_divergent"] = lqc.divergent
+    return {name: values[name] for name in COLUMNS}
 
 
 def evaluate_detectors(param: float, corr: Correlators) -> dict:
@@ -159,10 +148,9 @@ def _temperature_columns(
     states, physics = build_xstates(Correlators(*corr))
     failures = (p if m is None else m for m, p in zip(model_failures, physics))
     errors = [None if exc is None else _error(exc) for exc in failures]
-    out = {
-        name: np.full(len(errors), FAILED_ROW[name], dtype)
-        for name, dtype in COLUMN_DTYPES.items()
-    }
+    # a failed point holds NaN numbers, False flags and no labels
+    fill = {float: math.nan, bool: False, object: None}
+    out = {c: np.full(len(errors), fill[dtype], dtype) for c, dtype in COLUMN_DTYPES.items()}
     points = [i for i, err in enumerate(errors) if err is None]
     if points:
         fields = (states.a, states.b, states.c, states.d, states.e)

@@ -163,16 +163,17 @@ class SimulationResult:
 
 
 def _as_density(state) -> np.ndarray:
-    """Accept an InputQubit, a ket vector, or the 2x2 density matrix of a
-    pure state."""
+    """|psi><psi| of a pure input: an InputQubit, or a ket of shape (2,)
+    whose squared norm is within 1e-12 of 1."""
     if isinstance(state, InputQubit):
         return state.density()
-    arr = np.asarray(state)
-    if arr.shape == (2,):
-        return np.outer(arr, arr.conj())
-    if arr.shape == (2, 2):
-        return arr
-    raise ValueError(f"expected InputQubit, ket (2,), or density (2, 2); got {arr.shape}")
+    ket = np.asarray(state)
+    if ket.shape != (2,):
+        raise ValueError(f"expected InputQubit or ket (2,); got shape {ket.shape}")
+    norm = np.vdot(ket, ket).real
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"the input ket must be normalized; its squared norm is {norm}")
+    return np.outer(ket, ket.conj())
 
 
 def _bell_index(label: str) -> int:

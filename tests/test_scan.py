@@ -7,7 +7,8 @@ import pytest
 
 import qcpdetect.models as models_mod
 import qcpdetect.scan as scan_mod
-from qcpdetect.coherence import AXES
+from qcpdetect.coherence import AXES, coherence_entropy, log_spectrum
+from qcpdetect.discord import quantum_discord
 from qcpdetect.models import FreeFermionSolution, ModelSpec, thermal_correlators
 from qcpdetect.scan import (
     COLUMN_DTYPES,
@@ -23,7 +24,14 @@ from qcpdetect.scan import (
     sweep,
     sweep_inputs,
 )
-from qcpdetect.xstate import Correlators, PhysicalityError, build_xstate
+from qcpdetect.teleport import max_mean_fidelity, min_mean_trace_distance
+from qcpdetect.xstate import (
+    Correlators,
+    PhysicalityError,
+    build_xstate,
+    make_xstate,
+    sample_random_xstate,
+)
 
 
 def synthetic_result(params, values, eta, kT=1.0):
@@ -423,6 +431,45 @@ def test_evaluate_detectors_record_contents():
     assert row["fmax_branch"] in ("xx", "yy", "zz")
     assert row["dmin_branch"] in ("1-D-", "D+")
     assert float(row["lqc_z_divergent"]) == 1.0
+
+
+def test_each_column_is_bound_to_its_own_detector():
+    # Every column holds the value of the call it is named after.  Random
+    # states, plus one state divergent on each axis alone (c = e, c = -e and
+    # e = 0), make any two columns of one dtype differ somewhere (checked at
+    # the end), so a column that read another's value would fail.
+    rng = np.random.default_rng(20261021)
+    states = [sample_random_xstate(rng) for _ in range(12)] + [
+        make_xstate(0.25, 0.25, 0.1, 0.25, 0.1),
+        make_xstate(0.25, 0.25, 0.1, 0.25, -0.1),
+        make_xstate(0.4, 0.2, 0.1, 0.2, 0.0),
+    ]
+    wanted = []
+    for state in states:
+        corr = state.correlators()
+        x = build_xstate(corr)
+        qd = quantum_discord(x)
+        fmax, dmin = max_mean_fidelity(x), min_mean_trace_distance(x)
+        want = {
+            **vars(corr),
+            "qd": qd.value, "theta_star": qd.theta_star,
+            "fmax_ext": fmax.value, "fmax_branch": fmax.branch,
+            "dmin_int": dmin.value, "dmin_branch": dmin.branch,
+        }
+        for axis in AXES:
+            lqc = log_spectrum(x, axis)
+            want[f"sqc_{axis}"] = coherence_entropy(x, axis)
+            want[f"lqc_{axis}"] = lqc.value
+            want[f"lqc_{axis}_divergent"] = lqc.divergent
+        row = evaluate_detectors(0.0, corr)
+        assert tuple(row) == COLUMNS and row.keys() == want.keys()
+        for name in COLUMNS:
+            assert row[name] == want[name], name
+        wanted.append(want)
+    for i, name in enumerate(COLUMNS):
+        for other in COLUMNS[:i]:
+            if COLUMN_DTYPES[name] is COLUMN_DTYPES[other]:
+                assert any(w[name] != w[other] for w in wanted), (name, other)
 
 
 @pytest.mark.parametrize(

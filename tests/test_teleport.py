@@ -414,13 +414,15 @@ def test_impossible_outcome_raises():
 
 
 @pytest.mark.parametrize(
-    "channel, theta", [(UP_UP, 0.0), (DOWN_DOWN, math.pi)], ids=["00", "11"]
+    "channel, ket, theta",
+    [(UP_UP, (1.0, 0.0), 0.0), (DOWN_DOWN, (0.0, 1.0), math.pi)],
+    ids=["00", "11"],
 )
-def test_impossible_outcomes_are_masked_not_divided(channel, theta):
+def test_impossible_outcomes_are_masked_not_divided(channel, ket, theta):
     # The basis input that matches the channel's qubits (the internal
-    # protocol's own input) leaves two outcomes impossible; as an InputQubit
-    # at theta = pi their weights are about 1e-33 instead of exactly 0.
-    inputs = (reduced_single(channel), InputQubit(theta, 0.0))
+    # protocol's own input) leaves two outcomes impossible: exactly as the
+    # ket, about 1e-33 as an InputQubit at theta = pi.
+    inputs = (np.array(ket), InputQubit(theta, 0.0))
     with np.errstate(all="raise"):
         dbrute = min_mean_trace_distance_bruteforce(channel)
         results = [
@@ -489,8 +491,28 @@ def test_input_may_be_a_ket_but_no_other_shape():
         assert outcome_probability(qubit.ket(), x, label) == outcome_probability(
             qubit, x, label
         )
-    with pytest.raises(ValueError, match=re.escape("ket (2,), or density (2, 2); got (3,)")):
+    with pytest.raises(ValueError, match=re.escape("InputQubit or ket (2,); got shape (3,)")):
         mean_fidelity(np.ones(3), x, "phi+")
+
+
+def test_input_must_be_pure_and_normalized():
+    # A mixed or unnormalized input has no fidelity to report: [1, 1] has
+    # squared norm 2 and once gave mean fidelity 4 through a perfect channel.
+    x = build_xstate(Correlators(z=0.1, xx=-0.4, yy=-0.2, zz=0.3))
+    shape = re.escape("InputQubit or ket (2,); got shape (2, 2)")
+    norm = "must be normalized; its squared norm is 2"
+    for state, message in [(np.eye(2) / 2, shape), (np.array([1.0, 1.0]), norm)]:
+        for call in (
+            lambda: mean_fidelity(state, BELL, "phi+"),
+            lambda: outcome_probability(state, x, "phi+"),
+            lambda: bob_output(state, x, "phi+", "phi+"),
+            lambda: simulate_protocol(BELL, state, "phi+", runs=10, seed=0),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # a ket within 1e-12 of unit squared norm passes
+    ket = InputQubit(1.1, 2.3).ket() * (1.0 + 4e-13)
+    assert mean_fidelity(ket, BELL, "phi+") == pytest.approx(1.0, abs=1e-11)
 
 
 def test_simulation_never_draws_a_zero_probability_outcome():
