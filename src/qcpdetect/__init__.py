@@ -8,6 +8,8 @@ merit.  Sweeping them along a control parameter and differentiating locates
 quantum critical points from finite-temperature data.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coherence import (
     AXES,
     EPS_DIVERGENCE,
@@ -82,64 +84,10 @@ from .xstate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXES",
-    "AXIS_FIELDS",
-    "BELL_LABELS",
-    "CORRECTION_SETS",
-    "Correlators",
-    "DetectorValue",
-    "DiscordResult",
-    "EPS_DIVERGENCE",
-    "FAMILIES",
-    "InputQubit",
-    "MaxMeanFidelity",
-    "MinMeanTraceDistance",
-    "ModelSpec",
-    "NUMERIC_COLUMNS",
-    "OutcomeImpossibleError",
-    "PhysicalityError",
-    "QcpEstimate",
-    "SimulationResult",
-    "SpectrumEigenvalues",
-    "SweepResult",
-    "ThermalSolution",
-    "XState",
-    "ZeroTemperatureExtrapolation",
-    "bell_projector",
-    "bob_output",
-    "build_hamiltonian",
-    "build_xstate",
-    "coherence_entropy",
-    "dense_matrix",
-    "derivative",
-    "diagonalize",
-    "entropy_pair",
-    "entropy_single",
-    "estimate_qcp",
-    "evaluate_detectors",
-    "extrapolate_to_zero",
-    "log_spectrum",
-    "make_xstate",
-    "max_mean_fidelity",
-    "max_mean_fidelity_bruteforce",
-    "mean_fidelity",
-    "min_mean_trace_distance",
-    "min_mean_trace_distance_bruteforce",
-    "outcome_probability",
-    "qc_scalar",
-    "quantum_discord",
-    "reduced_single",
-    "s_tilde",
-    "sample_product_xstate",
-    "sample_random_xstate",
-    "simulate_protocol",
-    "spectrum_eigenvalues",
-    "spectrum_eigenvalues_oracle",
-    "sweep",
-    "thermal_correlators",
-    "trace_distance",
-    "xxz_delta1",
-    "xxz_delta2",
-    "xy_thermo_correlators",
-]
+# The import block above is the public API: every name it binds that does not
+# start with "_", without the submodules the imports bind as well.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

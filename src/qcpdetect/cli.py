@@ -41,6 +41,7 @@ from .models import (
     FreeFermionSolution,
     ModelSpec,
     diagonalize,
+    temperatures,
     thermal_correlators,
     xxz_delta1,
     xxz_delta2,
@@ -72,6 +73,7 @@ from .teleport import (
     simulate_protocol,
 )
 from .xstate import (
+    CORRELATORS,
     Correlators,
     PhysicalityError,
     build_xstate,
@@ -146,10 +148,7 @@ _KEY_PARSERS = {
     "input_chi": float,
     "bell": str,
     "runs": int,
-    "z": float,
-    "xx": float,
-    "yy": float,
-    "zz": float,
+    **dict.fromkeys(CORRELATORS, float),
 }
 KNOWN_KEYS = frozenset(_KEY_PARSERS)
 # The keys that describe a model; simulate takes them or z, xx, yy, zz.
@@ -227,9 +226,9 @@ class RunConfig:
                 raise ConfigError(f"need window_lo < window_hi, got ({lo}, {hi})")
             values["window"] = (lo, hi)
         values["couplings"] = {k: values.pop(k) for k in COUPLINGS if k in values}
-        corr = {k: values.pop(k) for k in ("z", "xx", "yy", "zz") if k in values}
+        corr = {k: values.pop(k) for k in CORRELATORS if k in values}
         if corr:
-            if len(corr) != 4:
+            if len(corr) != len(CORRELATORS):
                 raise ConfigError("give all four of z, xx, yy, zz or none")
             values["correlators"] = Correlators(**corr)
         values["model_keys"] = tuple(k for k in raw if k in _MODEL_KEYS)
@@ -237,12 +236,11 @@ class RunConfig:
 
         if cfg.family is not None and cfg.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {cfg.family!r}")
-        kts = cfg.kT_list
-        if any(not (k >= 0.0) for k in kts):
-            raise ConfigError(f"all kT must be >= 0, got {kts}")
+        try:
+            kts = temperatures(cfg.kT_list)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for i, k in enumerate(kts):
-            if k in kts[:i]:
-                raise ConfigError(f"kT = {k} appears more than once in {kts}")
             for other in kts[:i]:
                 if _fmt(other) == _fmt(k):
                     raise ConfigError(
@@ -561,16 +559,14 @@ def _verify_symmetry() -> list[tuple]:
     for label, ed_spec, free_spec in comparisons:
         got = FreeFermionSolution(free_spec).table((free_spec.kT,))[0]
         diff = got - diagonalize(ed_spec).table((ed_spec.kT,))[0]
-        for name, value in zip(("z", "xx", "yy", "zz"), diff):
+        for name, value in zip(CORRELATORS, diff):
             rows.append((f"{label}: {name}", value, 0.0, 1e-10))
     ct = xy_thermo_correlators(0.8, 1.0, 1.0)
     cf = thermal_correlators(ModelSpec("xy", 600, 1.0, lam=0.8, gamma=1.0))
-    err = max(
-        abs(cf.z - ct.z), abs(cf.xx - ct.xx), abs(cf.yy - ct.yy), abs(cf.zz - ct.zz)
-    )
+    err = max(abs(getattr(cf, name) - getattr(ct, name)) for name in CORRELATORS)
     rows.append(("xy L=600 free fermions vs thermodynamic limit (kT=1)", err, 0.0, 1e-12))
     c = thermal_correlators(ModelSpec("xxz_field", 6, math.inf, delta=0.9, h=1.0))
-    for name in ("z", "xx", "yy", "zz"):
+    for name in CORRELATORS:
         rows.append((f"kT=inf: {name} = 0", getattr(c, name), 0.0, 1e-12))
     return rows
 

@@ -120,8 +120,7 @@ class ModelSpec:
                     f"family {self.family!r} does not read {name} "
                     f"(got {name} = {value}, its default is {defaults[name]})"
                 )
-        if not (self.kT >= 0.0):
-            raise ValueError(f"kT must be >= 0, got {self.kT}")
+        temperatures((self.kT,))
         if self.L is None:
             if self.family != "xy":
                 raise ValueError("L = None (thermodynamic limit) requires family 'xy'")
@@ -151,11 +150,21 @@ def _couplings(spec: ModelSpec, column: dict) -> dict:
     return couplings
 
 
-def xxz_delta1(h: float, j: float = 1.0) -> float:
-    """Saturation-line critical anisotropy: h = 4 j (1 + Delta_1)."""
-    if j == 0.0:
-        raise ValueError("coupling j must be nonzero")
-    return h / (4.0 * j) - 1.0
+def temperatures(kts) -> tuple[float, ...]:
+    """The temperatures ``kts`` as floats, inf allowed.  Raises ValueError
+    for a negative or NaN kT and for a kT given twice (0 and -0 are one)."""
+    kts = tuple(float(k) for k in kts)
+    for i, k in enumerate(kts):
+        if not (k >= 0.0):
+            raise ValueError(f"kT must be >= 0, got {k}")
+        if k in kts[:i]:
+            raise ValueError(f"kT = {k} appears more than once in {kts}")
+    return kts
+
+
+def xxz_delta1(h: float) -> float:
+    """Saturation-line critical anisotropy: h = 4 (1 + Delta_1)."""
+    return h / 4.0 - 1.0
 
 
 def _field_of_eta(eta: float) -> float:
@@ -280,12 +289,11 @@ def _thermal_weights(gap, kts, e0) -> np.ndarray:
     indicator of the ground window, gap <= GROUND_STATE_WINDOW max(1, |e0|).
     Nothing above zero is exponentiated; gap/kT may overflow to inf at a
     subnormal kT, where exp(-inf) = 0 is the limit wanted."""
+    kts = temperatures(kts)
     window = GROUND_STATE_WINDOW * np.maximum(1.0, np.abs(e0))
     weights = np.empty((len(kts), *gap.shape))
     with np.errstate(over="ignore"):
         for row, kT in zip(weights, kts):
-            if not (kT >= 0.0):
-                raise ValueError(f"kT must be >= 0, got {kT}")
             row[...] = np.exp(-gap / kT) if kT > 0.0 else gap <= window
     return weights
 
@@ -313,7 +321,7 @@ class ThermalSolution:
     def table(self, kts) -> np.ndarray:
         """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
         e0 = np.expand_dims(self.e0, -1)
-        weights = _thermal_weights(self.energies - e0, tuple(kts), e0)
+        weights = _thermal_weights(self.energies - e0, kts, e0)
         rows = [(self.expectations * w).sum(axis=-1) / w.sum(axis=-1) for w in weights]
         return np.array(rows).reshape(len(rows), 4, *self.e0.shape)
 
@@ -717,9 +725,7 @@ class ThermoLimitSolution:
     def table(self, kts) -> np.ndarray:
         """The (len(kts), 4[, points]) z, xx, yy, zz at every kT in ``kts``."""
         rows = []
-        for kT in kts:
-            if not (kT >= 0.0):
-                raise ValueError(f"kT must be >= 0, got {kT}")
+        for kT in temperatures(kts):
             z = np.array([_z_integral(*point, kT) for point in self._points])
             # E / 2kT overflows to inf at a subnormal kT, and tanh(inf) = 1
             with np.errstate(over="ignore"):

@@ -33,15 +33,18 @@ import numpy as np
 
 from .coherence import AXES, coherence_entropy, log_spectrum
 from .discord import quantum_discord
-from .models import FAMILY_COUPLINGS, ModelSpec, solve_grid
+from .models import FAMILY_COUPLINGS, ModelSpec, solve_grid, temperatures
 from .teleport import max_mean_fidelity, min_mean_trace_distance
-from .xstate import Correlators, XState, build_xstate, build_xstates
+from .xstate import CORRELATORS, Correlators, XState, build_xstate, build_xstates
 
 DEFAULT_ETA = 0.01
 DEFAULT_METHOD = "forward"
 DEFAULT_WINDOW_HALF_WIDTH = 0.5
 
-METHODS = ("forward", "central", "backward")
+# The grid points each finite-difference method reaches behind and ahead of
+# the point it differentiates.
+_STENCILS = {"forward": (0, 1), "central": (1, 1), "backward": (1, 0)}
+METHODS = tuple(_STENCILS)
 
 # Control-axis name -> (ModelSpec field, families that read it)
 _AXIS_COUPLINGS = {"delta": "delta", "h": "h", "lambda": "lam", "gamma": "gamma"}
@@ -54,7 +57,7 @@ AXIS_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
 # detectors, each with its dtype.  The branch labels are strings (object),
 # the divergence flags booleans, and every other column a float.
 COLUMN_DTYPES = {
-    "z": float, "xx": float, "yy": float, "zz": float,
+    **dict.fromkeys(CORRELATORS, float),
     "qd": float, "theta_star": float,
     "sqc_x": float, "sqc_y": float, "sqc_z": float,
     "lqc_x": float, "lqc_y": float, "lqc_z": float,
@@ -104,7 +107,7 @@ def _columns(corr: Correlators, x: XState) -> dict:
     fmax = max_mean_fidelity(x)
     dmin = min_mean_trace_distance(x)
     values = {
-        "z": corr.z, "xx": corr.xx, "yy": corr.yy, "zz": corr.zz,
+        **vars(corr),
         "qd": qd.value, "theta_star": qd.theta_star,
         "fmax_ext": fmax.value, "fmax_branch": fmax.branch,
         "dmin_int": dmin.value, "dmin_branch": dmin.branch,
@@ -200,12 +203,7 @@ def sweep_inputs(
     axis_field, families = AXIS_FIELDS[axis]
     if template.family not in families:
         raise ValueError(f"axis {axis!r} does not apply to family {template.family!r}")
-    kts = tuple(float(k) for k in (kT_list or (template.kT,)))
-    if any(not (k >= 0.0) for k in kts):
-        raise ValueError(f"all kT must be >= 0, got {kts}")
-    for i, k in enumerate(kts):
-        if k in kts[:i]:
-            raise ValueError(f"kT = {k} appears more than once in {kts}")
+    kts = temperatures(kT_list or (template.kT,))
     return axis_field, _grid(start, stop, eta), kts
 
 
@@ -248,16 +246,13 @@ def sweep(
 
 
 def _derivative_once(values: np.ndarray, eta: float, method: str) -> np.ndarray:
+    if method not in _STENCILS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    back, ahead = _STENCILS[method]
+    span = back + ahead
     n = values.size
     out = np.full(n, math.nan)
-    if method == "forward":
-        out[: n - 1] = (values[1:] - values[: n - 1]) / eta
-    elif method == "backward":
-        out[1:] = (values[1:] - values[: n - 1]) / eta
-    elif method == "central":
-        out[1 : n - 1] = (values[2:] - values[: n - 2]) / (2.0 * eta)
-    else:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    out[back : n - ahead] = (values[span:] - values[: n - span]) / (span * eta)
     return out
 
 

@@ -25,7 +25,7 @@ of states at once, each row with its own error; ``build_xstate`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,6 @@ IDENTITY_2 = np.eye(2)
 # Physicality violations up to this size are snapped to the boundary;
 # anything larger raises PhysicalityError.
 VALIDATION_TOL = 1e-12
-_RANGE_CHECKS = [f"correlator {n} outside [-1, 1]" for n in ("z", "xx", "yy", "zz")]
 
 
 class PhysicalityError(ValueError):
@@ -60,6 +59,12 @@ class Correlators:
     xx: float
     yy: float
     zz: float
+
+
+# The correlator names, in field order: the sweep CSV's first columns and the
+# simulate config's keys.
+CORRELATORS = tuple(f.name for f in fields(Correlators))
+_RANGE_CHECKS = [f"correlator {n} outside [-1, 1]" for n in CORRELATORS]
 
 
 @dataclass(frozen=True)

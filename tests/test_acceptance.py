@@ -52,8 +52,8 @@ def test_criterion_1_critical_line_values():
     t0 = time.perf_counter()
     delta2_large = xxz_delta2(12.0)
     delta2_small = xxz_delta2(1e-50)
-    delta1_large = xxz_delta1(12.0, 1.0)
-    delta1_zero = xxz_delta1(0.0, 1.0)
+    delta1_large = xxz_delta1(12.0)
+    delta1_zero = xxz_delta1(0.0)
     elapsed = time.perf_counter() - t0
     assert abs(delta2_large - 4.875) <= 1e-3
     assert abs(delta2_small - 1.0) <= 1e-3

@@ -24,7 +24,7 @@ from qcpdetect.cli import (
     parse_config_text,
     write_sweep_csv,
 )
-from qcpdetect.models import ModelSpec
+from qcpdetect.models import FreeFermionSolution, ModelSpec, ThermoLimitSolution, diagonalize
 from qcpdetect.scan import NUMERIC_COLUMNS, sweep
 from qcpdetect.xstate import Correlators
 
@@ -370,6 +370,40 @@ def test_sweep_command_missing_axis_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "family = xxz\nL = 4\nkT = 0.5\n")
     assert main(["sweep", "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kts, message",
+    [
+        ((-1.0,), "kT must be >= 0, got -1.0"),
+        ((math.nan,), "kT must be >= 0, got nan"),
+        ((0.1, 0.1), "kT = 0.1 appears more than once in (0.1, 0.1)"),
+    ],
+    ids=["negative", "nan", "repeated"],
+)
+def test_every_temperature_check_gives_one_message(tmp_path, capsys, kts, message):
+    # the spec, the three solvers' tables, the sweep and the CLI share one rule
+    failures = []
+    if len(kts) == 1:
+        with pytest.raises(ValueError) as info:
+            ModelSpec("xy", None, kts[0])
+        failures.append(info.value)
+    for solution in (
+        diagonalize(ModelSpec("xxz", 4, 0.5)),
+        FreeFermionSolution(ModelSpec("xy", 4, 0.5, lam=0.8)),
+        ThermoLimitSolution(ModelSpec("xy", None, 0.5, lam=0.8)),
+    ):
+        with pytest.raises(ValueError) as info:
+            solution.table(kts)
+        failures.append(info.value)
+    with pytest.raises(ValueError) as info:
+        sweep(ModelSpec("xxz", 4, 0.5), "delta", 0.0, 1.0, eta=0.5, kT_list=kts)
+    failures.append(info.value)
+    assert [str(exc) for exc in failures] == [message] * len(failures)
+    text = SWEEP_CONFIG.replace("0.5, 1.0", ", ".join(map(str, kts)))
+    assert main(["sweep", "--config", _write(tmp_path, text + f"out = {tmp_path}\n")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_sweep_command_rejects_repeated_temperature(tmp_path, capsys):

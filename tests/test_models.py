@@ -295,11 +295,8 @@ def test_model_spec_rejects_a_coupling_its_family_does_not_read():
 
 
 def test_critical_line_delta1():
-    assert xxz_delta1(12.0, 1.0) == 2.0
-    assert xxz_delta1(0.0, 1.0) == -1.0
-    assert xxz_delta1(8.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        xxz_delta1(1.0, 0.0)
+    assert xxz_delta1(12.0) == 2.0
+    assert xxz_delta1(0.0) == -1.0
 
 
 def test_critical_line_delta2_reference_points():
@@ -531,6 +528,22 @@ def test_xy_thermo_ic_is_match_adaptive_quadrature():
                 ic, is_ = _adaptive_xy_ic_is(lam, gamma, kT)
                 got = table[i, 1:3, j]
                 assert np.abs(got - (is_ - ic, -is_ - ic)).max() <= 1e-12, (lam, gamma, kT)
+
+
+def test_thermo_limit_checks_temperatures_before_it_solves(monkeypatch):
+    # a bad kT anywhere in the list costs no z quadrature
+    calls = []
+    z_integral = models._z_integral
+
+    def counted(*args):
+        calls.append(args)
+        return z_integral(*args)
+
+    monkeypatch.setattr(models, "_z_integral", counted)
+    solution = ThermoLimitSolution(ModelSpec("xy", None, 0.05), lam=np.linspace(0.5, 1.5, 16))
+    with pytest.raises(ValueError, match=re.escape("kT must be >= 0, got -1.0")):
+        solution.table((0.05, -1.0))
+    assert calls == []
 
 
 def test_xy_thermo_at_a_subnormal_kT_is_the_ground_state():
