@@ -78,7 +78,7 @@ GROUND_STATE_WINDOW = 1e-10
 # loses no more than these rows.  256 rows at L = 12.
 _COLUMN_MODES = 256 * 12
 # Most points the L = None xy chain solves in one pass of its k-integrals;
-# its node arrays are (points, 968), a fraction of a megabyte.
+# its node arrays are (points, 634), a fraction of a megabyte.
 _LIMIT_POINTS = 16
 # Most entries an xxz block stacks per sector: the largest (half-filled)
 # sector of one L = DEFAULT_L_MAX chain, about 7 MB.
@@ -600,63 +600,30 @@ def _z_integral(lam: float, gamma: float, k0: float | None, kT: float) -> float:
     return scipy.integrate.quad(node, 0.0, math.pi, **opts)[0] / math.pi
 
 
-def _gauss_legendre(order: int) -> list[tuple[float, float]]:
-    """Gauss-Legendre (node, weight) pairs on [0, 1].
+def _tanh_sinh(step: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on [0, 1] (Takahasi and Mori,
+    Publ. RIMS 9, 721 (1974)): x = 1 / (1 + exp(-pi sinh t)) with weight
+    pi cosh(t) x (1 - x) step at t = j step, |t| <= reach.
 
-    Newton's method on the Legendre polynomial P_n from the nodes
-    cos(pi (i - 1/4) / (n + 1/2)) (Press et al., Numerical Recipes, 3rd ed.,
-    2007, section 4.6) for the nodes x > 0 of [-1, 1], each standing for the
-    pair +-x; four steps reach rounding for n <= 16.  Plain floats, since the
-    rule is built on import: numpy's leggauss or eigh would load LAPACK,
-    about 1 MB of resident memory, into every process that imports the
-    package.
+    The nodes crowd double-exponentially toward both ends, where the weights
+    fall as fast, so a feature of any width down to the innermost node
+    costs the same few nodes.  Nodes past the middle are 1 minus their
+    mirror and share its weight, so the rule is symmetric about 1/2.  Plain
+    floats, since the rule is built on import.
     """
-
-    def legendre(x: float) -> tuple[float, float]:
-        # P_n(x) and P_n'(x) by the three-term recurrence
-        prev, p = 1.0, x
-        for k in range(2, order + 1):
-            prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
-        return p, order * (x * p - prev) / (x * x - 1.0)
-
-    pairs = [(0.5, 1.0 / legendre(0.0)[1] ** 2)] if order % 2 else []
-    for i in range(1, order // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
-        for _ in range(4):
-            p, slope = legendre(x)
-            x -= p / slope
-        weight = 1.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)
-        pairs += [(0.5 * (1.0 - x), weight), (0.5 * (1.0 + x), weight)]
-    return pairs
-
-
-def _graded_rule(ratio: float, orders) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on [0, 1] whose
-    panels shrink geometrically toward both ends (Davis and Rabinowitz,
-    Methods of Numerical Integration, 2nd ed., 1984, ch. 2).
-
-    Each half is cut at ratio^j / 2 from its end, j = 1 .. len(orders) - 1,
-    and the j-th panel from the middle gets ``orders[j]`` nodes.  A panel is
-    then ratio / (1 - ratio) times as far from the end as it is wide, so a
-    singularity off the real axis near an end costs the same few panels at
-    every scale down to the innermost width, ratio^(len(orders) - 1) / 2.
-    """
-    rules = {order: _gauss_legendre(order) for order in set(orders)}
-    edges = [0.5 * ratio**j for j in range(len(orders))] + [0.0]  # middle to end
-    near, weights = [], []
-    for a, b, order in zip(edges[1:], edges, orders):
-        for x, w in rules[order]:
-            near.append(a + (b - a) * x)
-            weights.append((b - a) * w)
-    return np.array(near + [1.0 - x for x in near]), np.array(weights + weights)
+    near, weights = [], []  # t = -j step, from the end inward
+    for j in range(int(reach / step), 0, -1):
+        t = j * step
+        x = 1.0 / (1.0 + math.exp(math.pi * math.sinh(t)))
+        near.append(x)
+        weights.append(math.pi * math.cosh(t) * x * (1.0 - x) * step)
+    nodes = near + [0.5] + [1.0 - x for x in reversed(near)]
+    return np.array(nodes), np.array(weights + [0.25 * math.pi * step] + weights[::-1])
 
 
 # The rule of ThermoLimitSolution's Ic and Is, on each half of [0, pi]:
-# ratio 0.3 over 27 panels per end, the innermost 1.3e-14 of the half.
-# A panel 0.3^j as wide as the middle one needs about 0.6 j fewer nodes for
-# the same absolute error, so the orders fall from 16 to 4: 484 nodes per
-# half, 968 per point.
-_LIMIT_RULE = _graded_rule(0.3, [max(4, 16 - 3 * j // 5) for j in range(27)])
+# 317 nodes per half, 634 per point; the end nodes are 4.8e-19 and 1.0.
+_LIMIT_RULE = _tanh_sinh(1.0 / 48.0, 3.3)
 
 
 class ThermoLimitSolution:
@@ -677,18 +644,18 @@ class ThermoLimitSolution:
     z is one adaptive quadrature per point and kT (``_z_integral``).  Ic
     and Is are one fixed rule over the whole column: [0, pi] is cut at
     k0 = ``_fermi_point(lam)`` (at pi/2 for |lam| <= 1), and each half gets
-    the ``_graded_rule``, graded toward both its ends, where every sharp
-    feature sits: the gap closings at k = 0 and pi and the sign change of
-    xi at k0.  A node reads u, the nearer of k and pi - k, and
-    q = sin^2(u/2), which is sin^2(k/2) below pi/2 and cos^2(k/2) above;
-    cos k, sin k and
+    the tanh-sinh rule ``_LIMIT_RULE``, whose nodes crowd toward both its
+    ends, where every sharp feature sits: the gap closings at k = 0 and pi
+    and the sign change of xi at k0.  A node reads u, the nearer of k and
+    pi - k, and q = sin^2(u/2), which is sin^2(k/2) below pi/2 and
+    cos^2(k/2) above; cos k, sin k and
 
       xi = (1 - lam) + 2 lam sin^2(k/2) = (1 + lam) - 2 lam cos^2(k/2)
 
     follow from q with no cancellation near k = 0 or near k = pi.  The
     nodes, xi, D and E of a column are computed once; each kT then costs
     one tanh and two weighted sums over the column's nodes.  Memory grows
-    as (points) x 968 nodes, so a caller with a long column hands it over
+    as (points) x 634 nodes, so a caller with a long column hands it over
     in blocks (``solve_grid`` does, of ``_LIMIT_POINTS`` points).
     """
 
@@ -742,6 +709,6 @@ class ThermoLimitSolution:
 def xy_thermo_correlators(lam: float, gamma: float, kT: float) -> Correlators:
     """Thermodynamic-limit xy correlators of one coupling point from the
     free-fermion integrals of ``ThermoLimitSolution``: z by adaptive
-    quadrature, Ic and Is by its graded Gauss-Legendre rule.  A column of
+    quadrature, Ic and Is by its tanh-sinh rule.  A column of
     points gives each point these bits."""
     return ThermoLimitSolution(ModelSpec("xy", None, kT, lam=lam, gamma=gamma)).correlators(kT)

@@ -11,8 +11,9 @@ Each temperature's result is a set of columns, one array per correlator
 and detector over the grid, in the order of ``COLUMNS``.  Failures at a
 grid point are caught and recorded (its message in ``errors``, the fill
 of each column's dtype in the columns), never aborting the sweep or failing
-another point, on every solver: a column block whose solve raises is solved
-again a point at a time.  Downstream derivative stencils that touch a failed
+another point: a column block whose solve raises is solved again a point at
+a time, on every solver, and a column whose detectors raise is evaluated
+again a row at a time.  Downstream derivative stencils that touch a failed
 point come out undefined (NaN) rather than interpolated.
 
 Critical points are then located as the extremum of a finite-difference
@@ -146,7 +147,8 @@ def _temperature_columns(
     states of all rows at once, and a row fails alone, with the model's
     error or else its own ``PhysicalityError``; the detectors then run once
     on the column of states that were built, and their values fill those
-    rows.
+    rows.  If a detector raises on that column, each of its rows runs
+    again alone, so each keeps its own error.
     """
     states, physics = build_xstates(Correlators(*corr))
     failures = (p if m is None else m for m, p in zip(model_failures, physics))
@@ -154,19 +156,20 @@ def _temperature_columns(
     # a failed point holds NaN numbers, False flags and no labels
     fill = {float: math.nan, bool: False, object: None}
     out = {c: np.full(len(errors), fill[dtype], dtype) for c, dtype in COLUMN_DTYPES.items()}
-    points = [i for i, err in enumerate(errors) if err is None]
-    if points:
-        fields = (states.a, states.b, states.c, states.d, states.e)
+    fields = (states.a, states.b, states.c, states.d, states.e)
+
+    def evaluate(rows: list[int]) -> str | None:
         try:
-            values = _columns(
-                Correlators(*corr[:, points]), XState(*(f[points] for f in fields))
-            )
+            values = _columns(Correlators(*corr[:, rows]), XState(*(f[rows] for f in fields)))
         except Exception as exc:
-            for i in points:
-                errors[i] = _error(exc)
-        else:
-            for name, col in out.items():
-                col[points] = values[name]
+            return _error(exc)
+        for name, col in out.items():
+            col[rows] = values[name]
+
+    points = [i for i, err in enumerate(errors) if err is None]
+    if points and evaluate(points) is not None:
+        for i in points:
+            errors[i] = evaluate([i])
     return out, tuple(errors)
 
 

@@ -511,7 +511,7 @@ def _adaptive_xy_ic_is(lam: float, gamma: float, kT: float):
 
 
 def test_xy_thermo_ic_is_match_adaptive_quadrature():
-    # The graded Gauss-Legendre rule of Ic and Is against an adaptive
+    # The tanh-sinh rule of Ic and Is against an adaptive
     # quadrature that shares none of its code: the ising_thermo lam grid,
     # lam at and 1e-6 around +-1 (gap closings), small and large |gamma|,
     # and kT from 0 to inf.
@@ -528,6 +528,64 @@ def test_xy_thermo_ic_is_match_adaptive_quadrature():
                 ic, is_ = _adaptive_xy_ic_is(lam, gamma, kT)
                 got = table[i, 1:3, j]
                 assert np.abs(got - (is_ - ic, -is_ - ic)).max() <= 1e-12, (lam, gamma, kT)
+
+
+def test_limit_rule_integrates_end_features_to_rounding():
+    # the tanh-sinh rule on [0, 1] of each half of [0, pi]: the steps
+    # x / sqrt(x^2 + delta^2) and tanh(x / delta) at either end, their width
+    # delta from 1e-2 down to 1e-14
+    nodes, weights = models._LIMIT_RULE
+    assert abs(weights.sum() - 1.0) <= 2 * np.spacing(1.0)
+    assert ((nodes > 0.0) & (nodes <= 1.0)).all()
+    assert 2 * nodes.size <= 968  # nodes per point, both halves
+    for delta in (1e-2, 1e-6, 1e-10, 1e-14):
+        kink = math.sqrt(1.0 + delta * delta) - delta
+        step = 1.0 - delta * math.log(2.0) + delta * math.log1p(math.exp(-2.0 / delta))
+        for x in (nodes, 1.0 - nodes):
+            assert abs(weights @ (x / np.sqrt(x * x + delta * delta)) - kink) <= 4.4e-16, delta
+            assert abs(weights @ np.tanh(x / delta) - step) <= 4.4e-16, delta
+
+
+def _mpmath_xy_ic_is(mp, lam: float, gamma: float, kT: float):
+    """Ic, Is of the L = None xy ring by 30-digit tanh-sinh quadrature
+    (``mpmath.quad``), split at 0, k0 (for |lam| > 1), pi/2 and pi."""
+    with mp.workdps(30):
+        lam_, gamma_, kT_ = mp.mpf(lam), mp.mpf(gamma), mp.mpf(kT)
+
+        def terms(k):
+            xi = (1 - lam_) + 2 * lam_ * mp.sin(k / 2) ** 2
+            dd = lam_ * gamma_ * mp.sin(k)
+            en = mp.sqrt(xi * xi + dd * dd)
+            t = 1 if kT == 0.0 else mp.tanh(en / (2 * kT_))
+            return mp.cos(k) * xi / en * t, mp.sin(k) * dd / en * t
+
+        splits = {mp.mpf(0), mp.pi / 2, mp.pi}
+        if abs(lam) > 1.0:
+            splits.add(mp.acos(1 / lam_))
+        return tuple(
+            mp.quad(lambda k: terms(k)[i], sorted(splits)) / mp.pi for i in (0, 1)
+        )
+
+
+def test_xy_thermo_ic_is_match_mpmath_oracle():
+    # gap closings 1e-10 and 1e-14 past |lam| = 1, at small gamma and low
+    # kT, where the sign change of xi at k0 sits next to k = 0 or pi
+    mp = pytest.importorskip("mpmath").mp
+    cases = [
+        (-1.0 - 1e-10, 1e-3, 0.05),
+        (-1.0 - 1e-10, 0.0, 0.05),
+        (1.0 + 1e-10, 0.0, 1e-5),
+        (1.0 + 1e-14, 1e-3, 1e-5),
+        (0.961, 1.0, 0.05),
+        (1.0, 1.0, 0.0),
+        (1.5, 0.5, 0.01),
+        (-2.5, -0.7, 1e-3),
+    ]
+    for lam, gamma, kT in cases:
+        ic, is_ = _mpmath_xy_ic_is(mp, lam, gamma, kT)
+        c = xy_thermo_correlators(lam, gamma, kT)
+        assert abs(c.xx - float(is_ - ic)) <= 1e-15, (lam, gamma, kT)
+        assert abs(c.yy - float(-is_ - ic)) <= 1e-15, (lam, gamma, kT)
 
 
 def test_thermo_limit_checks_temperatures_before_it_solves(monkeypatch):

@@ -421,6 +421,33 @@ def test_sweep_isolates_detector_failures(monkeypatch):
         assert np.isnan(result.column("qd")).all()
 
 
+def test_detector_exception_fails_only_its_own_rows(monkeypatch):
+    # a detector that raises on any column holding a hot state (b near 1/4)
+    # fails those rows alone: the cold rows of the same column are evaluated
+    # again and match a sweep without the fault
+    template = ModelSpec("xy", None, 0.05, gamma=1.0)
+    args = (template, "lambda", 0.9, 1.1, 0.05, (0.05, 5.0))
+    clean = sweep(*args)
+    original = scan_mod.max_mean_fidelity
+
+    def hot_broken(x):
+        if (np.asarray(x.b) > 0.24).any():
+            raise FloatingPointError("hot state")
+        return original(x)
+
+    monkeypatch.setattr(scan_mod, "max_mean_fidelity", hot_broken)
+    cold, hot = sweep(*args)
+    b = [(1.0 - result.column("zz")) / 4.0 for result in clean]
+    assert (b[0] < 0.24).all() and (b[1] > 0.24).all()
+    assert cold.failed_count == 0 and hot.failed_count == 5
+    assert hot.errors == ("FloatingPointError: hot state",) * 5
+    for name in NUMERIC_COLUMNS:
+        np.testing.assert_array_equal(cold.column(name), clean[0].column(name))
+    for name in ("fmax_branch", "dmin_branch"):
+        assert cold.column(name).tolist() == clean[0].column(name).tolist()
+    assert np.isnan(hot.column("qd")).all() and np.isnan(hot.column("xx")).all()
+
+
 def test_evaluate_detectors_record_contents():
     corr = Correlators(z=0.0, xx=0.2, yy=0.2, zz=0.3)
     row = evaluate_detectors(0.3, corr)
